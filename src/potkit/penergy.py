@@ -10,9 +10,9 @@ with coef = 1/p for measure-driven solves and coef = 1 (and w = 0) for
 capacity problems.  E is convex for every p > 1, so any descent to
 first-order stationarity finds the global minimizer subject to the
 pinned nodes.  Minimization is limited-memory quasi-Newton descent with
-an optional lagged-coefficient (Picard) polish that re-solves the
-linearized problem sparsely to push the gradient to machine level on
-small grids.
+an optional Newton polish: on grids small enough for a sparse direct
+solve, damped Newton steps with the exact Hessian (nested-dissection
+order, pattern built once per call) push the gradient to machine level.
 """
 
 from __future__ import annotations
@@ -144,10 +144,11 @@ def minimize_p_energy(problem: PEnergyProblem, u0: np.ndarray | None = None,
                       polish: str | None = None, polish_iters: int = 40):
     """Minimize the pinned p-energy; returns (u, PEnergyInfo).
 
-    ``polish`` may be "newton" (sparse assembled Hessian, quadratic
-    convergence, for grids small enough to factor) or "picard" (lagged
-    coefficients).  Raises ResolutionError when the descent gives up
-    before reaching the relative-energy-change criterion.
+    ``polish="newton"`` follows the descent with :func:`newton_polish`
+    (sparse assembled Hessian, quadratic convergence, for grids small
+    enough to factor).  Without a polish, raises ResolutionError when the
+    descent stops before reaching the relative-energy-change criterion,
+    including when it runs out of iterations.
     """
     free = ~problem.fixed_mask
     if not np.any(free):
@@ -172,13 +173,11 @@ def minimize_p_energy(problem: PEnergyProblem, u0: np.ndarray | None = None,
     u = problem.full(res.x)
     if polish == "newton":
         u = newton_polish(problem, u, iters=polish_iters)
-    elif polish == "picard":
-        u = picard_polish(problem, u, iters=polish_iters)
     elif polish is not None:
-        raise ValueError("polish must be 'newton', 'picard' or None")
+        raise ValueError("polish must be 'newton' or None")
     energy, grad = problem.energy_and_grad(u)
     grad_norm = float(np.max(np.abs(grad[free]))) if np.any(free) else 0.0
-    converged = bool(res.success or res.status == 1 or polish is not None)
+    converged = bool(res.success or polish is not None)
     if not converged:
         raise ResolutionError(
             f"p-energy descent did not converge ({res.message}); "
@@ -189,59 +188,136 @@ def minimize_p_energy(problem: PEnergyProblem, u0: np.ndarray | None = None,
     return u, info
 
 
-def _cell_grad_matrix(grid: EvaluationGrid, axis: int) -> sp.csr_matrix:
-    mats = []
-    for b in range(grid.dim):
-        nb = grid.cells[b]
-        if b == axis:
-            m = sp.diags([-1.0, 1.0], [0, 1], shape=(nb, nb + 1)) / grid.h
-        else:
-            m = sp.diags([0.5, 0.5], [0, 1], shape=(nb, nb + 1))
-        mats.append(m.tocsr())
-    return reduce(sp.kron, mats).tocsr()
+def _nested_dissection(shape) -> np.ndarray:
+    """Flat node indices of a lattice in nested-dissection order.
+
+    Every box of nodes is cut by its middle plane of nodes across one
+    axis, the axis whose boxes are widest at that level; the two halves
+    come first, each ordered the same way, and the plane last.  A plane
+    one node thick cuts every edge of the 3^n-point stencil, so
+    eliminating the halves first creates no fill between them.  Boxes at
+    most two nodes wide on every axis keep lattice order.
+    """
+    n = len(shape)
+    # digits[a][l]: per coordinate along axis a, 0 or 1 for the half it
+    # falls in at the l-th cut of axis a, 2 on the cut plane, 0 once its
+    # interval is too narrow to cut (or after it was a plane)
+    digits = [[] for _ in range(n)]
+    widths = [s - 1 for s in shape]
+    for a, s in enumerate(shape):
+        c = np.arange(s)
+        lo, hi = np.zeros(s, dtype=int), np.full(s, s - 1)
+        while np.any(hi - lo >= 2):
+            mid = (lo + hi) // 2
+            cut = hi - lo >= 2
+            d = np.where(cut, np.where(c < mid, 0, np.where(c > mid, 1, 2)), 0)
+            hi = np.where(cut & (c < mid), mid - 1, np.where(d == 2, c, hi))
+            lo = np.where(cut & (c > mid), mid + 1, np.where(d == 2, c, lo))
+            digits[a].append(d.reshape([-1 if b == a else 1
+                                        for b in range(n)]))
+    # cut the widest axis first; a node on a plane pads with 0 from then
+    # on, which still sorts it after both halves it separated
+    levels = [0] * n
+    key = np.zeros(shape, dtype=np.int64)
+    live = np.ones(shape, dtype=bool)
+    while any(levels[a] < len(digits[a]) for a in range(n)):
+        a = max((a for a in range(n) if levels[a] < len(digits[a])),
+                key=lambda a: widths[a])
+        d = digits[a][levels[a]]
+        levels[a] += 1
+        widths[a] -= widths[a] // 2 + 1
+        key = 3 * key + np.where(live, d, 0)
+        live = live & (d != 2)
+    return np.argsort(key.ravel(), kind="stable")
 
 
-def picard_polish(problem: PEnergyProblem, u: np.ndarray, *, iters: int = 60,
-                  tol: float = 1e-14) -> np.ndarray:
-    """Lagged-coefficient refinement: repeatedly solve the linear system
-    of the quadratic energy with weights |grad u|^(p-2) frozen at the
-    current iterate.  Intended for small grids where a sparse solve is
-    cheap; drives the nonlinear gradient to machine precision."""
-    grid, p = problem.grid, problem.p
-    n = grid.dim
-    hn = grid.cell_volume
-    ops = [_cell_grad_matrix(grid, a) for a in range(n)]
-    free = ~problem.fixed_mask.ravel()
-    fixed_vals = problem.fixed_values.ravel()
-    load = (problem.load.ravel() if problem.load is not None
-            else np.zeros(grid.n_nodes))
-    u = u.copy()
-    scale = max(1.0, float(np.max(np.abs(problem.fixed_values))))
-    for _ in range(iters):
-        grads = [cell_gradient(u, grid.h, a) for a in range(n)]
-        g2 = reduce(np.add, (d * d for d in grads)).ravel()
+class _FrozenHessian:
+    """Sparsity pattern of the free-node Hessian, in nested-dissection
+    order, with the CSC slot of every per-cell contribution.
+
+    The pattern is the 3^n-point stencil restricted to free nodes; it is
+    built by index arithmetic, once, and ``assemble`` then only fills its
+    values.  ``order`` lists the free nodes in elimination order: row and
+    column k of the assembled matrix belong to node ``order[k]``.
+    """
+
+    def __init__(self, grid: EvaluationGrid, fixed_mask: np.ndarray):
+        n = grid.dim
+        shape = grid.node_shape
+        nd = _nested_dissection(shape)
+        self.order = nd[~fixed_mask.ravel()[nd]]
+        m = self.order.size
+        # ranks on the lattice padded by one node per side, so that every
+        # stencil neighbour has an index; -1 marks pinned and pad nodes
+        pshape = tuple(s + 2 for s in shape)
+        pstrides = np.array([math.prod(pshape[a + 1:]) for a in range(n)])
+        pidx = np.arange(math.prod(pshape), dtype=np.int32).reshape(pshape)
+        inner = np.full(grid.n_nodes, -1, dtype=np.int32)
+        inner[self.order] = np.arange(m, dtype=np.int32)
+        rank = np.full(pshape, -1, dtype=np.int32)
+        rank[(slice(1, -1),) * n] = inner.reshape(shape)
+        rank = rank.ravel()
+
+        # column k holds the free stencil neighbours of node order[k],
+        # sorted by row; slot[k, s] is where stencil point s sits in the
+        # CSC data, or the spare slot nnz (dropped) for a pinned node
+        stencil = np.array(list(np.ndindex((3,) * n))) - 1
+        width = len(stencil)
+        origin = pidx[(slice(1, -1),) * n].ravel()[self.order]
+        rows = rank[origin[:, None] + (stencil @ pstrides).astype(np.int32)]
+        key = np.where(rows >= 0, rows, m)
+        pos = np.empty((m, width), dtype=np.int32)
+        np.put_along_axis(pos, np.argsort(key, axis=1, kind="stable"),
+                          np.arange(width, dtype=np.int32)[None, :], axis=1)
+        self.indptr = np.zeros(m + 1, dtype=np.int32)
+        np.cumsum(np.count_nonzero(rows >= 0, axis=1), out=self.indptr[1:])
+        self.nnz = int(self.indptr[-1])
+        key.sort(axis=1)
+        self.indices = key[key < m]
+        slot = np.full((m + 1, width), self.nnz, dtype=np.int32)
+        slot[:-1] = np.where(rows >= 0, self.indptr[:-1, None] + pos, self.nnz)
+        self.diag = slot[:-1, width // 2]
+
+        # contribution (cell, i, j) of local corner nodes i, j lands in
+        # column rank(j) at stencil point corner_i - corner_j; rank -1
+        # reads the last row of slot, which is all spare
+        corners = np.array(list(np.ndindex((2,) * n)))
+        s_ij = ((corners[:, None, :] - corners[None, :, :] + 1)
+                @ 3 ** np.arange(n - 1, -1, -1)).astype(np.int32)
+        first = pidx[tuple(slice(1, c + 1) for c in grid.cells)].ravel()
+        r = rank[first[:, None] + (corners @ pstrides).astype(np.int32)]
+        self.slots = slot.ravel()[(r * width)[:, None, :] + s_ij].ravel()
+        # the cell gradient is B = 2^(1-n)/h S with S[a, k] = +-1, so
+        # (B^T W B)_ij = 4^(1-n)/h^2 sum_ab S_ai S_bj W_ab
+        sign = 2.0 * corners.T - 1.0
+        self._outer = np.einsum("ai,bj->abij", sign, sign).reshape(n * n, -1)
+
+    def assemble(self, problem: PEnergyProblem, u: np.ndarray):
+        """Hessian of the energy at u on the free nodes, as CSC.
+
+        Per cell it is coef p h^n B^T W B with the gradient operator B
+        and W = g^(p-2) I + (p-2) g^(p-4) D D^T, D the cell gradient and
+        g = |D| (regularized by eps).
+        """
+        grid, p = problem.grid, problem.p
+        n = grid.dim
+        grads = [cell_gradient(u, grid.h, a).ravel() for a in range(n)]
+        g2 = reduce(np.add, (d * d for d in grads))
         if problem.eps > 0.0:
             g2 = g2 + problem.eps ** 2
+        pos = g2 > 0.0
         with np.errstate(divide="ignore"):
-            w = np.where(g2 > 0.0, g2 ** ((p - 2.0) / 2.0), 0.0)
-        # quadratic model: coef * p * sum w |grad v|^2 / ... solves
-        # A v = load with A = coef * p * sum B^T diag(w) B * h^n
-        A = None
-        for a in range(n):
-            term = ops[a].T @ sp.diags(w) @ ops[a]
-            A = term if A is None else A + term
-        A = (problem.coef * p * hn) * A
-        A = A.tocsr()
-        rhs = load - A[:, ~free] @ fixed_vals[~free]
-        A_ff = A[free][:, free]
-        v = u.ravel().copy()
-        v[free] = spla.spsolve(A_ff.tocsc(), rhs[free])
-        v = v.reshape(u.shape)
-        delta = float(np.max(np.abs(v - u)))
-        u = v
-        if delta < tol * scale:
-            break
-    return u
+            w_iso = np.where(pos, g2 ** ((p - 2.0) / 2.0), 0.0)
+            w_dir = np.where(pos, (p - 2.0) * g2 ** ((p - 4.0) / 2.0), 0.0)
+        W = np.stack([w_dir * grads[a] * grads[b] + (w_iso if a == b else 0.0)
+                      for a in range(n) for b in range(n)], axis=1)
+        scale = (problem.coef * p * grid.cell_volume
+                 * (0.5 ** (n - 1) / grid.h) ** 2)
+        local = W @ (scale * self._outer)
+        data = np.bincount(self.slots, weights=local.ravel(),
+                           minlength=self.nnz + 1)[:self.nnz]
+        m = self.order.size
+        return sp.csc_matrix((data, self.indices, self.indptr), shape=(m, m))
 
 
 def newton_polish(problem: PEnergyProblem, u: np.ndarray, *,
@@ -250,66 +326,67 @@ def newton_polish(problem: PEnergyProblem, u: np.ndarray, *,
 
     The Hessian weights per cell are g^(p-2) I + (p-2) g^(p-4) D D^T
     (eigenvalues g^(p-2) and (p-1) g^(p-2), so it is positive definite
-    wherever the gradient magnitude g is nonzero).  A backtracking line
-    search on the true energy keeps every step a descent step; tiny
+    wherever the gradient magnitude g is nonzero).  Its pattern is built
+    once per call, in nested-dissection order of the node lattice, and
+    each iteration only refills the values and factors them in that
+    order (``permc_spec="NATURAL"``); nothing outlives the call.  Tiny
     diagonal damping covers cells where the energy degenerates.
+
+    The line search backtracks from the full step under the Armijo
+    test on the true energy.  Once the predicted decrease drops below
+    the energy's rounding level, 64 eps max(1, |E|), that test compares
+    round-off: there a step is accepted when it lowers the max-norm
+    gradient, and the refinement stops when it does not.  Iteration ends
+    when the max-norm gradient over free nodes is below ``gtol``.
     Intended for grids small enough for a sparse direct solve.
     """
-    grid, p = problem.grid, problem.p
-    n = grid.dim
-    hn = grid.cell_volume
-    ops = [_cell_grad_matrix(grid, a) for a in range(n)]
-    free = ~problem.fixed_mask.ravel()
+    hess = _FrozenHessian(problem.grid, problem.fixed_mask)
+    order = hess.order
     u = u.copy()
+    flat = u.reshape(-1)
+    e0, grad = problem.energy_and_grad(u)
+    gf = grad.reshape(-1)[order]
+    gmax = float(np.max(np.abs(gf)))
     for _ in range(iters):
-        e0, grad = problem.energy_and_grad(u)
-        gf = np.ascontiguousarray(grad.ravel()[free])
-        if np.max(np.abs(gf)) < gtol:
+        if gmax < gtol:
             break
-        grads = [cell_gradient(u, grid.h, a) for a in range(n)]
-        g2 = reduce(np.add, (d * d for d in grads)).ravel()
-        if problem.eps > 0.0:
-            g2 = g2 + problem.eps ** 2
-        pos = g2 > 0.0
-        with np.errstate(divide="ignore"):
-            w_iso = np.where(pos, g2 ** ((p - 2.0) / 2.0), 0.0)
-            w_dir = np.where(pos, (p - 2.0) * g2 ** ((p - 4.0) / 2.0), 0.0)
-        H = None
-        for a in range(n):
-            for b in range(a, n):
-                w = w_dir * grads[a].ravel() * grads[b].ravel()
-                if a == b:
-                    w = w + w_iso
-                term = ops[a].T @ sp.diags(w) @ ops[b]
-                if a != b:
-                    term = term + term.T
-                H = term if H is None else H + term
-        H_ff = ((problem.coef * p * hn) * H).tocsr()[free][:, free].tocsc()
+        H = hess.assemble(problem, u)
         lam = 0.0
         step = None
         for _attempt in range(8):
+            M = H
+            if lam > 0.0:
+                M = H.copy()
+                M.data[hess.diag] += lam
             try:
-                M = H_ff if lam == 0.0 else \
-                    H_ff + lam * sp.identity(H_ff.shape[0], format="csc")
-                cand = spla.spsolve(M, -gf)
-                if np.all(np.isfinite(cand)) and float(gf @ cand) < 0.0:
-                    step = cand
-                    break
-            except Exception:
-                pass
+                cand = spla.spsolve(M, -gf, permc_spec="NATURAL")
+            except RuntimeError:
+                cand = None
+            if (cand is not None and np.all(np.isfinite(cand))
+                    and float(gf @ cand) < 0.0):
+                step = cand
+                break
             lam = 1e-10 if lam == 0.0 else lam * 100.0
         if step is None:
             break
         slope = float(gf @ step)
+        rounding = 64.0 * np.finfo(float).eps * max(1.0, abs(e0))
+        x0 = flat[order]
         t = 1.0
-        v = u.ravel().copy()
         while True:
-            v[free] = u.ravel()[free] + t * step
-            e1, _ = problem.energy_and_grad(v.reshape(u.shape))
-            if e1 <= e0 + 1e-4 * t * slope or t < 1e-12:
+            flat[order] = x0 + t * step
+            e1, grad = problem.energy_and_grad(u)
+            g1 = grad.reshape(-1)[order]
+            g1max = float(np.max(np.abs(g1)))
+            if -t * slope < rounding:
+                if g1max < gmax:
+                    break
+                flat[order] = x0
+                return u
+            if e1 <= e0 + 1e-4 * t * slope:
                 break
             t *= 0.5
-        u = v.reshape(u.shape)
+        e0, gf, gmax = e1, g1, g1max
     return u
 
 

@@ -234,7 +234,11 @@ def solve_p_dirichlet(grid: EvaluationGrid, mu: Measure | None, p: float,
     ``polish="auto"`` runs the sparse Newton refinement whenever the
     grid is small enough to factor directly; the fill-in of the sparse
     factorization caps this at ~1.6e5 nodes in 2-D but ~4e4 in higher
-    dimensions.  The descent before it is the monotone convex stage.
+    dimensions.  The nested-dissection order of
+    :func:`~potkit.penergy.newton_polish` leaves these caps unchanged.  The
+    descent before it is the monotone convex stage.  Array boundary
+    data is given on the fine grid's nodes; the coarse levels of the
+    cascade read it at their own nodes (stride 2, 4).
     Atoms are rejected when their containing cell touches the Dirichlet
     layer, since the projection would alter the pinned data.
     """
@@ -253,9 +257,14 @@ def solve_p_dirichlet(grid: EvaluationGrid, mu: Measure | None, p: float,
         cap = 160_000 if grid.dim == 2 else 40_000
         polish = "newton" if grid.n_nodes <= cap else None
 
-    def build(g: EvaluationGrid) -> PEnergyProblem:
+    def build(g: EvaluationGrid, level: int) -> PEnergyProblem:
+        data = boundary_data
+        if not (callable(data) or np.isscalar(data)):
+            # coarse nodes are the fine nodes at stride 2^level
+            data = np.asarray(data, dtype=float)[
+                (slice(None, None, 2 ** level),) * g.dim]
         bmask = g.boundary_node_mask()
-        bvals = _boundary_values(g, boundary_data, bmask)
+        bvals = _boundary_values(g, data, bmask)
         load = scatter_cells_to_nodes(project_measure_to_cells(mu, g), g)
         return PEnergyProblem(g, p, bmask, bvals, load=load,
                               eps=(1e-12 if p < 2 else 0.0))
@@ -269,14 +278,15 @@ def solve_p_dirichlet(grid: EvaluationGrid, mu: Measure | None, p: float,
             grids.append(g)
     u = None
     info = None
-    for g in reversed(grids):
-        prob = build(g)
+    for level in reversed(range(len(grids))):
+        g = grids[level]
+        prob = build(g, level)
         if u is None:
             u0 = affine_fill(g, prob.fixed_values, prob.fixed_mask)
         else:
             u0 = refine_nodes(u)
             u0[prob.fixed_mask] = prob.fixed_values[prob.fixed_mask]
-        last = g is grids[0]
+        last = level == 0
         u, info = minimize_p_energy(
             prob, u0=u0, rel_energy_tol=rel_energy_tol, maxiter=maxiter,
             polish=polish if last else None, polish_iters=polish_iters)
