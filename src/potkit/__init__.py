@@ -5,10 +5,10 @@ cones attached to fully nonlinear curvature operators."""
 from .capacity import (BallDomain, BoxDomain, CapacityEstimate, ShellDomain,
                        SmallBallModel, annulus_capacity_ratio, annulus_term,
                        calibrate_small_ball_ratio, condenser_capacity,
-                       grid_capacity_floor, p_capacity, riesz_capacity)
+                       p_capacity, riesz_capacity)
 from .cones import (BridgeReport, Cone, InclusionReport,
-                    fully_nonlinear_bridge, inclusion_check, member_a,
-                    member_gamma, member_r, p_gamma, sigma_values)
+                    fully_nonlinear_bridge, inclusion_check, p_gamma,
+                    sigma_values)
 from .density import (DensityProfile, box_counting_dimension,
                       covering_counts, geometric_ladder, upper_density)
 from .errors import (DegenerateConeError, HypothesisViolation, PotkitError,

@@ -305,8 +305,7 @@ def _mark_cells_nodes(grid: EvaluationGrid, meets: np.ndarray) -> np.ndarray:
 
 
 def p_capacity(K: ParametricSet, omega, p: float, h: float, *,
-               cascade: bool = True, rel_energy_tol: float = 1e-8,
-               maxiter: int = 20000,
+               rel_energy_tol: float = 1e-8, maxiter: int = 20000,
                fold_center=None) -> CapacityEstimate:
     """Variational p-capacity of K in Omega at grid pitch h.
 
@@ -359,30 +358,23 @@ def p_capacity(K: ParametricSet, omega, p: float, h: float, *,
         vals = np.where(ones, 1.0, 0.0)
         return PEnergyProblem(grid, p, fixed, vals, capacity_mode=True)
 
-    pitches = [h]
-    if cascade:
-        hh = h
-        while True:
-            try:
-                coarse_prob = build(hh * 2)
-            except ValueError:
-                break
-            coarse = coarse_prob.grid
-            if (coarse.n_nodes < 5 ** coarse.dim
-                    or np.any(np.asarray(coarse.cells) % 2)
-                    or not np.any(~coarse_prob.fixed_mask)):
-                break
-            if np.any(np.asarray(coarse.cells) * 2
-                      != np.asarray(build(hh).grid.cells)):
-                break
-            hh *= 2
-            pitches.append(hh)
-            if len(pitches) >= 4:
-                break
+    # cascade levels, finest first: each coarse level halves the cell
+    # counts of the one before it and still has free nodes
+    problems = [build(h)]
+    while len(problems) < 4:
+        try:
+            coarse = build(problems[-1].grid.h * 2)
+        except ValueError:
+            break
+        cells = np.asarray(coarse.grid.cells)
+        if (coarse.grid.n_nodes < 5 ** coarse.grid.dim or np.any(cells % 2)
+                or not np.any(~coarse.fixed_mask)
+                or np.any(cells * 2 != np.asarray(problems[-1].grid.cells))):
+            break
+        problems.append(coarse)
     u = None
     info = None
-    for hh in reversed(pitches):
-        prob = build(hh)
+    for prob in reversed(problems):
         u0 = None
         if u is not None:
             u0 = refine_nodes(u)
@@ -395,7 +387,7 @@ def p_capacity(K: ParametricSet, omega, p: float, h: float, *,
     return CapacityEstimate(value, "grid-variational", h,
                             iterations=info.iterations,
                             extras={"grad_norm": info.grad_norm,
-                                    "levels": len(pitches),
+                                    "levels": len(problems),
                                     "folded": fold is not None})
 
 
@@ -410,15 +402,6 @@ def condenser_capacity(r: float, R: float, n: int, p: float) -> float:
     kappa = kappa_exponent(n, p)
     return (sphere_area(n) * kappa ** (p - 1)
             * (r ** -kappa - R ** -kappa) ** (1 - p))
-
-
-def grid_capacity_floor(h: float, n: int, p: float, R: float) -> float:
-    """Documented resolution floor: the closed-form condenser value for
-    a ball covering the nodes of one marked cell (radius h*sqrt(n))
-    inside a ball of radius R.  Grid capacities of sets below the pitch
-    scale cannot be distinguished from this floor."""
-    r = min(h * math.sqrt(n), 0.5 * R)
-    return condenser_capacity(r, R, n, p)
 
 
 # ---------------------------------------------------------------------------
@@ -474,14 +457,9 @@ def annulus_term(E: ParametricSet, x0, i: int, *, mode: str, index: float,
     grid = shell.grid(pitch)
     if not np.any(piece.meets_cells(grid)):
         return 0.0, None
-    if mode == "cap":
-        num = p_capacity(piece, shell, index, pitch).value
-        exponent = n - index
-    else:
-        num = riesz_capacity(piece, shell, index, pitch).value
-        exponent = n - index
-    den_unit = _denominator_unit(n, index, mode, pitch_rel)
-    den = den_unit * s ** exponent
+    solve = p_capacity if mode == "cap" else riesz_capacity
+    num = solve(piece, shell, index, pitch).value
+    den = _denominator_unit(n, index, mode, pitch_rel) * s ** (n - index)
     return num, den
 
 

@@ -12,10 +12,8 @@ back to ``POTKIT_``-prefixed environment variables, then to defaults.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
-import tempfile
 
 import numpy as np
 
@@ -30,7 +28,8 @@ from .plaplace import solve_p_dirichlet
 from .riesz import RieszParams, riesz_asymptotic_report
 from .scene import Scene, load_scene
 from .thinness import classify_thinness, wiener_terms
-from .verify import CHECK_NAMES, _fmt, _jsonable, render_artifacts, run_all
+from .verify import (CHECK_NAMES, csv_text, json_text, render_artifacts,
+                     run_all, write_files)
 from .wolff import WolffParams, wolff_asymptotic_report
 
 _ENV_PREFIX = "POTKIT_"
@@ -50,8 +49,6 @@ def _add_common(sp: argparse.ArgumentParser, *, needs_scene: bool = True):
     sp.add_argument("--out", help="output directory (default potkit-out)")
     sp.add_argument("--seed", type=int, help="seed override")
     sp.add_argument("--tol", type=float, help="tolerance override")
-    sp.add_argument("--jobs", type=int, help="worker cap (tasks here are "
-                    "single-owner; accepted for interface compatibility)")
 
 
 def _env(name: str):
@@ -69,31 +66,6 @@ def _resolve(args, name: str, cast, default=None):
         except ValueError as exc:
             raise SceneError(f"bad {_ENV_PREFIX}{name.upper()}: {exc}")
     return default
-
-
-def _write_files(outdir: str, files: dict) -> None:
-    os.makedirs(outdir, exist_ok=True)
-    for name, text in files.items():
-        target = os.path.join(outdir, name)
-        fd, tmp = tempfile.mkstemp(dir=outdir, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w") as fh:
-                fh.write(text)
-            os.replace(tmp, target)
-        except BaseException:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-            raise
-
-
-def _dump_json(doc) -> str:
-    return json.dumps(_jsonable(doc), sort_keys=True, indent=2) + "\n"
-
-
-def _csv(header, rows) -> str:
-    lines = [",".join(header)]
-    lines.extend(",".join(_fmt(v) for v in row) for row in rows)
-    return "\n".join(lines) + "\n"
 
 
 def _load(args) -> Scene:
@@ -168,16 +140,16 @@ def _run_wolff(args, outdir: str) -> int:
     path = _task_path(task, scene.dimension)
     rep = wolff_asymptotic_report(mu, params, path.anchor, path)
     files = {
-        "wolff.csv": _csv(("r", "scaled_value", "raw_value"),
-                          zip(rep.radii, rep.values, rep.extras["raw"])),
-        "report.json": _dump_json({
+        "wolff.csv": csv_text(("r", "scaled_value", "raw_value"),
+                              zip(rep.radii, rep.values, rep.extras["raw"])),
+        "report.json": json_text({
             "limit": rep.limit,
             "correction_exponent": rep.correction_exponent,
             "residual": rep.residual,
             "point_mass_estimate": rep.extras["point_mass_estimate"],
         }),
     }
-    _write_files(outdir, files)
+    write_files(outdir, files)
     print(f"wolff: limit {rep.limit:.12g} -> {outdir}")
     return 0
 
@@ -192,17 +164,17 @@ def _run_riesz(args, outdir: str) -> int:
     path = _task_path(task, scene.dimension)
     rep = riesz_asymptotic_report(mu, params, path.anchor, path)
     files = {
-        "riesz.csv": _csv(("r", "ratio", "potential"),
-                          zip(rep.radii, rep.values,
-                              rep.extras["potentials"])),
-        "report.json": _dump_json({
+        "riesz.csv": csv_text(("r", "ratio", "potential"),
+                              zip(rep.radii, rep.values,
+                                  rep.extras["potentials"])),
+        "report.json": json_text({
             "limit": rep.limit,
             "correction_exponent": rep.correction_exponent,
             "residual": rep.residual,
             "point_mass_estimate": rep.extras["point_mass_estimate"],
         }),
     }
-    _write_files(outdir, files)
+    write_files(outdir, files)
     print(f"riesz: limit {rep.limit:.12g} -> {outdir}")
     return 0
 
@@ -222,10 +194,10 @@ def _run_capacity(args, outdir: str) -> int:
                          fold_center=None if fold is None else fold)
     else:
         raise SceneError(f"task/kind: expected 'riesz' or 'p', got {kind!r}")
-    files = {"report.json": _dump_json({
+    files = {"report.json": json_text({
         "value": est.value, "lower": est.lower, "upper": est.upper,
         "h": est.h, "iterations": est.iterations})}
-    _write_files(outdir, files)
+    write_files(outdir, files)
     print(f"capacity: value {est.value:.12g} -> {outdir}")
     return 0
 
@@ -244,16 +216,16 @@ def _run_thin(args, outdir: str) -> int:
     rep = classify_thinness(terms)
     partial = np.cumsum(terms)
     files = {
-        "thin.csv": _csv(("i", "term", "partial_sum"),
-                         zip(range(1, terms.size + 1), terms, partial)),
-        "report.json": _dump_json({
+        "thin.csv": csv_text(("i", "term", "partial_sum"),
+                             zip(range(1, terms.size + 1), terms, partial)),
+        "report.json": json_text({
             "verdict": rep.verdict,
             "partial_sum": rep.partial_sum,
             "tail": None if rep.tail is None else {
                 "model": rep.tail.model, "rate": rep.tail.rate},
         }),
     }
-    _write_files(outdir, files)
+    write_files(outdir, files)
     print(f"thin: verdict {rep.verdict} -> {outdir}")
     return 0
 
@@ -283,14 +255,14 @@ def _run_plaplace(args, outdir: str) -> int:
     sol = solve_p_dirichlet(grid, mu, p, _boundary_from(task))
     flat = sol.values.ravel()
     files = {
-        "plaplace.csv": _csv(("index", "value"), enumerate(flat)),
-        "report.json": _dump_json({
+        "plaplace.csv": csv_text(("index", "value"), enumerate(flat)),
+        "report.json": json_text({
             "p": p, "h": h, "energy": sol.energy,
             "residual": sol.residual, "iterations": sol.iterations,
             "min": float(flat.min()), "max": float(flat.max()),
         }),
     }
-    _write_files(outdir, files)
+    write_files(outdir, files)
     print(f"plaplace: energy {sol.energy:.12g} -> {outdir}")
     return 0
 
@@ -301,7 +273,7 @@ def _run_cones_member(args, outdir: str) -> int:
     cone = _cone_from(_need(task, "cone"), "task/cone")
     lam = np.asarray(_need(task, "lambda"), dtype=float)
     inside = bool(cone.contains(lam))
-    _write_files(outdir, {"report.json": _dump_json({
+    write_files(outdir, {"report.json": json_text({
         "cone": cone.label(), "lambda": lam, "member": inside})})
     print(f"cones member: {cone.label()} -> {inside}")
     return 0
@@ -316,7 +288,7 @@ def _run_cones_include(args, outdir: str) -> int:
     samples = int(task.get("samples", 100_000))
     rep = inclusion_check(inner, outer, n, samples=samples,
                           seed=scene.require_seed())
-    _write_files(outdir, {"report.json": _dump_json({
+    write_files(outdir, {"report.json": json_text({
         "inner": rep.inner, "outer": rep.outer, "n": rep.n,
         "tested": rep.tested, "passed": rep.passed,
         "counterexamples": [list(v) for v in rep.counterexamples]})})
@@ -336,7 +308,7 @@ def _run_cones_pgamma(args, outdir: str) -> int:
     n = int(_need(task, "n"))
     tol = scene.tolerance if scene.tolerance is not None else 1e-10
     value = p_gamma(cone, n, tol=tol)
-    _write_files(outdir, {"report.json": _dump_json({
+    write_files(outdir, {"report.json": json_text({
         "cone": cone.label(), "n": n, "p_gamma": value})})
     print(f"cones pgamma: {cone.label()} at n={n} -> {value:.12g}")
     return 0
@@ -356,12 +328,12 @@ def _run_density(args, outdir: str) -> int:
                                  int(spec.get("rungs", 16)))
         prof = upper_density(mu, x, d, radii)
         files = {
-            "density.csv": _csv(("r", "value"),
-                                zip(prof.radii(), prof.values())),
-            "report.json": _dump_json({"d": d,
-                                       "limsup": prof.limsup_estimate}),
+            "density.csv": csv_text(("r", "value"),
+                                    zip(prof.radii(), prof.values())),
+            "report.json": json_text({"d": d,
+                                      "limsup": prof.limsup_estimate}),
         }
-        _write_files(outdir, files)
+        write_files(outdir, files)
         print(f"density: limsup estimate {prof.limsup_estimate} -> {outdir}")
         return 0
     if mode == "boxcount":
@@ -370,10 +342,10 @@ def _run_density(args, outdir: str) -> int:
         counts = covering_counts(E, scales)
         dim = box_counting_dimension(E, scales)
         files = {
-            "density.csv": _csv(("scale", "count"), zip(scales, counts)),
-            "report.json": _dump_json({"dimension": dim}),
+            "density.csv": csv_text(("scale", "count"), zip(scales, counts)),
+            "report.json": json_text({"dimension": dim}),
         }
-        _write_files(outdir, files)
+        write_files(outdir, files)
         print(f"density: box-counting dimension {dim:.6g} -> {outdir}")
         return 0
     raise SceneError(f"task/mode: expected 'upper' or 'boxcount', "
@@ -456,9 +428,6 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        jobs = _resolve(args, "jobs", int, 1)
-        if jobs < 1:
-            raise SceneError("--jobs must be at least 1")
         outdir = _resolve(args, "out", str, "potkit-out")
         if args.command == "cones":
             return _CONE_RUNNERS[args.verb](args, outdir)

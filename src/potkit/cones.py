@@ -27,9 +27,6 @@ __all__ = [
     "InclusionReport",
     "BridgeReport",
     "sigma_values",
-    "member_a",
-    "member_r",
-    "member_gamma",
     "inclusion_check",
     "p_gamma",
     "fully_nonlinear_bridge",
@@ -81,34 +78,6 @@ def _gamma_values(arr: np.ndarray, k: int) -> np.ndarray:
     sig = sigma_values(arr, k)
     scale = np.array([math.comb(n, l) for l in range(1, k + 1)], dtype=float)
     return (sig / scale).min(axis=1)
-
-
-def member_a(lam, p: float) -> bool:
-    """True when min over k of (p - 2) lam_k + sum(lam) is nonnegative."""
-    if not p > 1.0:
-        raise HypothesisViolation("p must exceed 1")
-    arr = _unit_rows(_rows(lam))
-    return bool(_a_values(arr, p)[0] >= -MEMBER_TOL)
-
-
-def member_r(lam, r: int) -> bool:
-    """True when, sorting ascending, (n-r) * (sum of the r smallest)
-    + r * (sum of the rest) is nonnegative; the sorted arrangement
-    minimizes over all rearrangements because n - r >= r."""
-    arr = _unit_rows(_rows(lam))
-    n = arr.shape[1]
-    if not (isinstance(r, (int, np.integer)) and 1 <= r <= n / 2):
-        raise HypothesisViolation("r must be an integer in [1, n/2]")
-    return bool(_r_values(arr, int(r))[0] >= -MEMBER_TOL)
-
-
-def member_gamma(lam, k: int) -> bool:
-    """True when sigma_1..sigma_k are all nonnegative."""
-    arr = _unit_rows(_rows(lam))
-    n = arr.shape[1]
-    if not (isinstance(k, (int, np.integer)) and 1 <= k <= n):
-        raise HypothesisViolation("k must be an integer in [1, n]")
-    return bool(_gamma_values(arr, int(k))[0] >= -MEMBER_TOL)
 
 
 @dataclass(frozen=True)

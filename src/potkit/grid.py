@@ -31,6 +31,17 @@ def _as_vec(x, n=None):
     return v
 
 
+def _dist2(axes, x) -> np.ndarray:
+    """Squared distances from ``x`` to the tensor grid of the coordinate
+    ``axes``, built by broadcasting axis by axis."""
+    parts = []
+    for a, ax in enumerate(axes):
+        shape = [1] * len(axes)
+        shape[a] = ax.size
+        parts.append(((ax - x[a]) ** 2).reshape(shape))
+    return reduce(np.add, parts)
+
+
 @dataclass(frozen=True)
 class EvaluationGrid:
     """Uniform grid with scalar pitch ``h`` on the box ``[lo, hi]``."""
@@ -115,27 +126,12 @@ class EvaluationGrid:
 
     def cell_center_dist2(self, x) -> np.ndarray:
         """Squared distances from ``x`` to every cell center, in cell
-        shape, built by broadcasting axis by axis."""
-        x = _as_vec(x, self.dim)
-        axes = self.cell_center_axes()
-        parts = []
-        for a in range(self.dim):
-            d = (axes[a] - x[a]) ** 2
-            shape = [1] * self.dim
-            shape[a] = d.size
-            parts.append(d.reshape(shape))
-        return reduce(np.add, parts)
+        shape."""
+        return _dist2(self.cell_center_axes(), _as_vec(x, self.dim))
 
     def node_dist2(self, x) -> np.ndarray:
-        x = _as_vec(x, self.dim)
-        axes = self.node_axes()
-        parts = []
-        for a in range(self.dim):
-            d = (axes[a] - x[a]) ** 2
-            shape = [1] * self.dim
-            shape[a] = d.size
-            parts.append(d.reshape(shape))
-        return reduce(np.add, parts)
+        """Squared distances from ``x`` to every node, in node shape."""
+        return _dist2(self.node_axes(), _as_vec(x, self.dim))
 
     def contains(self, x, slack=0.0) -> bool:
         x = _as_vec(x, self.dim)

@@ -12,12 +12,12 @@ evaluated piece by piece instead of by blind quadrature.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import quad
 
-from .errors import RepresentationError
+from .errors import HypothesisViolation, RepresentationError
 from .geometry import ball_intersection_fraction, ball_volume
 from .grid import EvaluationGrid, _as_vec
 
@@ -122,6 +122,16 @@ class Measure:
         the ambient-volume law; used to anchor numerical quadratures."""
         return 0.0
 
+    def atoms(self):
+        """Point masses as (locations (k, n), masses (k,)), positive
+        masses only."""
+        return np.empty((0, self.dim)), np.empty(0)
+
+    def cell_masses(self, grid: EvaluationGrid) -> np.ndarray:
+        """Mass of each cell of ``grid``, in cell shape."""
+        raise RepresentationError(
+            f"cannot project {type(self).__name__} onto grid cells")
+
 
 class AtomicMeasure(Measure):
     """Finite sum of point masses."""
@@ -200,6 +210,20 @@ class AtomicMeasure(Measure):
         d = self._dists(x)
         d = d[(d > 0) & (self._mass > 0)]
         return float(d.min()) if d.size else 0.0
+
+    def atoms(self):
+        keep = self._mass > 0
+        return self._loc[keep], self._mass[keep]
+
+    def cell_masses(self, grid: EvaluationGrid) -> np.ndarray:
+        """Each atom goes to its containing cell."""
+        masses = np.zeros(grid.cell_shape)
+        for point, a in zip(*self.atoms()):
+            idx = grid.locate_cell(point)
+            if idx is None:
+                raise HypothesisViolation("atom lies outside the grid box")
+            masses[idx] += a
+        return masses
 
 
 class RadialProfile:
@@ -428,12 +452,8 @@ class RadialProfileMeasure(Measure):
         return float(out)
 
     def atom_mass_at(self, x) -> float:
-        rho = self._rho(x)
-        if rho == 0.0:
+        if self._rho(x) == 0.0:
             return self._profile.mass_at_zero()
-        for s, dm in self._profile.shells():
-            # an off-center point never carries the full shell mass
-            del s, dm
         return 0.0
 
     def restrict(self, center, radius: float) -> "RadialProfileMeasure":
@@ -532,6 +552,25 @@ class GridMeasure(Measure):
     def small_scale_floor(self, x) -> float:
         return 0.5 * self._grid.h
 
+    def cell_masses(self, grid: EvaluationGrid) -> np.ndarray:
+        """The density integrated cellwise; on a grid of other geometry
+        it is sampled at the target cell centers (exact when the target
+        pitch divides the source pitch)."""
+        src = self._grid
+        if (src.dim == grid.dim and np.allclose(src.lo, grid.lo)
+                and np.allclose(src.hi, grid.hi)
+                and abs(src.h - grid.h) <= 1e-12 * grid.h):
+            return self._density * grid.cell_volume
+        centers = grid.cell_center_points()
+        rel = (centers - np.asarray(src.lo)) / src.h
+        idx = np.floor(rel).astype(int)
+        inside = np.all((idx >= 0) & (idx < np.asarray(src.cells)), axis=1)
+        vals = np.zeros(len(centers))
+        if np.any(inside):
+            flat = np.ravel_multi_index(idx[inside].T, src.cell_shape)
+            vals[inside] = self._density.ravel()[flat]
+        return vals.reshape(grid.cell_shape) * grid.cell_volume
+
 
 class SumMeasure(Measure):
     """Sum of finitely many measures of equal dimension."""
@@ -576,6 +615,16 @@ class SumMeasure(Measure):
         floors = [m.small_scale_floor(x) for m in self._parts]
         positive = [f for f in floors if f > 0]
         return min(positive) if positive else 0.0
+
+    def atoms(self):
+        locs, masses = zip(*(m.atoms() for m in self._parts))
+        return np.concatenate(locs), np.concatenate(masses)
+
+    def cell_masses(self, grid: EvaluationGrid) -> np.ndarray:
+        masses = np.zeros(grid.cell_shape)
+        for part in self._parts:
+            masses += part.cell_masses(grid)
+        return masses
 
 
 def uniform_ball_measure(grid: EvaluationGrid, center, radius: float,

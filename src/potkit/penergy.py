@@ -351,7 +351,9 @@ def newton_polish(problem: PEnergyProblem, u: np.ndarray, *,
         if gmax < gtol:
             break
         H = hess.assemble(problem, u)
-        lam = 0.0
+        # a free node whose cells are all flat has a zero row: damp from
+        # the start rather than factor an exactly singular matrix
+        lam = 1e-10 if np.any(H.data[hess.diag] == 0.0) else 0.0
         step = None
         for _attempt in range(8):
             M = H

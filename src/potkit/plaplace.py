@@ -21,11 +21,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import HypothesisViolation, RepresentationError, ResolutionError
+from .errors import HypothesisViolation, ResolutionError
 from .fitting import ApproachPath, LimitReport, fit_limit
 from .geometry import kappa_exponent, sphere_area
 from .grid import EvaluationGrid, _as_vec
-from .measures import AtomicMeasure, GridMeasure, Measure, SumMeasure
+from .measures import Measure
 from .penergy import (PEnergyProblem, affine_fill, minimize_p_energy,
                       refine_nodes)
 from .sets import sphere_directions
@@ -106,47 +106,6 @@ class FundamentalSolution:
 # measure projection
 
 
-def project_measure_to_cells(mu: Measure | None,
-                             grid: EvaluationGrid) -> np.ndarray:
-    """Cell-mass array of mu projected to the grid: atoms go to their
-    containing cell, grid densities integrate cellwise."""
-    masses = np.zeros(grid.cell_shape)
-    if mu is None:
-        return masses
-    if isinstance(mu, SumMeasure):
-        for part in mu.parts:
-            masses += project_measure_to_cells(part, grid)
-        return masses
-    if isinstance(mu, AtomicMeasure):
-        for point, a in zip(mu.locations, mu.masses):
-            if a == 0.0:
-                continue
-            idx = grid.locate_cell(point)
-            if idx is None:
-                raise HypothesisViolation("atom lies outside the grid box")
-            masses[idx] += a
-        return masses
-    if isinstance(mu, GridMeasure):
-        src = mu.grid
-        if (src.dim == grid.dim and np.allclose(src.lo, grid.lo)
-                and np.allclose(src.hi, grid.hi)
-                and abs(src.h - grid.h) <= 1e-12 * grid.h):
-            return mu.density * grid.cell_volume
-        # different geometry: sample the source density at target cell
-        # centers (exact when the target pitch divides the source pitch)
-        centers = grid.cell_center_points()
-        rel = (centers - np.asarray(src.lo)) / src.h
-        idx = np.floor(rel).astype(int)
-        inside = np.all((idx >= 0) & (idx < np.asarray(src.cells)), axis=1)
-        vals = np.zeros(len(centers))
-        if np.any(inside):
-            flat = np.ravel_multi_index(idx[inside].T, src.cell_shape)
-            vals[inside] = mu.density.ravel()[flat]
-        return vals.reshape(grid.cell_shape) * grid.cell_volume
-    raise RepresentationError(
-        f"cannot project {type(mu).__name__} onto grid cells")
-
-
 def scatter_cells_to_nodes(cell_masses: np.ndarray,
                            grid: EvaluationGrid) -> np.ndarray:
     """Each cell's mass split equally among its 2^n nodes."""
@@ -156,19 +115,6 @@ def scatter_cells_to_nodes(cell_masses: np.ndarray,
         sl = tuple(slice(o, o + c) for o, c in zip(off, grid.cells))
         load[sl] += share
     return load
-
-
-def _atoms_of(mu: Measure | None):
-    if mu is None:
-        return []
-    if isinstance(mu, AtomicMeasure):
-        return [(pt, a) for pt, a in zip(mu.locations, mu.masses) if a > 0]
-    if isinstance(mu, SumMeasure):
-        out = []
-        for part in mu.parts:
-            out.extend(_atoms_of(part))
-        return out
-    return []
 
 
 # ---------------------------------------------------------------------------
@@ -226,36 +172,35 @@ def _boundary_values(grid: EvaluationGrid, boundary_data,
 
 def solve_p_dirichlet(grid: EvaluationGrid, mu: Measure | None, p: float,
                       boundary_data, *, rel_energy_tol: float = 1e-8,
-                      maxiter: int = 20000, cascade: bool = True,
-                      polish: str | None = "auto",
-                      polish_iters: int = 40) -> PSolution:
+                      maxiter: int = 20000) -> PSolution:
     """Minimize the discrete measure-data functional with Dirichlet data.
 
-    ``polish="auto"`` runs the sparse Newton refinement whenever the
-    grid is small enough to factor directly; the fill-in of the sparse
-    factorization caps this at ~1.6e5 nodes in 2-D but ~4e4 in higher
-    dimensions.  The nested-dissection order of
-    :func:`~potkit.penergy.newton_polish` leaves these caps unchanged.  The
-    descent before it is the monotone convex stage.  Array boundary
-    data is given on the fine grid's nodes; the coarse levels of the
-    cascade read it at their own nodes (stride 2, 4).
+    A coarse-to-fine cascade (pitch 4h, 2h, h where the cell counts
+    allow) warm-starts the fine descent, the monotone convex stage.  The
+    sparse Newton refinement follows it whenever the grid is small
+    enough to factor directly; the fill-in of the sparse factorization
+    caps this at ~1.6e5 nodes in 2-D but ~4e4 in higher dimensions.  The
+    nested-dissection order of :func:`~potkit.penergy.newton_polish`
+    leaves these caps unchanged.  Array boundary data is given on the
+    fine grid's nodes; the coarse levels of the cascade read it at their
+    own nodes (stride 2, 4).
     Atoms are rejected when their containing cell touches the Dirichlet
     layer, since the projection would alter the pinned data.
     """
     if not 1.0 < p <= grid.dim:
         raise HypothesisViolation(f"p must lie in (1, n], got {p}")
     mask = grid.boundary_node_mask()
-    for point, _a in _atoms_of(mu):
-        idx = grid.locate_cell(point)
-        if idx is None:
-            raise HypothesisViolation("atom lies outside the grid box")
-        if any(i == 0 or i == c - 1 for i, c in zip(idx, grid.cells)):
-            raise HypothesisViolation(
-                "atom sits in a boundary cell; shrink the measure or "
-                "grow the box")
-    if polish == "auto":
-        cap = 160_000 if grid.dim == 2 else 40_000
-        polish = "newton" if grid.n_nodes <= cap else None
+    if mu is not None:
+        for point in mu.atoms()[0]:
+            idx = grid.locate_cell(point)
+            if idx is None:
+                raise HypothesisViolation("atom lies outside the grid box")
+            if any(i == 0 or i == c - 1 for i, c in zip(idx, grid.cells)):
+                raise HypothesisViolation(
+                    "atom sits in a boundary cell; shrink the measure or "
+                    "grow the box")
+    cap = 160_000 if grid.dim == 2 else 40_000
+    polish = "newton" if grid.n_nodes <= cap else None
 
     def build(g: EvaluationGrid, level: int) -> PEnergyProblem:
         data = boundary_data
@@ -265,17 +210,18 @@ def solve_p_dirichlet(grid: EvaluationGrid, mu: Measure | None, p: float,
                 (slice(None, None, 2 ** level),) * g.dim]
         bmask = g.boundary_node_mask()
         bvals = _boundary_values(g, data, bmask)
-        load = scatter_cells_to_nodes(project_measure_to_cells(mu, g), g)
+        load = None
+        if mu is not None:
+            load = scatter_cells_to_nodes(mu.cell_masses(g), g)
         return PEnergyProblem(g, p, bmask, bvals, load=load,
                               eps=(1e-12 if p < 2 else 0.0))
 
     grids = [grid]
-    if cascade:
-        g = grid
-        while (not np.any(np.asarray(g.cells) % 2)
-               and min(g.cells) >= 8 and len(grids) < 3):
-            g = EvaluationGrid.from_box(g.lo, g.hi, g.h * 2)
-            grids.append(g)
+    g = grid
+    while (not np.any(np.asarray(g.cells) % 2)
+           and min(g.cells) >= 8 and len(grids) < 3):
+        g = EvaluationGrid.from_box(g.lo, g.hi, g.h * 2)
+        grids.append(g)
     u = None
     info = None
     for level in reversed(range(len(grids))):
@@ -286,10 +232,9 @@ def solve_p_dirichlet(grid: EvaluationGrid, mu: Measure | None, p: float,
         else:
             u0 = refine_nodes(u)
             u0[prob.fixed_mask] = prob.fixed_values[prob.fixed_mask]
-        last = level == 0
         u, info = minimize_p_energy(
             prob, u0=u0, rel_energy_tol=rel_energy_tol, maxiter=maxiter,
-            polish=polish if last else None, polish_iters=polish_iters)
+            polish=polish if level == 0 else None)
     bvals = _boundary_values(grid, boundary_data, mask)
     return PSolution(grid, u, p, info.grad_norm, info.energy,
                      rel_energy_tol,

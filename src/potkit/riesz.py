@@ -163,12 +163,11 @@ def riesz_potential(mu: Measure, params: RieszParams, x) -> float:
     if isinstance(mu, AtomicMeasure):
         if mu.atom_mass_at(x) > 0.0:
             return math.inf
-        d = np.sqrt(((mu._loc - x) ** 2).sum(axis=1))
-        keep = mu._mass > 0.0
-        if not np.any(keep):
+        loc, mass = mu.atoms()
+        if mass.size == 0:
             return 0.0
-        vals = mu._mass[keep] * _kernel(d[keep], params.alpha, n,
-                                        params.domain_diameter)
+        d = np.sqrt(((loc - x) ** 2).sum(axis=1))
+        vals = mass * _kernel(d, params.alpha, n, params.domain_diameter)
         return float(vals.sum())
     if isinstance(mu, GridMeasure):
         return _potential_grid(mu, params, x)

@@ -47,6 +47,24 @@ def _lattice(lo, hi, pitch):
     return np.stack([m.ravel() for m in mesh], axis=1)
 
 
+def _cell_dist2_range(grid: EvaluationGrid, center):
+    """Least and greatest squared distance from ``center`` to each
+    closed grid cell, in cell shape."""
+    lo = np.asarray(grid.lo)
+    d2min = 0.0
+    d2max = 0.0
+    for a in range(grid.dim):
+        cell_lo = lo[a] + grid.h * np.arange(grid.cell_shape[a])
+        nearest = np.clip(center[a], cell_lo, cell_lo + grid.h)
+        far = np.maximum(np.abs(cell_lo - center[a]),
+                         np.abs(cell_lo + grid.h - center[a]))
+        sh = [1] * grid.dim
+        sh[a] = cell_lo.size
+        d2min = d2min + ((nearest - center[a]) ** 2).reshape(sh)
+        d2max = d2max + (far ** 2).reshape(sh)
+    return d2min, d2max
+
+
 def _dedupe(points):
     if points.shape[0] <= 1:
         return points
@@ -349,18 +367,7 @@ class Sphere(ParametricSet):
         return fmin <= 1e-12 * r2 and fmax >= -1e-12 * r2
 
     def meets_cells(self, grid: EvaluationGrid) -> np.ndarray:
-        lo = np.asarray(grid.lo)
-        d2min = 0.0
-        d2max = 0.0
-        for a in range(self.dim):
-            cell_lo = lo[a] + grid.h * np.arange(grid.cell_shape[a])
-            nearest = np.clip(self.center[a], cell_lo, cell_lo + grid.h)
-            far = np.maximum(np.abs(cell_lo - self.center[a]),
-                             np.abs(cell_lo + grid.h - self.center[a]))
-            sh = [1] * self.dim
-            sh[a] = cell_lo.size
-            d2min = d2min + ((nearest - self.center[a]) ** 2).reshape(sh)
-            d2max = d2max + (far ** 2).reshape(sh)
+        d2min, d2max = _cell_dist2_range(grid, self.center)
         r2 = self.radius ** 2
         return (d2min <= r2) & (d2max >= r2)
 
@@ -549,18 +556,7 @@ class RestrictedSet(ParametricSet):
 
     def meets_cells(self, grid: EvaluationGrid) -> np.ndarray:
         mask = self.base.meets_cells(grid)
-        lo = np.asarray(grid.lo)
-        d2min = 0.0
-        d2max = 0.0
-        for a in range(self.dim):
-            cell_lo = lo[a] + grid.h * np.arange(grid.cell_shape[a])
-            nearest = np.clip(self.center[a], cell_lo, cell_lo + grid.h)
-            far = np.maximum(np.abs(cell_lo - self.center[a]),
-                             np.abs(cell_lo + grid.h - self.center[a]))
-            sh = [1] * self.dim
-            sh[a] = cell_lo.size
-            d2min = d2min + ((nearest - self.center[a]) ** 2).reshape(sh)
-            d2max = d2max + (far ** 2).reshape(sh)
+        d2min, d2max = _cell_dist2_range(grid, self.center)
         return mask & (d2min <= self.r_out ** 2) & (d2max >= self.r_in ** 2)
 
 

@@ -16,7 +16,6 @@ low-discrepancy directions with exact segment intersection tests.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,35 +27,6 @@ from .grid import _as_vec
 from .sets import ParametricSet, sphere_directions
 
 WEIGHTINGS = ("riesz-alpha", "cap-p", "cap-n")
-
-
-@dataclass(frozen=True)
-class DyadicAnnuli:
-    """Closed annuli omega_i = {2^-i d <= |x-x0| <= 2^-i+1 d} and their
-    enlargements Omega_i = {2^-i-1 d < |x-x0| < 2^-i+2 d}."""
-
-    center: np.ndarray
-    delta: float
-    count: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "center", _as_vec(self.center))
-        if self.delta <= 0:
-            raise ValueError("delta must be positive")
-        if self.count < 1:
-            raise ValueError("need at least one annulus")
-
-    def annulus(self, i: int):
-        if not 1 <= i <= self.count:
-            raise IndexError("annulus index out of range")
-        s = 2.0 ** -i * self.delta
-        return s, 2.0 * s
-
-    def enlarged(self, i: int):
-        if not 1 <= i <= self.count:
-            raise IndexError("annulus index out of range")
-        s = 2.0 ** -i * self.delta
-        return 0.5 * s, 4.0 * s
 
 
 @dataclass

@@ -274,7 +274,7 @@ def _delta_solve_ratio(n: int, p: float, h: float, half: float):
     x0 = np.full(n, 0.5 * h)
     mu = AtomicMeasure([x0], [1.0])
     fund = FundamentalSolution(n, p, x0=x0)
-    sol = solve_p_dirichlet(grid, mu, p, fund, polish=None)
+    sol = solve_p_dirichlet(grid, mu, p, fund)
     radii = np.geomspace(4.0 * h, half / 4.0, 4)
     dirs = sphere_directions(n, 64)
     means = []
@@ -588,43 +588,23 @@ def _fmt(v) -> str:
     return repr(float(v))
 
 
-def render_artifacts(report: VerifyReport, outdir: str) -> list:
-    """Write report.json, criteria.csv and the per-check series CSVs.
+def json_text(doc) -> str:
+    """Deterministic JSON: sorted keys, two-space indent, trailing
+    newline, non-finite floats as strings."""
+    return json.dumps(_jsonable(doc), sort_keys=True, indent=2) + "\n"
 
-    Every file is rendered in memory first and moved into place through
-    a temp name, so a failure part-way leaves no partial artifacts.
-    """
-    files = {}
-    doc = {"profile": report.profile, "seed": report.seed,
-           "passed": report.passed, "checks": {}}
-    for res in report.results:
-        doc["checks"][res.name] = {
-            "passed": res.passed,
-            "notes": res.notes,
-            "metrics": {m.name: {"observed": m.observed,
-                                 "expected": m.expected,
-                                 "tolerance": m.tolerance,
-                                 "kind": m.kind,
-                                 "ok": m.ok}
-                        for m in res.metrics},
-        }
-    files["report.json"] = json.dumps(_jsonable(doc), sort_keys=True,
-                                      indent=2) + "\n"
 
-    lines = ["check,metric,kind,observed,expected,tolerance,ok"]
-    for res in report.results:
-        for m in res.metrics:
-            lines.append(",".join([res.name, m.name, m.kind,
-                                   _fmt(m.observed), _fmt(m.expected),
-                                   _fmt(m.tolerance), _fmt(m.ok)]))
-    files["criteria.csv"] = "\n".join(lines) + "\n"
+def csv_text(header, rows) -> str:
+    """CSV with a header line; floats in repr form, None as empty."""
+    lines = [",".join(header)]
+    lines.extend(",".join(_fmt(v) for v in row) for row in rows)
+    return "\n".join(lines) + "\n"
 
-    for res in report.results:
-        for stem, (header, rows) in res.series.items():
-            out = [",".join(header)]
-            out.extend(",".join(_fmt(v) for v in row) for row in rows)
-            files[stem + ".csv"] = "\n".join(out) + "\n"
 
+def write_files(outdir: str, files: dict) -> list:
+    """Write each (name, text) pair into ``outdir`` through a temp file
+    moved into place, so no file is ever left half written; returns the
+    written paths."""
     os.makedirs(outdir, exist_ok=True)
     written = []
     for name, text in files.items():
@@ -640,3 +620,36 @@ def render_artifacts(report: VerifyReport, outdir: str) -> list:
             raise
         written.append(target)
     return written
+
+
+def render_artifacts(report: VerifyReport, outdir: str) -> list:
+    """Write report.json, criteria.csv and the per-check series CSVs.
+
+    Every file is rendered in memory before the first is written, and
+    :func:`write_files` moves each into place through a temp name.
+    """
+    doc = {"profile": report.profile, "seed": report.seed,
+           "passed": report.passed, "checks": {}}
+    for res in report.results:
+        doc["checks"][res.name] = {
+            "passed": res.passed,
+            "notes": res.notes,
+            "metrics": {m.name: {"observed": m.observed,
+                                 "expected": m.expected,
+                                 "tolerance": m.tolerance,
+                                 "kind": m.kind,
+                                 "ok": m.ok}
+                        for m in res.metrics},
+        }
+    files = {
+        "report.json": json_text(doc),
+        "criteria.csv": csv_text(
+            ("check", "metric", "kind", "observed", "expected", "tolerance",
+             "ok"),
+            [(res.name, m.name, m.kind, m.observed, m.expected, m.tolerance,
+              m.ok) for res in report.results for m in res.metrics]),
+    }
+    for res in report.results:
+        for stem, (header, rows) in res.series.items():
+            files[stem + ".csv"] = csv_text(header, rows)
+    return write_files(outdir, files)

@@ -4,12 +4,14 @@ The central object is
 
     W(x, r) = integral over t in (0, r] of (M(t) / t^(n-p))^(1/(p-1)) dt/t,
 
-with ``M(t) = ball_mass(mu, x, t)`` and 1 < p <= n.  For measures whose
-ball-mass profile is piecewise constant/power (atomic, radial profiles)
-each piece integrates in closed form, including the p = n case where
-pieces contribute log terms.  Grid measures fall back to a geometric
-t-grid quadrature.  The value +inf is a first-class sentinel: it is the
-correct answer whenever the evaluation point carries an atom.
+with ``M(t) = ball_mass(mu, x, t)`` and 1 < p <= n.  Where the measure
+exposes a piecewise constant/power ball-mass profile at x (atomic
+measures, grid measures through their cell table, radial profiles at
+their center) each piece integrates in closed form, including the
+p = n case where pieces contribute log terms.  Measures without a
+profile at x, such as radial ones seen off their center, fall back to a
+geometric t-grid quadrature.  The value +inf is a first-class sentinel:
+it is the correct answer whenever the evaluation point carries an atom.
 """
 
 from __future__ import annotations
@@ -219,11 +221,8 @@ def wolff_potential_detailed(mu: Measure, params: WolffParams, x, *,
     params.validate_dim(n)
     x = _as_vec(x, n)
     if t_min < 0.0 or t_min >= params.r:
-        if t_min != 0.0:
-            raise ValueError("t_min must lie in [0, r)")
-    prof = None
-    if params.quadrature in ("auto", "exact-piecewise", "log-grid"):
-        prof = mu.radial_mass_profile(x)
+        raise ValueError("t_min must lie in [0, r)")
+    prof = mu.radial_mass_profile(x)
     if prof is None and params.quadrature == "exact-piecewise":
         raise ValueError("measure has no closed ball-mass profile at this point")
     if prof is not None:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from potkit.errors import RepresentationError
+from potkit.errors import HypothesisViolation, RepresentationError
 from potkit.grid import EvaluationGrid
 from potkit.measures import (
     AtomicMeasure,
@@ -160,3 +160,78 @@ def test_grid_ball_mass_counts_cell_centers():
 def test_negative_mass_rejected():
     with pytest.raises(ValueError):
         AtomicMeasure([[0.0, 0.0]], [-1.0])
+
+
+# --- point masses and cell masses -----------------------------------------
+
+
+def _box_grid(h):
+    return EvaluationGrid.from_box((0.0, 0.0), (1.0, 1.0), h)
+
+
+def test_atoms_of_each_kind():
+    atomic = AtomicMeasure([[0.1, 0.2], [0.3, 0.4], [0.5, 0.6]],
+                           [1.0, 0.0, 2.5])
+    loc, mass = atomic.atoms()
+    assert np.array_equal(loc, [[0.1, 0.2], [0.5, 0.6]])
+    assert np.array_equal(mass, [1.0, 2.5])
+    diffuse = [GridMeasure(_box_grid(0.25), np.ones((4, 4))),
+               RadialProfileMeasure([0.5, 0.5],
+                                    AtomPlusPowerProfile(1.0, 1.0, 2.0))]
+    for mu in diffuse:
+        loc, mass = mu.atoms()
+        assert loc.shape == (0, 2) and mass.shape == (0,)
+    loc, mass = SumMeasure([atomic, diffuse[0],
+                            AtomicMeasure([[0.9, 0.9]], [3.0])]).atoms()
+    assert np.array_equal(loc, [[0.1, 0.2], [0.5, 0.6], [0.9, 0.9]])
+    assert np.array_equal(mass, [1.0, 2.5, 3.0])
+
+
+def test_atomic_cell_masses_go_to_containing_cells():
+    grid = _box_grid(0.25)
+    mu = AtomicMeasure([[0.1, 0.1], [0.2, 0.05], [0.6, 0.9], [0.8, 0.3]],
+                       [1.0, 2.0, 0.5, 0.0])
+    masses = mu.cell_masses(grid)
+    expected = np.zeros((4, 4))
+    expected[0, 0] = 3.0
+    expected[2, 3] = 0.5
+    assert np.array_equal(masses, expected)
+
+
+def test_sum_cell_masses_add_parts():
+    grid = _box_grid(0.125)
+    atoms = AtomicMeasure([[0.3, 0.7], [0.55, 0.2]], [1.5, 0.25])
+    rng = np.random.default_rng(4)
+    diffuse = GridMeasure(grid, rng.random((8, 8)))
+    total = SumMeasure([atoms, diffuse]).cell_masses(grid)
+    parts = atoms.cell_masses(grid) + diffuse.cell_masses(grid)
+    assert np.array_equal(total, parts)
+    assert total.sum() == pytest.approx(atoms.total_mass + diffuse.total_mass,
+                                        rel=1e-14)
+
+
+def test_grid_cell_masses_resampled_on_finer_pitch():
+    density = np.arange(16.0).reshape(4, 4)
+    mu = GridMeasure(_box_grid(0.25), density)
+    same = mu.cell_masses(_box_grid(0.25))
+    assert np.array_equal(same, density * 0.0625)
+    fine = mu.cell_masses(_box_grid(0.125))
+    # each source cell splits into four target cells of a quarter volume
+    expected = np.kron(density, np.ones((2, 2))) * 0.125 ** 2
+    assert np.array_equal(fine, expected)
+    assert fine.sum() == pytest.approx(mu.total_mass, rel=1e-14)
+
+
+def test_atom_outside_box_cannot_be_projected():
+    mu = AtomicMeasure([[0.5, 0.5], [1.5, 0.5]], [1.0, 1.0])
+    with pytest.raises(HypothesisViolation):
+        mu.cell_masses(_box_grid(0.25))
+
+
+def test_radial_measure_has_no_cell_masses():
+    radial = lebesgue_ball_measure([0.5, 0.5], 0.25)
+    with pytest.raises(RepresentationError):
+        radial.cell_masses(_box_grid(0.25))
+    with pytest.raises(RepresentationError):
+        SumMeasure([AtomicMeasure([[0.5, 0.5]], [1.0]),
+                    radial]).cell_masses(_box_grid(0.25))

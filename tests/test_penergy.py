@@ -3,6 +3,7 @@ reference assembly, the Newton polish, the iteration cap, and the
 boundary data of the Dirichlet cascade."""
 
 import math
+import warnings
 from functools import reduce
 
 import numpy as np
@@ -166,3 +167,31 @@ def test_factorizations_go_through_spsolve(monkeypatch):
     sol = solve_p_dirichlet(grid, None, 2.0, _pole_data)
     assert sol.residual < 1e-12
     assert calls and set(calls) == {"NATURAL"}
+
+
+def test_flat_start_factors_no_singular_matrix(monkeypatch):
+    # from the default constant u0, three L-BFGS steps leave interior
+    # nodes whose cells are all flat: at p = 3 their Hessian rows are zero
+    results = []
+    original = scipy.sparse.linalg.spsolve
+
+    def recording(*args, **kwargs):
+        out = original(*args, **kwargs)
+        results.append(bool(np.all(np.isfinite(out))))
+        return out
+
+    monkeypatch.setattr(scipy.sparse.linalg, "spsolve", recording)
+    grid = EvaluationGrid.from_box((0.0, 0.0), (1.0, 1.0), 1.0 / 16.0)
+    bmask = grid.boundary_node_mask()
+    X, _ = np.meshgrid(*grid.node_axes(), indexing="ij")
+    problem = PEnergyProblem(grid, 3.0, bmask, np.where(bmask, X * X, 0.0))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        _, info = minimize_p_energy(problem, maxiter=3, polish="newton")
+    assert not [w for w in caught
+                if issubclass(w.category,
+                              scipy.sparse.linalg.MatrixRankWarning)]
+    # every factorization yields a usable step: none is spent on a
+    # singular matrix before the damping retry
+    assert results and all(results)
+    assert info.grad_norm < 1e-12
