@@ -132,23 +132,29 @@ class PEnergyProblem:
 
 @dataclass
 class PEnergyInfo:
+    """``iterations`` counts the steps of the method; after a polish,
+    ``newton_steps`` counts the polish's steps (0 without one)."""
+
     energy: float
     iterations: int
     grad_norm: float
     converged: bool
     method: str
+    newton_steps: int = 0
 
 
 def minimize_p_energy(problem: PEnergyProblem, u0: np.ndarray | None = None,
                       *, rel_energy_tol: float = 1e-8, maxiter: int = 20000,
-                      polish: str | None = None, polish_iters: int = 40):
+                      polish: str | None = None):
     """Minimize the pinned p-energy; returns (u, PEnergyInfo).
 
     ``polish="newton"`` follows the descent with :func:`newton_polish`
     (sparse assembled Hessian, quadratic convergence, for grids small
-    enough to factor).  Without a polish, raises ResolutionError when the
-    descent stops before reaching the relative-energy-change criterion,
-    including when it runs out of iterations.
+    enough to factor); the solve has converged when the polish has, and
+    raises ResolutionError with it otherwise.  Without a polish, raises
+    ResolutionError when the descent stops before reaching the
+    relative-energy-change criterion, including when it runs out of
+    iterations.
     """
     free = ~problem.fixed_mask
     if not np.any(free):
@@ -172,20 +178,19 @@ def minimize_p_energy(problem: PEnergyProblem, u0: np.ndarray | None = None,
                                   "gtol": 1e-12})
     u = problem.full(res.x)
     if polish == "newton":
-        u = newton_polish(problem, u, iters=polish_iters)
-    elif polish is not None:
+        u, newton = newton_polish(problem, u)
+        return u, PEnergyInfo(newton.energy, int(res.nit), newton.grad_norm,
+                              True, "lbfgs+newton", newton.iterations)
+    if polish is not None:
         raise ValueError("polish must be 'newton' or None")
-    energy, grad = problem.energy_and_grad(u)
-    grad_norm = float(np.max(np.abs(grad[free]))) if np.any(free) else 0.0
-    converged = bool(res.success or polish is not None)
-    if not converged:
+    if not res.success:
         raise ResolutionError(
             f"p-energy descent did not converge ({res.message}); "
             "refine the grid or raise the iteration budget")
-    method = "lbfgs" if polish is None else f"lbfgs+{polish}"
-    info = PEnergyInfo(float(energy), int(res.nit), grad_norm, converged,
-                       method)
-    return u, info
+    energy, grad = problem.energy_and_grad(u)
+    grad_norm = float(np.max(np.abs(grad[free])))
+    return u, PEnergyInfo(float(energy), int(res.nit), grad_norm, True,
+                          "lbfgs")
 
 
 def _nested_dissection(shape) -> np.ndarray:
@@ -321,8 +326,9 @@ class _FrozenHessian:
 
 
 def newton_polish(problem: PEnergyProblem, u: np.ndarray, *,
-                  iters: int = 40, gtol: float = 1e-14) -> np.ndarray:
-    """Damped Newton refinement with the exact sparse Hessian.
+                  iters: int = 40, gtol: float = 1e-14):
+    """Damped Newton refinement with the exact sparse Hessian; returns
+    (u, PEnergyInfo) with the number of Newton steps as ``iterations``.
 
     The Hessian weights per cell are g^(p-2) I + (p-2) g^(p-4) D D^T
     (eigenvalues g^(p-2) and (p-1) g^(p-2), so it is positive definite
@@ -337,8 +343,11 @@ def newton_polish(problem: PEnergyProblem, u: np.ndarray, *,
     the energy's rounding level, 64 eps max(1, |E|), that test compares
     round-off: there a step is accepted when it lowers the max-norm
     gradient, and the refinement stops when it does not.  Iteration ends
-    when the max-norm gradient over free nodes is below ``gtol``.
-    Intended for grids small enough for a sparse direct solve.
+    when the max-norm gradient over free nodes is below ``gtol``.  Both
+    stops count as converged; raises ResolutionError when ``iters``
+    steps do not reach either, or when no damping of the Newton system
+    gives a descent direction.  Intended for grids small enough for a
+    sparse direct solve.
     """
     hess = _FrozenHessian(problem.grid, problem.fixed_mask)
     order = hess.order
@@ -347,9 +356,12 @@ def newton_polish(problem: PEnergyProblem, u: np.ndarray, *,
     e0, grad = problem.energy_and_grad(u)
     gf = grad.reshape(-1)[order]
     gmax = float(np.max(np.abs(gf)))
-    for _ in range(iters):
-        if gmax < gtol:
-            break
+    steps = 0
+    while gmax >= gtol:
+        if steps == iters:
+            raise ResolutionError(
+                f"Newton polish spent its {iters} iterations at gradient "
+                f"{gmax:.3g}; refine the descent or coarsen the grid")
         H = hess.assemble(problem, u)
         # a free node whose cells are all flat has a zero row: damp from
         # the start rather than factor an exactly singular matrix
@@ -370,7 +382,9 @@ def newton_polish(problem: PEnergyProblem, u: np.ndarray, *,
                 break
             lam = 1e-10 if lam == 0.0 else lam * 100.0
         if step is None:
-            break
+            raise ResolutionError(
+                f"Newton polish found no descent direction at gradient "
+                f"{gmax:.3g}")
         slope = float(gf @ step)
         rounding = 64.0 * np.finfo(float).eps * max(1.0, abs(e0))
         x0 = flat[order]
@@ -384,12 +398,13 @@ def newton_polish(problem: PEnergyProblem, u: np.ndarray, *,
                 if g1max < gmax:
                     break
                 flat[order] = x0
-                return u
+                return u, PEnergyInfo(e0, steps, gmax, True, "newton")
             if e1 <= e0 + 1e-4 * t * slope:
                 break
             t *= 0.5
+        steps += 1
         e0, gf, gmax = e1, g1, g1max
-    return u
+    return u, PEnergyInfo(e0, steps, gmax, True, "newton")
 
 
 def refine_nodes(u: np.ndarray) -> np.ndarray:

@@ -17,7 +17,7 @@ pole.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -125,9 +125,10 @@ def scatter_cells_to_nodes(cell_masses: np.ndarray,
 class PSolution:
     """Grid minimizer of the measure-data p-energy.
 
-    ``residual`` is the max-norm of the energy gradient over free nodes
-    (the discrete Euler-Lagrange defect); ``tolerance`` is the declared
-    relative-energy convergence target the descent was run with.
+    ``residual`` is the max-norm of the unregularized energy gradient
+    over free nodes at ``values`` (the discrete Euler-Lagrange defect);
+    ``tolerance`` is the declared relative-energy convergence target the
+    descent was run with.
     """
 
     grid: EvaluationGrid
@@ -175,20 +176,25 @@ def solve_p_dirichlet(grid: EvaluationGrid, mu: Measure | None, p: float,
                       maxiter: int = 20000) -> PSolution:
     """Minimize the discrete measure-data functional with Dirichlet data.
 
-    A coarse-to-fine cascade (pitch 4h, 2h, h where the cell counts
-    allow) warm-starts the fine descent, the monotone convex stage.  The
-    sparse Newton refinement follows it whenever the grid is small
-    enough to factor directly; the fill-in of the sparse factorization
-    caps this at ~1.6e5 nodes in 2-D but ~4e4 in higher dimensions.  The
-    nested-dissection order of :func:`~potkit.penergy.newton_polish`
-    leaves these caps unchanged.  Array boundary data is given on the
-    fine grid's nodes; the coarse levels of the cascade read it at their
-    own nodes (stride 2, 4).
+    Any p > 1 is accepted without a measure; with one, p must lie in
+    (1, n].  A coarse-to-fine cascade (pitch 4h, 2h, h where the cell
+    counts allow) warm-starts the fine descent, the monotone convex
+    stage.  The sparse Newton refinement follows it whenever the grid is
+    small enough to factor directly; the fill-in of the sparse
+    factorization caps this at ~1.6e5 nodes in 2-D but ~4e4 in higher
+    dimensions.  The nested-dissection order of
+    :func:`~potkit.penergy.newton_polish` leaves these caps unchanged.
+    For p < 2 the energy is regularized by eps = 1e-12 in the gradient
+    magnitude; the reported residual is that of the unregularized
+    energy.  Array boundary data is given on the fine grid's nodes; the
+    coarse levels of the cascade read it at their own nodes (stride 2,
+    4).
     Atoms are rejected when their containing cell touches the Dirichlet
     layer, since the projection would alter the pinned data.
     """
-    if not 1.0 < p <= grid.dim:
-        raise HypothesisViolation(f"p must lie in (1, n], got {p}")
+    if p <= 1.0 or (mu is not None and p > grid.dim):
+        raise HypothesisViolation(
+            f"p must exceed 1, and lie in (1, n] with a measure; got {p}")
     mask = grid.boundary_node_mask()
     if mu is not None:
         for point in mu.atoms()[0]:
@@ -235,12 +241,16 @@ def solve_p_dirichlet(grid: EvaluationGrid, mu: Measure | None, p: float,
         u, info = minimize_p_energy(
             prob, u0=u0, rel_energy_tol=rel_energy_tol, maxiter=maxiter,
             polish=polish if level == 0 else None)
-    bvals = _boundary_values(grid, boundary_data, mask)
-    return PSolution(grid, u, p, info.grad_norm, info.energy,
-                     rel_energy_tol,
+    residual = info.grad_norm
+    if prob.eps > 0.0:
+        _, grad = replace(prob, eps=0.0).energy_and_grad(u)
+        residual = float(np.max(np.abs(grad[~mask])))
+    bvals = prob.fixed_values
+    return PSolution(grid, u, p, residual, info.energy, rel_energy_tol,
                      float(bvals[mask].min()), float(bvals[mask].max()),
                      iterations=info.iterations,
-                     extras={"method": info.method})
+                     extras={"method": info.method,
+                             "newton_steps": info.newton_steps})
 
 
 # ---------------------------------------------------------------------------

@@ -109,7 +109,7 @@ def test_newton_reaches_round_off_on_comparison_pair():
     problem = PEnergyProblem(grid, 3.0, bmask, fixed)
     u, _ = minimize_p_energy(problem, u0=affine_fill(grid, fixed, bmask),
                              rel_energy_tol=1e-10)
-    u = newton_polish(problem, u, iters=10)
+    u, _ = newton_polish(problem, u, iters=10)
     _, g = problem.energy_and_grad(u)
     assert np.max(np.abs(g[~bmask])) < 1e-13
 
@@ -195,3 +195,30 @@ def test_flat_start_factors_no_singular_matrix(monkeypatch):
     # singular matrix before the damping retry
     assert results and all(results)
     assert info.grad_norm < 1e-12
+
+
+def test_newton_steps_are_recorded_and_a_spent_polish_raises():
+    grid = EvaluationGrid.from_box((0.0, 0.0), (1.0, 1.0), 1.0 / 16.0)
+    bmask = grid.boundary_node_mask()
+    X, _ = np.meshgrid(*grid.node_axes(), indexing="ij")
+    fixed = np.where(bmask, X * X, 0.0)
+    problem = PEnergyProblem(grid, 3.0, bmask, fixed)
+    u0 = affine_fill(grid, fixed, bmask)
+    _, info = minimize_p_energy(problem, u0=u0, polish="newton")
+    assert info.newton_steps >= 1
+    with pytest.raises(ResolutionError):
+        newton_polish(problem, u0, iters=1)
+    assert solve_p_dirichlet(grid, None, 3.0,
+                             fixed).extras["newton_steps"] >= 1
+
+
+def test_polish_without_descent_direction_raises(monkeypatch):
+    original = scipy.sparse.linalg.spsolve
+
+    def ascent(*args, **kwargs):
+        return -original(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.sparse.linalg, "spsolve", ascent)
+    grid = EvaluationGrid.from_box((0.0, 0.0), (1.0, 1.0), 1.0 / 16.0)
+    with pytest.raises(ResolutionError):
+        solve_p_dirichlet(grid, None, 2.0, _pole_data)
