@@ -5,8 +5,10 @@ of radius ``t`` about ``x``; distances within a relative tolerance of
 ``1e-12`` of ``t`` count as inside.  Where the map ``t -> ball_mass(x, t)``
 has a closed piecewise form (atomic measures everywhere, radial-profile
 measures at their center, grid measures via their finite cell table),
-``radial_mass_profile`` exposes it so that potential integrals can be
-evaluated piece by piece instead of by blind quadrature.
+``radial_mass_profile`` exposes it as a ``RadialMassFunction``: arrays of
+breakpoints and of per-interval coefficients, so that potential
+integrals can be evaluated over all intervals at once instead of by
+blind quadrature.
 """
 
 from __future__ import annotations
@@ -30,19 +32,21 @@ def _inside_ball(dist, t):
 
 @dataclass(frozen=True)
 class RadialMassFunction:
-    """Piecewise representation of ``t -> ball_mass(x, t)`` for a fixed x.
+    """Piecewise form of ``t -> ball_mass(x, t)`` for a fixed x, as arrays.
 
-    ``breakpoints`` is increasing and starts at 0; on the interval
-    ``[breakpoints[k], breakpoints[k+1])`` the value is
-    ``mass_at_zero + sum(c * t**m for (c, m) in pieces[k])`` where a term
-    with exponent 0 is a constant.  Beyond the last breakpoint the final
-    piece extends to infinity.  ``mass_at_zero`` is the mass of the
-    evaluation point itself.
+    ``breakpoints`` is increasing and starts at 0; interval k is
+    ``[breakpoints[k], breakpoints[k+1])``, and the last interval extends
+    to infinity.  On interval k the mass is
+    ``constant[k] + sum(coefs[k] * t**m for m, coefs in powers)``:
+    ``constant`` holds the constant part of the mass on each interval,
+    and ``powers`` one coefficient array per power exponent m > 0 that
+    occurs (only power-law radial profiles have any).  ``constant[0]`` is
+    the mass of the evaluation point itself.
     """
 
-    mass_at_zero: float
     breakpoints: np.ndarray
-    pieces: tuple  # tuple of tuples of (coef, exponent)
+    constant: np.ndarray
+    powers: tuple = ()  # (exponent, coefficient array) pairs
 
     def __post_init__(self):
         bp = np.asarray(self.breakpoints, dtype=float)
@@ -50,46 +54,54 @@ class RadialMassFunction:
             raise ValueError("breakpoints must be 1-D and start at 0")
         if np.any(np.diff(bp) <= 0):
             raise ValueError("breakpoints must be strictly increasing")
-        if len(self.pieces) != bp.size:
-            raise ValueError("need exactly one piece per breakpoint")
+        const = np.asarray(self.constant, dtype=float)
+        powers = tuple((float(m), np.asarray(c, dtype=float))
+                       for m, c in self.powers)
+        if const.shape != bp.shape or any(c.shape != bp.shape
+                                          for _, c in powers):
+            raise ValueError("need one coefficient per breakpoint")
+        if any(m <= 0.0 for m, _ in powers):
+            raise ValueError("power exponents must be positive")
+        object.__setattr__(self, "breakpoints", bp)
+        object.__setattr__(self, "constant", const)
+        object.__setattr__(self, "powers", powers)
+
+    @property
+    def mass_at_zero(self) -> float:
+        return float(self.constant[0])
 
     def eval(self, t):
         t = np.asarray(t, dtype=float)
-        idx = np.searchsorted(self.breakpoints, t, side="right") - 1
-        idx = np.clip(idx, 0, len(self.pieces) - 1)
-        out = np.full(t.shape, self.mass_at_zero)
-        for k, terms in enumerate(self.pieces):
-            sel = idx == k
-            if not np.any(sel):
-                continue
-            for c, m in terms:
-                out[sel] += c * np.power(t[sel], m) if m != 0.0 else c
+        idx = np.maximum(np.searchsorted(self.breakpoints, t, side="right") - 1, 0)
+        out = self.constant[idx]
+        for m, coefs in self.powers:
+            out = out + coefs[idx] * t ** m
         return out if out.ndim else float(out)
 
-    def intervals_up_to(self, r: float):
-        """Yield (a, b, terms) covering (0, r], clipped at r."""
-        bp = self.breakpoints
-        for k in range(len(self.pieces)):
-            a = bp[k]
-            b = bp[k + 1] if k + 1 < bp.size else math.inf
-            if a >= r:
-                break
-            yield float(a), float(min(b, r)), self.pieces[k]
+
+def _step_profile(d, cum):
+    """Step profile of masses at the sorted distances ``d`` with running
+    totals ``cum``: each run of equal distances is one jump."""
+    if d.size == 0:
+        return RadialMassFunction(np.zeros(1), np.zeros(1))
+    end = np.append(np.flatnonzero(np.diff(d)), d.size - 1)
+    radii, totals = d[end], cum[end]
+    if radii[0] == 0.0:
+        return RadialMassFunction(radii, totals)
+    return RadialMassFunction(np.concatenate([[0.0], radii]),
+                              np.concatenate([[0.0], totals]))
 
 
 def _merge_profiles(parts):
     """Sum of several RadialMassFunction objects."""
-    mass0 = sum(p.mass_at_zero for p in parts)
     bp = np.unique(np.concatenate([p.breakpoints for p in parts]))
-    pieces = []
-    for a in bp:
-        terms = {}
-        for p in parts:
-            k = int(np.searchsorted(p.breakpoints, a, side="right") - 1)
-            for c, m in p.pieces[k]:
-                terms[m] = terms.get(m, 0.0) + c
-        pieces.append(tuple((c, m) for m, c in sorted(terms.items()) if c != 0.0))
-    return RadialMassFunction(mass0, bp, tuple(pieces))
+    idx = [np.searchsorted(p.breakpoints, bp, side="right") - 1 for p in parts]
+    constant = sum(p.constant[k] for p, k in zip(parts, idx))
+    powers = {}
+    for p, k in zip(parts, idx):
+        for m, coefs in p.powers:
+            powers[m] = powers.get(m, 0.0) + coefs[k]
+    return RadialMassFunction(bp, constant, tuple(sorted(powers.items())))
 
 
 class Measure:
@@ -189,22 +201,10 @@ class AtomicMeasure(Measure):
         return AtomicMeasure(self._loc[keep].reshape(-1, self.dim), self._mass[keep])
 
     def radial_mass_profile(self, x):
-        d = self._dists(x)
         keep = self._mass > 0
-        d, w = d[keep], self._mass[keep]
-        at_zero = float(w[d == 0.0].sum())
-        pos = d > 0.0
-        d, w = d[pos], w[pos]
-        if d.size == 0:
-            return RadialMassFunction(at_zero, np.array([0.0]), ((),))
+        d, w = self._dists(x)[keep], self._mass[keep]
         order = np.argsort(d)
-        d, w = d[order], w[order]
-        radii, start = np.unique(d, return_index=True)
-        cum = np.cumsum(w)
-        totals = cum[np.append(start[1:] - 1, w.size - 1)]
-        bp = np.concatenate([[0.0], radii])
-        pieces = [()] + [((float(v), 0.0),) for v in totals]
-        return RadialMassFunction(at_zero, bp, tuple(pieces))
+        return _step_profile(d[order], np.cumsum(w[order]))
 
     def small_scale_floor(self, x) -> float:
         d = self._dists(x)
@@ -287,11 +287,10 @@ class PowerLawProfile(RadialProfile):
 
     def profile_function(self) -> RadialMassFunction:
         if self.rmax is None:
-            return RadialMassFunction(0.0, np.array([0.0]),
-                                      (((self.coef, self.exponent),),))
-        return RadialMassFunction(
-            0.0, np.array([0.0, self.rmax]),
-            (((self.coef, self.exponent),), ((self.total, 0.0),)))
+            return RadialMassFunction(np.zeros(1), np.zeros(1),
+                                      ((self.exponent, [self.coef]),))
+        return RadialMassFunction([0.0, self.rmax], [0.0, self.total],
+                                  ((self.exponent, [self.coef, 0.0]),))
 
     def truncated(self, radius: float) -> "PowerLawProfile":
         rmax = radius if self.rmax is None else min(radius, self.rmax)
@@ -331,7 +330,8 @@ class AtomPlusPowerProfile(RadialProfile):
 
     def profile_function(self) -> RadialMassFunction:
         base = self._power().profile_function()
-        return RadialMassFunction(self.atom, base.breakpoints, base.pieces)
+        return RadialMassFunction(base.breakpoints, self.atom + base.constant,
+                                  base.powers)
 
     def truncated(self, radius: float) -> "AtomPlusPowerProfile":
         pw = self._power().truncated(radius)
@@ -377,16 +377,7 @@ class TableProfile(RadialProfile):
                 if r > 0.0 and j > 0.0]
 
     def profile_function(self) -> RadialMassFunction:
-        at_zero = self.mass_at_zero()
-        r = self.radii
-        v = self.values
-        if r[0] == 0.0:
-            r, v = r[1:], v[1:]
-        bp = np.concatenate([[0.0], r])
-        pieces = [()] + [((float(val - at_zero), 0.0),) for val in v]
-        if len(pieces) == 1:
-            return RadialMassFunction(at_zero, np.array([0.0]), ((),))
-        return RadialMassFunction(at_zero, bp, tuple(pieces))
+        return _step_profile(self.radii, self.values)
 
     def truncated(self, radius: float) -> "TableProfile":
         keep = self.radii <= radius * (1.0 + BALL_REL_TOL)
@@ -534,20 +525,7 @@ class GridMeasure(Measure):
         return GridMeasure(self._grid, np.where(keep, self._density, 0.0))
 
     def radial_mass_profile(self, x):
-        d, cum = self._table(x)
-        if d.size == 0:
-            return RadialMassFunction(0.0, np.array([0.0]), ((),))
-        radii, start = np.unique(d, return_index=True)
-        totals = cum[np.append(start[1:] - 1, d.size - 1)]
-        at_zero = 0.0
-        if radii[0] == 0.0:
-            at_zero = float(totals[0] if radii.size == 1 else cum[start[1] - 1])
-            radii, totals = radii[1:], totals[1:]
-        bp = np.concatenate([[0.0], radii])
-        pieces = [()] + [((float(v - at_zero), 0.0),) for v in totals]
-        if len(pieces) == 1:
-            return RadialMassFunction(at_zero, np.array([0.0]), ((),))
-        return RadialMassFunction(at_zero, bp, tuple(pieces))
+        return _step_profile(*self._table(x))
 
     def small_scale_floor(self, x) -> float:
         return 0.5 * self._grid.h

@@ -310,10 +310,12 @@ class _FrozenHessian:
         g2 = reduce(np.add, (d * d for d in grads))
         if problem.eps > 0.0:
             g2 = g2 + problem.eps ** 2
+        # flat cells (g = 0) get zero weights; the powers are taken only
+        # where g > 0, as g2^((p-4)/2) is infinite on flat cells
         pos = g2 > 0.0
-        with np.errstate(divide="ignore"):
-            w_iso = np.where(pos, g2 ** ((p - 2.0) / 2.0), 0.0)
-            w_dir = np.where(pos, (p - 2.0) * g2 ** ((p - 4.0) / 2.0), 0.0)
+        w_iso, w_dir = np.zeros(g2.size), np.zeros(g2.size)
+        w_iso[pos] = g2[pos] ** ((p - 2.0) / 2.0)
+        w_dir[pos] = (p - 2.0) * g2[pos] ** ((p - 4.0) / 2.0)
         W = np.stack([w_dir * grads[a] * grads[b] + (w_iso if a == b else 0.0)
                       for a in range(n) for b in range(n)], axis=1)
         scale = (problem.coef * p * grid.cell_volume

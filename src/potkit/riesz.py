@@ -130,7 +130,7 @@ def _potential_grid(mu: GridMeasure, params: RieszParams, x) -> float:
     grid = mu.grid
     x = _as_vec(x, n)
     d2 = grid.cell_center_dist2(x)
-    density = mu._density
+    density = mu.density
     cell_idx = grid.locate_cell(x)
     vol = grid.cell_volume
     total = 0.0

@@ -7,11 +7,16 @@ The central object is
 with ``M(t) = ball_mass(mu, x, t)`` and 1 < p <= n.  Where the measure
 exposes a piecewise constant/power ball-mass profile at x (atomic
 measures, grid measures through their cell table, radial profiles at
-their center) each piece integrates in closed form, including the
-p = n case where pieces contribute log terms.  Measures without a
-profile at x, such as radial ones seen off their center, fall back to a
-geometric t-grid quadrature.  The value +inf is a first-class sentinel:
-it is the correct answer whenever the evaluation point carries an atom.
+their center), every interval whose mass is a single term integrates in
+closed form, c^(1/(p-1)) (b^e - a^e) / e, evaluated over all such
+intervals in one array expression; at p = n constants contribute log
+terms.  Intervals whose mass has several terms go through Simpson
+quadrature in log t.  Measures without a profile at x, such as radial
+ones seen off their center, fall back to a geometric t-grid quadrature.
+``wolff_potential`` returns the value alone; ``wolff_potential_detailed``
+also builds the per-interval ``WolffPiece`` record from the same arrays.
+The value +inf is a first-class sentinel: it is the correct answer
+whenever the evaluation point carries an atom.
 """
 
 from __future__ import annotations
@@ -72,25 +77,38 @@ class WolffPiece:
 
 @dataclass(frozen=True)
 class WolffValue:
+    """A Wolff value with its per-interval breakdown: ``pieces`` holds one
+    ``WolffPiece`` per integrated t-interval, in increasing t, and sums
+    to ``value``.  Only ``wolff_potential_detailed`` builds it."""
+
     value: float
     pieces: tuple
     method: str
 
 
-def _term_integral(c: float, m: float, a: float, b: float, n: int, p: float) -> float:
-    """Closed form of the integral of (c t^m / t^(n-p))^(1/(p-1)) dt/t
-    over (a, b); covers constants (m = 0) and the p = n log case."""
-    if c == 0.0:
-        return 0.0
-    cp = c ** (1.0 / (p - 1.0))
+# how an interval's integral was obtained, by the codes the integrators
+# return; WolffPiece.method holds the name
+_METHODS = ("zero", "closed-form", "simpson", "simpson+origin-extension",
+            "origin-divergence", "atom-divergence", "sub-floor-extension",
+            "log-grid")
+(_ZERO, _CLOSED, _SIMPSON, _ORIGIN_EXT, _ORIGIN_DIV, _ATOM, _SUB_FLOOR,
+ _LOG_GRID) = range(len(_METHODS))
+
+
+def _closed_form(c, m, a, b, n: int, p: float) -> np.ndarray:
+    """Elementwise integral of (c t^m / t^(n-p))^(1/(p-1)) dt/t over
+    (a, b) for c > 0: c^(1/(p-1)) (b^e - a^e) / e with
+    e = (m - (n-p)) / (p-1); the log form where e = 0 (constants at
+    p = n), and +inf where e <= 0 and the interval reaches t = 0."""
     e = (m - (n - p)) / (p - 1.0)
-    if e == 0.0:
-        if a == 0.0:
-            return math.inf
-        return cp * math.log(b / a)
-    if a == 0.0 and e < 0.0:
-        return math.inf
-    return cp * (b ** e - a ** e) / e
+    cp = c ** (1.0 / (p - 1.0))
+    out = np.full(c.shape, math.inf)
+    log = (e == 0.0) & (a > 0.0)
+    out[log] = cp[log] * np.log(b[log] / a[log])
+    power = (e != 0.0) & ((a > 0.0) | (e > 0.0))
+    e = e[power]
+    out[power] = cp[power] * (b[power] ** e - a[power] ** e) / e
+    return out
 
 
 def _simpson_log(mass_of_t, a: float, b: float, n: int, p: float,
@@ -118,105 +136,103 @@ def _simpson_log(mass_of_t, a: float, b: float, n: int, p: float,
 
 def _piece_value(terms, a: float, b: float, n: int, p: float,
                  points_per_decade: int):
-    """Integrate one smooth piece with mass M(t) = sum of c t^m terms."""
-    terms = [(c, m) for c, m in terms if c != 0.0]
-    if not terms:
-        return 0.0, "zero"
-    if len(terms) == 1:
-        c, m = terms[0]
-        return _term_integral(c, m, a, b, n, p), "closed-form"
+    """Integrate one interval by quadrature, with mass M(t) the sum of
+    the nonzero c t^m ``terms``; returns (value, method code)."""
+    def mass_of_t(t):
+        return sum(c * t ** m for c, m in terms)
+
     if a == 0.0:
-        # multi-term piece reaching t = 0: divergence is decided by the
-        # smallest exponent; when finite, integrate from a tiny cut and
-        # account for the dominant term below it in closed form
+        # piece reaching t = 0: divergence is decided by the smallest
+        # exponent; when finite, integrate from a tiny cut and account
+        # for the dominant term below it in closed form
         m_min = min(m for _, m in terms)
         c_min = sum(c for c, m in terms if m == m_min)
         e_min = (m_min - (n - p)) / (p - 1.0)
         if e_min <= 0.0:
-            return math.inf, "origin-divergence"
+            return math.inf, _ORIGIN_DIV
         cut = b * 1e-12
-        head = _term_integral(c_min, m_min, 0.0, cut, n, p)
-        body = _simpson_log(
-            lambda t: sum(c * t ** m for c, m in terms), cut, b, n, p,
-            points_per_decade)
-        return head + body, "simpson+origin-extension"
-    val = _simpson_log(lambda t: sum(c * t ** m for c, m in terms),
-                       a, b, n, p, points_per_decade)
-    return val, "simpson"
+        head = c_min ** (1.0 / (p - 1.0)) * cut ** e_min / e_min
+        body = _simpson_log(mass_of_t, cut, b, n, p, points_per_decade)
+        return head + body, _ORIGIN_EXT
+    return _simpson_log(mass_of_t, a, b, n, p, points_per_decade), _SIMPSON
 
 
 def _integrate_profile(prof, n: int, p: float, r: float, t_min: float,
                        points_per_decade: int, force_quadrature: bool):
-    pieces = []
-    total = 0.0
+    """Integrals over the profile's intervals clipped to (t_min, r], as
+    arrays (t_lo, t_hi, value, method code).
+
+    An interval whose mass is a single term, constant or one power,
+    integrates in closed form, all such intervals in one expression;
+    intervals with several terms, and with ``force_quadrature`` every
+    interval away from t = 0, go through Simpson quadrature."""
+    bp = prof.breakpoints
     if prof.mass_at_zero > 0.0 and t_min == 0.0:
-        first = float(prof.breakpoints[1]) if prof.breakpoints.size > 1 else r
-        pieces.append(WolffPiece(0.0, min(first, r), math.inf, "atom-divergence"))
-        return math.inf, tuple(pieces)
-    for a, b, terms in prof.intervals_up_to(r):
-        a = max(a, t_min)
-        if b <= a:
-            continue
-        all_terms = list(terms)
-        if prof.mass_at_zero > 0.0:
-            all_terms.append((prof.mass_at_zero, 0.0))
-        if force_quadrature:
-            merged = {}
-            for c, m in all_terms:
-                merged[m] = merged.get(m, 0.0) + c
-            live = [(c, m) for m, c in merged.items() if c != 0.0]
-            if not live:
-                val, method = 0.0, "zero"
-            elif a == 0.0:
-                val, method = _piece_value(live, a, b, n, p, points_per_decade)
-            else:
-                val = _simpson_log(
-                    lambda t: sum(c * t ** m for c, m in live),
-                    a, b, n, p, points_per_decade)
-                method = "simpson"
-        else:
-            val, method = _piece_value(all_terms, a, b, n, p, points_per_decade)
-        pieces.append(WolffPiece(a, b, val, method))
-        total += val
-        if math.isinf(total):
-            return math.inf, tuple(pieces)
-    return total, tuple(pieces)
+        first = bp[1] if bp.size > 1 else r
+        return _as_arrays([(0.0, min(first, r), math.inf, _ATOM)])
+    lo = np.maximum(bp, t_min)
+    hi = np.minimum(np.append(bp[1:], math.inf), r)
+    live = hi > lo
+    lo, hi, const = lo[live], hi[live], prof.constant[live]
+    powers = [(m, coefs[live]) for m, coefs in prof.powers]
+    # the single term of each interval that has at most one
+    coef, expo, terms = const, np.zeros(lo.size), (const != 0.0).astype(int)
+    for m, c in powers:
+        nonzero = c != 0.0
+        coef = coef + c
+        expo[nonzero] = m
+        terms += nonzero
+    closed = (terms == 1) & ~(force_quadrature & (lo > 0.0))
+    value = np.zeros(lo.size)
+    value[closed] = _closed_form(coef[closed], expo[closed], lo[closed],
+                                 hi[closed], n, p)
+    code = np.where(closed, _CLOSED, _ZERO)
+    for j in np.flatnonzero((terms > 0) & ~closed):
+        live_terms = [(c, m) for c, m in ((const[j], 0.0),
+                                          *((cs[j], m) for m, cs in powers))
+                      if c != 0.0]
+        value[j], code[j] = _piece_value(live_terms, lo[j], hi[j], n, p,
+                                         points_per_decade)
+    return lo, hi, value, code
+
+
+def _as_arrays(rows):
+    """(t_lo, t_hi, value, method code) rows as four arrays."""
+    table = np.array(rows, dtype=float).reshape(-1, 4)
+    return table[:, 0], table[:, 1], table[:, 2], table[:, 3].astype(int)
 
 
 def _integrate_ball_mass(mu: Measure, x, n: int, p: float, r: float,
                          t_min: float, points_per_decade: int):
-    pieces = []
+    """Integrals from ``ball_mass`` alone, as the same arrays as
+    ``_integrate_profile``."""
     if mu.atom_mass_at(x) > 0.0 and t_min == 0.0:
-        return math.inf, (WolffPiece(0.0, r, math.inf, "atom-divergence"),)
+        return _as_arrays([(0.0, r, math.inf, _ATOM)])
+    rows = []
     floor = max(t_min, mu.small_scale_floor(x))
     if floor <= 0.0:
         floor = r * 1e-9
     floor = min(floor, r)
-    total = 0.0
     if t_min < floor:
         # below the resolved scale, extend with the ambient-volume law
         # M(t) ~ M(floor) (t/floor)^n, which integrates in closed form
         m_floor = mu.ball_mass(x, floor)
         if m_floor > 0.0:
-            val = _term_integral(m_floor / floor ** n, float(n),
-                                 t_min, floor, n, p)
-            pieces.append(WolffPiece(t_min, floor, val, "sub-floor-extension"))
-            total += val
+            e = (n - (n - p)) / (p - 1.0)
+            cp = (m_floor / floor ** n) ** (1.0 / (p - 1.0))
+            rows.append((t_min, floor, cp * (floor ** e - t_min ** e) / e,
+                         _SUB_FLOOR))
     if floor < r:
         def mass_of_t(t):
             return np.array([mu.ball_mass(x, float(tt)) for tt in np.atleast_1d(t)])
         val = _simpson_log(mass_of_t, floor, r, n, p, points_per_decade)
-        pieces.append(WolffPiece(floor, r, val, "log-grid"))
-        total += val
-    return total, tuple(pieces)
+        rows.append((floor, r, val, _LOG_GRID))
+    return _as_arrays(rows)
 
 
-def wolff_potential_detailed(mu: Measure, params: WolffParams, x, *,
-                             t_min: float = 0.0) -> WolffValue:
-    """Wolff potential with the per-piece breakdown.
-
-    ``t_min`` truncates the integral below, which is how scaled values
-    are reported at points that carry an atom (full value +inf)."""
+def _integrals(mu: Measure, params: WolffParams, x, t_min: float):
+    """Validate and dispatch: (t_lo, t_hi, value, method code) arrays and
+    the overall method."""
     n = mu.dim
     params.validate_dim(n)
     x = _as_vec(x, n)
@@ -227,19 +243,32 @@ def wolff_potential_detailed(mu: Measure, params: WolffParams, x, *,
         raise ValueError("measure has no closed ball-mass profile at this point")
     if prof is not None:
         force = params.quadrature == "log-grid"
-        value, pieces = _integrate_profile(prof, n, params.p, params.r, t_min,
-                                           params.points_per_decade, force)
-        method = "log-grid" if force else "exact-piecewise"
-    else:
-        value, pieces = _integrate_ball_mass(mu, x, n, params.p, params.r,
-                                             t_min, params.points_per_decade)
-        method = "log-grid"
-    return WolffValue(float(value), pieces, method)
+        arrays = _integrate_profile(prof, n, params.p, params.r, t_min,
+                                    params.points_per_decade, force)
+        return arrays, "log-grid" if force else "exact-piecewise"
+    arrays = _integrate_ball_mass(mu, x, n, params.p, params.r, t_min,
+                                  params.points_per_decade)
+    return arrays, "log-grid"
+
+
+def wolff_potential_detailed(mu: Measure, params: WolffParams, x, *,
+                             t_min: float = 0.0) -> WolffValue:
+    """Wolff potential with the per-piece breakdown.
+
+    ``t_min`` truncates the integral below, which is how scaled values
+    are reported at points that carry an atom (full value +inf)."""
+    (lo, hi, value, code), method = _integrals(mu, params, x, t_min)
+    pieces = tuple(WolffPiece(float(a), float(b), float(v), _METHODS[k])
+                   for a, b, v, k in zip(lo, hi, value, code))
+    return WolffValue(float(value.sum()), pieces, method)
 
 
 def wolff_potential(mu: Measure, params: WolffParams, x, *,
                     t_min: float = 0.0) -> float:
-    return wolff_potential_detailed(mu, params, x, t_min=t_min).value
+    """Wolff potential W(x, r); +inf when x carries an atom and
+    ``t_min`` is 0.  Builds no per-piece record."""
+    (_, _, value, _), _ = _integrals(mu, params, x, t_min)
+    return float(value.sum())
 
 
 def scaled_wolff(mu: Measure, params: WolffParams, x0, rho: float, value: float) -> float:

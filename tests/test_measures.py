@@ -117,6 +117,54 @@ def test_atoms_to_profile_agrees_at_center():
             mu.ball_mass([0.0, 0.0, 0.0], t), abs=1e-14)
 
 
+def _brute_ball_masses(points, masses, x, ts):
+    """Sorted-cumsum ball masses: total mass at distance <= t."""
+    d = np.sqrt(((points - x) ** 2).sum(axis=1))
+    order = np.argsort(d)
+    d, cum = d[order], np.concatenate([[0.0], np.cumsum(masses[order])])
+    return cum[np.searchsorted(d, ts, side="right")]
+
+
+def test_sum_profile_at_power_law_centre_matches_parts():
+    rng = np.random.default_rng(12)
+    center = np.array([0.1, -0.2, 0.05])
+    pts = np.vstack([center, center + rng.normal(size=(9, 3)) * 0.5])
+    masses = rng.uniform(0.2, 1.5, 10)
+    atoms = AtomicMeasure(pts, masses)
+    ball = RadialProfileMeasure(center, PowerLawProfile(0.7, 2.5, rmax=0.6))
+    prof = SumMeasure([atoms, ball]).radial_mass_profile(center)
+    assert prof.mass_at_zero == masses[0]
+    assert [m for m, _ in prof.powers] == [2.5]
+    ts = np.sort(rng.uniform(0.01, 2.0, 40))
+    want = _brute_ball_masses(pts, masses, center, ts) \
+        + 0.7 * np.minimum(ts, 0.6) ** 2.5
+    assert np.allclose(prof.eval(ts), want, rtol=1e-13, atol=0.0)
+    for t, w in zip(ts[::8], want[::8]):
+        parts = atoms.ball_mass(center, t) + ball.ball_mass(center, t)
+        assert prof.eval(t) == pytest.approx(parts, rel=1e-13)
+        assert parts == pytest.approx(w, rel=1e-13)
+
+
+def test_grid_profile_has_one_jump_per_distinct_distance():
+    # at a cell centre many cells share a distance: each shared distance
+    # is one breakpoint carrying the running total past all of them
+    rng = np.random.default_rng(13)
+    m = 4
+    grid = EvaluationGrid.from_box((0.0,) * 3, (1.0,) * 3, 1.0 / m)
+    dens = rng.uniform(0.5, 1.5, (m,) * 3)
+    mu = GridMeasure(grid, dens)
+    centers = (np.argwhere(dens > 0.0) + 0.5) / m
+    cmass = dens.ravel() / m ** 3
+    x = centers[21]
+    prof = mu.radial_mass_profile(x)
+    d = np.unique(np.sqrt(((centers - x) ** 2).sum(axis=1)))
+    assert np.array_equal(prof.breakpoints, d)
+    assert prof.mass_at_zero == pytest.approx(cmass[21], rel=1e-15)
+    ts = np.concatenate([d, 0.5 * (d[1:] + d[:-1])])
+    assert np.allclose(prof.eval(ts), _brute_ball_masses(centers, cmass, x, ts),
+                       rtol=1e-13, atol=0.0)
+
+
 def test_atom_plus_power_profile():
     mu = RadialProfileMeasure(np.zeros(3), AtomPlusPowerProfile(2.0, 1.0, 3.0))
     assert mu.ball_mass(np.zeros(3), 0.5) == pytest.approx(2.0 + 0.125)

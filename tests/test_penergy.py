@@ -85,6 +85,19 @@ def test_frozen_hessian_matches_reference_assembly(cells, p, eps, pins):
                           np.diag(H))
 
 
+def test_flat_cells_assemble_without_warnings():
+    # at p = 2 the directional weight (p-2) g^(p-4) is 0 * inf on flat
+    # cells unless it is taken only where g > 0
+    grid = EvaluationGrid.from_box((0.0, 0.0), (1.0, 1.0), 1.0 / 8.0)
+    mask = grid.boundary_node_mask()
+    problem = PEnergyProblem(grid, 2.0, mask, np.zeros(grid.node_shape))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        H = _FrozenHessian(grid, mask).assemble(problem,
+                                                np.zeros(grid.node_shape))
+    assert np.all(np.isfinite(H.data))
+
+
 def _comparison_pair_data(grid, p_index, pair):
     """Boundary data g = f + bump of the quick comparison-principle check
     (seed 0) for one p and pair: the check draws 6 normals per pair,

@@ -8,9 +8,11 @@ import pytest
 from scipy.integrate import quad
 
 from potkit.fitting import ApproachPath
+from potkit.grid import EvaluationGrid
 from potkit.measures import (
     AtomicMeasure,
     AtomPlusPowerProfile,
+    GridMeasure,
     PowerLawProfile,
     RadialProfileMeasure,
 )
@@ -120,6 +122,115 @@ def test_piece_breakdown_sums_to_value():
                                                                 rel=1e-13)
     los = [p.t_lo for p in detail.pieces]
     assert los == sorted(los)
+
+
+def _sorted_cumsum_reference(points, masses, x, p, r, t_min=0.0):
+    """Wolff integral of point masses by sorting their distances: the ball
+    mass is the running total between consecutive distances, and each
+    constant piece c on (a, b) integrates to c^(1/(p-1)) log(b/a) at
+    p = n, else to c^(1/(p-1)) (a^-k - b^-k) / k with k = (n-p)/(p-1)."""
+    n = points.shape[1]
+    d = np.sqrt(((points - x) ** 2).sum(axis=1))
+    order = np.argsort(d)
+    d, cum = d[order], np.cumsum(masses[order])
+    a = np.maximum(d, t_min)
+    b = np.minimum(np.append(d[1:], np.inf), r)
+    keep = b > a
+    a, b, cp = a[keep], b[keep], cum[keep] ** (1.0 / (p - 1.0))
+    if p == n:
+        return float((cp * np.log(b / a)).sum())
+    k = (n - p) / (p - 1.0)
+    return float((cp * (a ** -k - b ** -k)).sum() / k)
+
+
+def _random_grid_measure(m, seed):
+    rng = np.random.default_rng(seed)
+    grid = EvaluationGrid.from_box((0.0,) * 3, (1.0,) * 3, 1.0 / m)
+    dens = np.where(rng.random((m,) * 3) < 0.6,
+                    rng.uniform(0.5, 1.5, (m,) * 3), 0.0)
+    centers = (np.argwhere(dens > 0.0) + 0.5) / m
+    return GridMeasure(grid, dens), centers, dens[dens > 0.0] / m ** 3, rng
+
+
+@pytest.mark.parametrize("p", [2.0, 2.5, 3.0])
+def test_grid_matches_sorted_cumsum_reference(p):
+    mu, centers, cmass, rng = _random_grid_measure(8, 5)
+    params = WolffParams(p, 0.5)
+    for x in rng.uniform(0.2, 0.8, (6, 3)):
+        assert wolff_potential(mu, params, x) == pytest.approx(
+            _sorted_cumsum_reference(centers, cmass, x, p, 0.5), rel=1e-12)
+
+
+def test_atomic_log_case_matches_sorted_cumsum_reference():
+    rng = np.random.default_rng(8)
+    pts = rng.normal(size=(40, 3)) * 0.4
+    masses = rng.uniform(0.1, 2.0, 40)
+    mu = AtomicMeasure(pts, masses)
+    params = WolffParams(3.0, 0.8)
+    for x in rng.normal(size=(6, 3)) * 0.4:
+        assert wolff_potential(mu, params, x) == pytest.approx(
+            _sorted_cumsum_reference(pts, masses, x, 3.0, 0.8), rel=1e-12)
+
+
+@pytest.mark.parametrize("p", [2.5, 3.0])
+def test_t_min_truncation_matches_sorted_cumsum_reference(p):
+    # on an atom the truncated integral is finite; the atom's own mass
+    # adds to every constant piece above t_min
+    rng = np.random.default_rng(9)
+    pts = rng.normal(size=(25, 3)) * 0.4
+    masses = rng.uniform(0.1, 2.0, 25)
+    mu = AtomicMeasure(pts, masses)
+    params = WolffParams(p, 0.8)
+    for x in (pts[0], pts[7], rng.normal(size=3) * 0.4):
+        for t_min in (1e-3, 0.05, 0.3):
+            got = wolff_potential(mu, params, x, t_min=t_min)
+            assert got == pytest.approx(_sorted_cumsum_reference(
+                pts, masses, x, p, 0.8, t_min), rel=1e-12)
+
+
+def test_infinite_exactly_on_atoms():
+    rng = np.random.default_rng(10)
+    pts = rng.normal(size=(12, 3)) * 0.4
+    mu = AtomicMeasure(pts, rng.uniform(0.1, 2.0, 12))
+    gm, centers, _, _ = _random_grid_measure(8, 5)
+    for p in (2.5, 3.0):
+        params = WolffParams(p, 0.5)
+        assert wolff_potential(mu, params, pts[3]) == math.inf
+        assert wolff_potential(gm, params, centers[4]) == math.inf
+        assert math.isfinite(wolff_potential(mu, params, pts[3] + 1e-3))
+        assert math.isfinite(wolff_potential(gm, params, centers[4] + 1e-3))
+
+
+def test_grid_piece_breakdown_sums_to_value():
+    mu, _, _, rng = _random_grid_measure(8, 5)
+    x = rng.uniform(0.2, 0.8, 3)
+    params = WolffParams(2.5, 0.5)
+    detail = wolff_potential_detailed(mu, params, x)
+    assert detail.value == wolff_potential(mu, params, x)
+    assert sum(p.value for p in detail.pieces) == pytest.approx(detail.value,
+                                                                rel=1e-13)
+    assert {p.method for p in detail.pieces} == {"zero", "closed-form"}
+    # contiguous pieces from t = 0 up to r
+    assert detail.pieces[0].t_lo == 0.0
+    assert all(p.t_hi == q.t_lo for p, q in zip(detail.pieces,
+                                                detail.pieces[1:]))
+    assert detail.pieces[-1].t_hi == 0.5
+
+
+def test_several_term_pieces_go_through_quadrature():
+    # above t_min the centre atom and the power law share each interval
+    mu = RadialProfileMeasure(np.zeros(3),
+                              AtomPlusPowerProfile(0.5, 1.0, 3.0, rmax=0.4))
+    detail = wolff_potential_detailed(mu, WolffParams(2.5, 0.8), np.zeros(3),
+                                      t_min=0.01)
+    assert [(p.t_lo, p.t_hi, p.method) for p in detail.pieces] == [
+        (0.01, 0.4, "simpson"), (0.4, 0.8, "closed-form")]
+    assert sum(p.value for p in detail.pieces) == pytest.approx(detail.value,
+                                                                rel=1e-13)
+    # the constant piece beyond rmax carries atom plus ball mass
+    c = 0.5 + 0.4 ** 3
+    want = c ** (1.0 / 1.5) * (0.4 ** -(1.0 / 3.0) - 0.8 ** -(1.0 / 3.0)) * 3.0
+    assert detail.pieces[1].value == pytest.approx(want, rel=1e-13)
 
 
 def test_asymptotic_report_atom_limit():
