@@ -13,8 +13,7 @@ class PotkitError(Exception):
 class RepresentationError(PotkitError, ValueError):
     """An operation is not representable for this measure or set.
 
-    Raised, for example, when a radial measure is restricted to a
-    non-concentric ball, or when a continuous measure is passed to a
+    Raised, for example, when a continuous measure is passed to a
     solver that only accepts atomic or grid data.
     """
 

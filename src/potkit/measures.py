@@ -9,6 +9,10 @@ measures at their center, grid measures via their finite cell table),
 breakpoints and of per-interval coefficients, so that potential
 integrals can be evaluated over all intervals at once instead of by
 blind quadrature.
+
+The same ``RadialMassFunction`` is the one profile type of radially
+symmetric measures: ``PowerLawProfile``, ``AtomPlusPowerProfile`` and
+``TableProfile`` build it, and ``RadialProfileMeasure`` holds it.
 """
 
 from __future__ import annotations
@@ -26,13 +30,10 @@ from .grid import EvaluationGrid, _as_vec
 BALL_REL_TOL = 1e-12
 
 
-def _inside_ball(dist, t):
-    return np.asarray(dist) <= t * (1.0 + BALL_REL_TOL)
-
-
 @dataclass(frozen=True)
 class RadialMassFunction:
-    """Piecewise form of ``t -> ball_mass(x, t)`` for a fixed x, as arrays.
+    """Piecewise form of ``t -> ball_mass(x, t)`` for a fixed x, as arrays;
+    with x the center, also the mass profile of a radial measure.
 
     ``breakpoints`` is increasing and starts at 0; interval k is
     ``[breakpoints[k], breakpoints[k+1])``, and the last interval extends
@@ -41,7 +42,9 @@ class RadialMassFunction:
     ``constant`` holds the constant part of the mass on each interval,
     and ``powers`` one coefficient array per power exponent m > 0 that
     occurs (only power-law radial profiles have any).  ``constant[0]`` is
-    the mass of the evaluation point itself.
+    the mass of the evaluation point itself, the jumps at later
+    breakpoints are spherical shells (``shells``), and the power terms
+    are the absolutely continuous part (``continuous_pieces``).
     """
 
     breakpoints: np.ndarray
@@ -70,13 +73,46 @@ class RadialMassFunction:
     def mass_at_zero(self) -> float:
         return float(self.constant[0])
 
+    @property
+    def total(self) -> float:
+        """M(infinity): +inf when a power term has no cutoff."""
+        if any(coefs[-1] > 0.0 for _, coefs in self.powers):
+            return math.inf
+        return float(self.constant[-1])
+
     def eval(self, t):
+        """M(t); a breakpoint within ``BALL_REL_TOL`` of t counts as
+        reached, as in every ``ball_mass``."""
         t = np.asarray(t, dtype=float)
-        idx = np.maximum(np.searchsorted(self.breakpoints, t, side="right") - 1, 0)
-        out = self.constant[idx]
+        idx = np.searchsorted(self.breakpoints, t * (1.0 + BALL_REL_TOL),
+                              side="right")
+        out = self.constant[idx - 1]
         for m, coefs in self.powers:
-            out = out + coefs[idx] * t ** m
+            out = out + coefs[idx - 1] * t ** m
         return out if out.ndim else float(out)
+
+    def shells(self):
+        """Jumps of M at the positive breakpoints as (radius, mass) pairs,
+        each the right minus the left limit summed in the same order, so a
+        power term stopping at a breakpoint leaves no round-off shell."""
+        out = []
+        for k in range(1, self.breakpoints.size):
+            s = float(self.breakpoints[k])
+            right, left = float(self.constant[k]), float(self.constant[k - 1])
+            for m, coefs in self.powers:
+                right += float(coefs[k]) * s ** m
+                left += float(coefs[k - 1]) * s ** m
+            if right > left:
+                out.append((s, right - left))
+        return out
+
+    def continuous_pieces(self):
+        """Absolutely continuous part as (a, b, coef, m) pieces meaning
+        dM = coef * m * s**(m-1) ds on (a, b)."""
+        ends = np.append(self.breakpoints[1:], math.inf)
+        return [(float(a), float(b), float(c), m)
+                for m, coefs in self.powers
+                for a, b, c in zip(self.breakpoints, ends, coefs) if c != 0.0]
 
 
 def _step_profile(d, cum):
@@ -121,9 +157,6 @@ class Measure:
     def atom_mass_at(self, x) -> float:
         """Exact point mass carried by the location ``x`` (0 if none)."""
         return 0.0
-
-    def restrict(self, center, radius: float) -> "Measure":
-        raise NotImplementedError
 
     def radial_mass_profile(self, x):
         """Closed piecewise form of ``t -> ball_mass(x, t)`` or None."""
@@ -190,15 +223,11 @@ class AtomicMeasure(Measure):
     def ball_mass(self, x, t: float) -> float:
         if t <= 0:
             raise ValueError("ball radius must be positive")
-        return float(self._mass[_inside_ball(self._dists(x), t)].sum())
+        return float(self._mass[self._dists(x) <= t * (1.0 + BALL_REL_TOL)].sum())
 
     def atom_mass_at(self, x) -> float:
         d = self._dists(x)
         return float(self._mass[d == 0.0].sum())
-
-    def restrict(self, center, radius: float) -> "AtomicMeasure":
-        keep = _inside_ball(self._dists(center), radius)
-        return AtomicMeasure(self._loc[keep].reshape(-1, self.dim), self._mass[keep])
 
     def radial_mass_profile(self, x):
         keep = self._mass > 0
@@ -226,174 +255,56 @@ class AtomicMeasure(Measure):
         return masses
 
 
-class RadialProfile:
-    """Cumulative mass profile M(t) of a radially symmetric measure."""
-
-    def mass_at_zero(self) -> float:
-        return 0.0
-
-    def eval(self, t):
-        raise NotImplementedError
-
-    @property
-    def total(self) -> float:
-        raise NotImplementedError
-
-    def shells(self):
-        """Discrete spherical shells as (radius, mass) pairs."""
-        return []
-
-    def continuous_pieces(self):
-        """Absolutely continuous radial part as (a, b, coef, exponent)
-        pieces meaning dM = coef * exponent * s**(exponent-1) ds on (a, b)."""
-        return []
-
-    def profile_function(self) -> RadialMassFunction:
-        raise NotImplementedError
-
-    def truncated(self, radius: float) -> "RadialProfile":
-        raise NotImplementedError
-
-
-@dataclass(frozen=True)
-class PowerLawProfile(RadialProfile):
-    """M(t) = coef * min(t, rmax)**exponent."""
-
-    coef: float
-    exponent: float
-    rmax: float | None = None
-
-    def __post_init__(self):
-        if self.coef < 0 or not math.isfinite(self.coef):
-            raise ValueError("profile coefficient must be finite and nonnegative")
-        if self.exponent <= 0:
-            raise ValueError("profile exponent must be positive")
-        if self.rmax is not None and self.rmax <= 0:
-            raise ValueError("rmax must be positive when given")
-
-    def eval(self, t):
-        t = np.asarray(t, dtype=float)
-        cap = t if self.rmax is None else np.minimum(t, self.rmax)
-        out = self.coef * np.power(cap, self.exponent)
-        return out if out.ndim else float(out)
-
-    @property
-    def total(self) -> float:
-        return math.inf if self.rmax is None else self.coef * self.rmax ** self.exponent
-
-    def continuous_pieces(self):
-        hi = math.inf if self.rmax is None else self.rmax
-        return [(0.0, hi, self.coef, self.exponent)]
-
-    def profile_function(self) -> RadialMassFunction:
-        if self.rmax is None:
-            return RadialMassFunction(np.zeros(1), np.zeros(1),
-                                      ((self.exponent, [self.coef]),))
-        return RadialMassFunction([0.0, self.rmax], [0.0, self.total],
-                                  ((self.exponent, [self.coef, 0.0]),))
-
-    def truncated(self, radius: float) -> "PowerLawProfile":
-        rmax = radius if self.rmax is None else min(radius, self.rmax)
-        return PowerLawProfile(self.coef, self.exponent, rmax)
-
-
-@dataclass(frozen=True)
-class AtomPlusPowerProfile(RadialProfile):
+def AtomPlusPowerProfile(atom: float, coef: float, exponent: float,
+                         rmax: float | None = None) -> RadialMassFunction:
     """M(t) = atom + coef * min(t, rmax)**exponent."""
-
-    atom: float
-    coef: float
-    exponent: float
-    rmax: float | None = None
-
-    def __post_init__(self):
-        if self.atom < 0 or not math.isfinite(self.atom):
-            raise ValueError("atom mass must be finite and nonnegative")
-        # delegate remaining validation
-        PowerLawProfile(self.coef, self.exponent, self.rmax)
-
-    def _power(self) -> PowerLawProfile:
-        return PowerLawProfile(self.coef, self.exponent, self.rmax)
-
-    def mass_at_zero(self) -> float:
-        return self.atom
-
-    def eval(self, t):
-        return self.atom + self._power().eval(t)
-
-    @property
-    def total(self) -> float:
-        return self.atom + self._power().total
-
-    def continuous_pieces(self):
-        return self._power().continuous_pieces()
-
-    def profile_function(self) -> RadialMassFunction:
-        base = self._power().profile_function()
-        return RadialMassFunction(base.breakpoints, self.atom + base.constant,
-                                  base.powers)
-
-    def truncated(self, radius: float) -> "AtomPlusPowerProfile":
-        pw = self._power().truncated(radius)
-        return AtomPlusPowerProfile(self.atom, pw.coef, pw.exponent, pw.rmax)
+    if atom < 0 or not math.isfinite(atom):
+        raise ValueError("atom mass must be finite and nonnegative")
+    if coef < 0 or not math.isfinite(coef):
+        raise ValueError("profile coefficient must be finite and nonnegative")
+    if exponent <= 0:
+        raise ValueError("profile exponent must be positive")
+    if rmax is None:
+        return RadialMassFunction([0.0], [atom], ((exponent, [coef]),))
+    if rmax <= 0:
+        raise ValueError("rmax must be positive when given")
+    return RadialMassFunction([0.0, rmax], [atom, atom + coef * rmax ** exponent],
+                              ((exponent, [coef, 0.0]),))
 
 
-@dataclass(frozen=True)
-class TableProfile(RadialProfile):
+def PowerLawProfile(coef: float, exponent: float,
+                    rmax: float | None = None) -> RadialMassFunction:
+    """M(t) = coef * min(t, rmax)**exponent."""
+    return AtomPlusPowerProfile(0.0, coef, exponent, rmax)
+
+
+def TableProfile(radii, values) -> RadialMassFunction:
     """Right-continuous step profile given by (radius, cumulative mass)
     rows; the jumps are spherical shells, a jump at radius 0 is an atom."""
-
-    radii: np.ndarray
-    values: np.ndarray
-
-    def __post_init__(self):
-        r = np.asarray(self.radii, dtype=float)
-        v = np.asarray(self.values, dtype=float)
-        if r.ndim != 1 or r.shape != v.shape or r.size == 0:
-            raise ValueError("table needs matching 1-D radius and value arrays")
-        if np.any(r < 0) or np.any(np.diff(r) <= 0):
-            raise ValueError("table radii must be nonnegative and increasing")
-        if np.any(v < 0) or np.any(np.diff(v) < 0):
-            raise ValueError("table values must be nonnegative and nondecreasing")
-        object.__setattr__(self, "radii", r)
-        object.__setattr__(self, "values", v)
-
-    def mass_at_zero(self) -> float:
-        return float(self.values[0]) if self.radii[0] == 0.0 else 0.0
-
-    def eval(self, t):
-        t = np.asarray(t, dtype=float)
-        idx = np.searchsorted(self.radii, t * (1.0 + BALL_REL_TOL), side="right") - 1
-        out = np.where(idx >= 0, self.values[np.clip(idx, 0, None)], 0.0)
-        return out if out.ndim else float(out)
-
-    @property
-    def total(self) -> float:
-        return float(self.values[-1])
-
-    def shells(self):
-        jumps = np.diff(np.concatenate([[0.0], self.values]))
-        return [(float(r), float(j)) for r, j in zip(self.radii, jumps)
-                if r > 0.0 and j > 0.0]
-
-    def profile_function(self) -> RadialMassFunction:
-        return _step_profile(self.radii, self.values)
-
-    def truncated(self, radius: float) -> "TableProfile":
-        keep = self.radii <= radius * (1.0 + BALL_REL_TOL)
-        if not np.any(keep):
-            return TableProfile(np.array([radius]), np.array([0.0]))
-        return TableProfile(self.radii[keep], self.values[keep])
+    r = np.asarray(radii, dtype=float)
+    v = np.asarray(values, dtype=float)
+    if r.ndim != 1 or r.shape != v.shape or r.size == 0:
+        raise ValueError("table needs matching 1-D radius and value arrays")
+    if np.any(r < 0) or np.any(np.diff(r) <= 0):
+        raise ValueError("table radii must be nonnegative and increasing")
+    if np.any(v < 0) or np.any(np.diff(v) < 0):
+        raise ValueError("table values must be nonnegative and nondecreasing")
+    return _step_profile(r, v)
 
 
 class RadialProfileMeasure(Measure):
-    """Radially symmetric measure about a center, given by a profile."""
+    """Radially symmetric measure about a center, given by its profile
+    M(t) = mu(B(center, t)); off the center, ``ball_mass`` integrates the
+    profile's shells and pieces, split out once, against the covered
+    fraction of each sphere."""
 
-    def __init__(self, center, profile: RadialProfile):
+    def __init__(self, center, profile: RadialMassFunction):
         self._center = _as_vec(center)
         if self._center.size < 2:
             raise ValueError("dimension must be at least 2")
         self._profile = profile
+        self._shells = profile.shells()
+        self._pieces = profile.continuous_pieces()
 
     @property
     def dim(self) -> int:
@@ -404,7 +315,7 @@ class RadialProfileMeasure(Measure):
         return self._center.copy()
 
     @property
-    def profile(self) -> RadialProfile:
+    def profile(self) -> RadialMassFunction:
         return self._profile
 
     @property
@@ -424,10 +335,10 @@ class RadialProfileMeasure(Measure):
             return float(self._profile.eval(t))
         out = 0.0
         if rho <= t * (1.0 + BALL_REL_TOL):
-            out += self._profile.mass_at_zero()
-        for s, dm in self._profile.shells():
+            out += self._profile.mass_at_zero
+        for s, dm in self._shells:
             out += dm * ball_intersection_fraction(s, rho, t, self.dim)
-        for a, b, coef, m in self._profile.continuous_pieces():
+        for a, b, coef, m in self._pieces:
             lo = max(a, abs(t - rho))
             hi = min(b, t + rho)
             if t > rho:
@@ -444,20 +355,12 @@ class RadialProfileMeasure(Measure):
 
     def atom_mass_at(self, x) -> float:
         if self._rho(x) == 0.0:
-            return self._profile.mass_at_zero()
+            return self._profile.mass_at_zero
         return 0.0
 
-    def restrict(self, center, radius: float) -> "RadialProfileMeasure":
-        rho = self._rho(center)
-        if rho > BALL_REL_TOL * max(radius, 1.0):
-            raise RepresentationError(
-                "radial measures can only be restricted to concentric balls")
-        return RadialProfileMeasure(self._center, self._profile.truncated(radius))
-
     def radial_mass_profile(self, x):
-        rho = self._rho(x)
-        if rho <= BALL_REL_TOL:
-            return self._profile.profile_function()
+        if self._rho(x) <= BALL_REL_TOL:
+            return self._profile
         return None
 
     def small_scale_floor(self, x) -> float:
@@ -519,11 +422,6 @@ class GridMeasure(Measure):
         k = int(np.searchsorted(d, t * (1.0 + BALL_REL_TOL), side="right"))
         return float(cum[k - 1]) if k > 0 else 0.0
 
-    def restrict(self, center, radius: float) -> "GridMeasure":
-        d2 = self._grid.cell_center_dist2(_as_vec(center, self.dim))
-        keep = d2 <= (radius * (1.0 + BALL_REL_TOL)) ** 2
-        return GridMeasure(self._grid, np.where(keep, self._density, 0.0))
-
     def radial_mass_profile(self, x):
         return _step_profile(*self._table(x))
 
@@ -579,9 +477,6 @@ class SumMeasure(Measure):
 
     def atom_mass_at(self, x) -> float:
         return float(sum(m.atom_mass_at(x) for m in self._parts))
-
-    def restrict(self, center, radius: float) -> "SumMeasure":
-        return SumMeasure([m.restrict(center, radius) for m in self._parts])
 
     def radial_mass_profile(self, x):
         profs = [m.radial_mass_profile(x) for m in self._parts]

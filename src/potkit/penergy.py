@@ -310,10 +310,11 @@ class _FrozenHessian:
         g2 = reduce(np.add, (d * d for d in grads))
         if problem.eps > 0.0:
             g2 = g2 + problem.eps ** 2
-        # flat cells (g = 0) get zero weights; the powers are taken only
-        # where g > 0, as g2^((p-4)/2) is infinite on flat cells
+        # powers only where g > 0 (g2^((p-4)/2) is infinite on flat cells,
+        # which get weight 0, or g^0 = 1 in the quadratic energy at p = 2)
         pos = g2 > 0.0
-        w_iso, w_dir = np.zeros(g2.size), np.zeros(g2.size)
+        w_iso = np.full(g2.size, 1.0 if p == 2.0 else 0.0)
+        w_dir = np.zeros(g2.size)
         w_iso[pos] = g2[pos] ** ((p - 2.0) / 2.0)
         w_dir[pos] = (p - 2.0) * g2[pos] ** ((p - 4.0) / 2.0)
         W = np.stack([w_dir * grads[a] * grads[b] + (w_iso if a == b else 0.0)

@@ -4,7 +4,8 @@ The kernel is |x-y|^(alpha-n) for alpha in (1, n) and log(D/|x-y|) for
 alpha = n, D the domain diameter.  Atomic parts are exact sums, grid
 parts use midpoint quadrature with an analytic correction for the cell
 containing the evaluation point, and radial-profile parts reduce to 1-D
-integrals against the profile via exact sphere averages of the kernel.
+integrals against the profile's shells and continuous pieces via exact
+sphere averages of the kernel; infinite radial mass raises.
 """
 
 from __future__ import annotations
@@ -100,12 +101,15 @@ def _centered_piece(a: float, b: float, coef: float, m: float,
 
 
 def _potential_radial(mu: RadialProfileMeasure, params: RieszParams, x) -> float:
+    if math.isinf(mu.total_mass):
+        raise HypothesisViolation(
+            "Riesz potential of a radial measure of infinite mass")
     n = mu.dim
     D = params.domain_diameter
     rho = float(np.linalg.norm(_as_vec(x, n) - mu.center))
     prof = mu.profile
     total = 0.0
-    a0 = prof.mass_at_zero()
+    a0 = prof.mass_at_zero
     if a0 > 0.0:
         if rho == 0.0:
             return math.inf
@@ -154,7 +158,9 @@ def _potential_grid(mu: GridMeasure, params: RieszParams, x) -> float:
 
 
 def riesz_potential(mu: Measure, params: RieszParams, x) -> float:
-    """Potential value at x; +inf sentinel when x carries an atom."""
+    """Potential value at x; +inf sentinel when x carries an atom.
+
+    Raises ``HypothesisViolation`` for a measure of infinite mass."""
     n = mu.dim
     params.validate_dim(n)
     x = _as_vec(x, n)

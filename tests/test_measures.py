@@ -14,8 +14,10 @@ from potkit.measures import (
     SumMeasure,
     TableProfile,
     lebesgue_ball_measure,
+    normalized_sphere_shell,
     uniform_ball_measure,
 )
+from potkit.riesz import RieszParams, riesz_potential
 
 
 def test_atom_inside_ball():
@@ -48,35 +50,6 @@ def test_total_mass_uniform_grid_density():
     grid = EvaluationGrid.from_box((0.0, 0.0), (1.0, 1.0), 0.1)
     mu = GridMeasure(grid, np.ones(grid.cell_shape))
     assert mu.total_mass == pytest.approx(1.0, abs=1e-15)
-
-
-def test_restrict_atoms_drops_outside():
-    mu = AtomicMeasure([[0.0, 0.0, 0.0], [3.0, 0.0, 0.0]], [1.0, 2.0])
-    inner = mu.restrict([0.0, 0.0, 0.0], 1.0)
-    assert inner.total_mass == 1.0
-    assert inner.ball_mass([3.0, 0.0, 0.0], 0.1) == 0.0
-
-
-def test_restrict_grid_half_box():
-    grid = EvaluationGrid.from_box((-1.0, -1.0), (1.0, 1.0), 0.05)
-    mu = GridMeasure(grid, np.ones(grid.cell_shape))
-    # ball covering the left half within a cell layer
-    half = mu.restrict([-1.0, 0.0], 1.0)
-    area = np.pi / 2.0  # quarter disc of radius 1 inside the box, times 2
-    assert half.total_mass == pytest.approx(area, abs=4 * 0.05)
-
-
-def test_restrict_profile_concentric_truncates():
-    mu = RadialProfileMeasure([0.0, 0.0, 0.0], PowerLawProfile(1.0, 2.0))
-    inner = mu.restrict([0.0, 0.0, 0.0], 0.5)
-    assert inner.ball_mass([0.0, 0.0, 0.0], 0.3) == pytest.approx(0.09)
-    assert inner.ball_mass([0.0, 0.0, 0.0], 2.0) == pytest.approx(0.25)
-
-
-def test_restrict_profile_off_center_rejected():
-    mu = RadialProfileMeasure([0.0, 0.0, 0.0], PowerLawProfile(1.0, 2.0))
-    with pytest.raises(RepresentationError):
-        mu.restrict([0.5, 0.0, 0.0], 0.25)
 
 
 def test_ball_mass_rejects_nonpositive_radius():
@@ -178,6 +151,65 @@ def test_table_profile_right_continuous():
     assert mu.ball_mass(np.zeros(2), 0.5) == 1.0
     assert mu.ball_mass(np.zeros(2), 0.75) == 1.0
     assert mu.ball_mass(np.zeros(2), 2.0) == 3.0
+
+
+def test_profile_eval_counts_breakpoints_within_tolerance():
+    # a breakpoint within the relative ball tolerance of t is reached,
+    # as in ball_mass
+    atoms = AtomicMeasure([[0.0, 0.0, 0.0], [0.4, 0.0, 0.0], [0.0, 0.9, 0.0]],
+                          [1.0, 2.0, 0.5])
+    table = RadialProfileMeasure(np.zeros(3), TableProfile([0.5, 1.0],
+                                                           [2.0, 3.0]))
+    for mu, d in ((atoms, 0.4), (table, 0.5)):
+        t = d * (1.0 - 1e-13)
+        prof = mu.radial_mass_profile(np.zeros(3))
+        assert prof.eval(t) == mu.ball_mass(np.zeros(3), t)
+    assert table.profile.eval(0.5 * (1.0 - 1e-13)) == 2.0
+
+
+def test_atom_plus_power_profile_has_no_shells():
+    # the power term stops at rmax, where the mass is continuous
+    rng = np.random.default_rng(21)
+    for _ in range(100):
+        atom, coef = rng.uniform(0.0, 3.0, 2)
+        prof = AtomPlusPowerProfile(atom, coef, rng.uniform(0.5, 4.0),
+                                    rmax=rng.uniform(0.05, 2.0))
+        assert prof.shells() == []
+        assert len(prof.continuous_pieces()) == 1
+
+
+def test_profile_totals_and_parts():
+    table = TableProfile([0.0, 0.5, 1.0], [1.0, 1.0, 4.0])
+    assert table.mass_at_zero == 1.0
+    assert table.total == 4.0
+    assert table.shells() == [(1.0, 3.0)]
+    assert table.continuous_pieces() == []
+    power = PowerLawProfile(2.0, 3.0, rmax=0.5)
+    assert power.total == 2.0 * 0.5 ** 3
+    assert power.continuous_pieces() == [(0.0, 0.5, 2.0, 3.0)]
+    assert PowerLawProfile(2.0, 3.0).total == np.inf
+
+
+def test_radial_measure_from_two_atom_profile_matches_sphere_shells():
+    rng = np.random.default_rng(22)
+    c = np.array([0.1, -0.2, 0.3])
+    dirs = rng.normal(size=(2, 3))
+    dirs /= np.linalg.norm(dirs, axis=1)[:, None]
+    radii, masses = np.array([0.3, 0.7]), np.array([1.5, 0.5])
+    atoms = AtomicMeasure(c + radii[:, None] * dirs, masses)
+    radial = RadialProfileMeasure(c, atoms.radial_mass_profile(c))
+    shells = SumMeasure([normalized_sphere_shell(c, r, m)
+                         for r, m in zip(radii, masses)])
+    assert radial.total_mass == shells.total_mass == 2.0
+    for _ in range(5):
+        v = rng.normal(size=3)
+        x = c + rng.uniform(0.05, 1.0) * v / np.linalg.norm(v)
+        for t in rng.uniform(0.05, 1.5, 4):
+            assert radial.ball_mass(x, t) == pytest.approx(
+                shells.ball_mass(x, t), rel=1e-14, abs=1e-14)
+        params = RieszParams(2.0)
+        assert riesz_potential(radial, params, x) == pytest.approx(
+            riesz_potential(shells, params, x), rel=1e-14)
 
 
 def test_uniform_ball_measure_mass():

@@ -98,6 +98,20 @@ def test_flat_cells_assemble_without_warnings():
     assert np.all(np.isfinite(H.data))
 
 
+def test_p2_hessian_does_not_depend_on_u():
+    # at p = 2 the energy is quadratic, so flat cells keep weight g^0 = 1
+    # and the Hessian at u = 0 equals the one at u = x
+    grid = EvaluationGrid.from_box((0.0, 0.0), (1.0, 1.0), 1.0 / 8.0)
+    mask = grid.boundary_node_mask()
+    problem = PEnergyProblem(grid, 2.0, mask, np.zeros(grid.node_shape))
+    hess = _FrozenHessian(grid, mask)
+    X, _ = np.meshgrid(*grid.node_axes(), indexing="ij")
+    at_zero = hess.assemble(problem, np.zeros(grid.node_shape)).toarray()
+    at_x = hess.assemble(problem, X).toarray()
+    assert np.max(np.abs(at_x)) > 0.0
+    assert np.allclose(at_zero, at_x, rtol=0.0, atol=1e-14)
+
+
 def _comparison_pair_data(grid, p_index, pair):
     """Boundary data g = f + bump of the quick comparison-principle check
     (seed 0) for one p and pair: the check draws 6 normals per pair,

@@ -17,6 +17,7 @@ from potkit.measures import (
     uniform_ball_measure,
 )
 from potkit.riesz import RieszParams, riesz_asymptotic_report, riesz_potential
+from potkit.wolff import WolffParams, wolff_potential
 
 
 def test_single_atom_kernel_value():
@@ -119,3 +120,27 @@ def test_report_requires_enough_samples():
                                   r0=0.5, ratio=0.5, count=4)
     with pytest.raises(ValueError):
         riesz_asymptotic_report(mu, RieszParams(2.0), np.zeros(3), path)
+
+
+@pytest.mark.parametrize("x, params", [
+    (np.zeros(3), RieszParams(3.0, domain_diameter=4.0)),
+    (np.zeros(3), RieszParams(2.0)),
+    (np.array([0.3, 0.0, 0.0]), RieszParams(2.0)),
+    (np.array([0.3, 0.0, 0.0]), RieszParams(3.0, domain_diameter=4.0)),
+])
+def test_infinite_mass_has_no_riesz_potential(x, params):
+    mu = RadialProfileMeasure(np.zeros(3), PowerLawProfile(1.0, 2.5))
+    assert mu.total_mass == math.inf
+    with pytest.raises(HypothesisViolation):
+        riesz_potential(mu, params, x)
+    with pytest.raises(HypothesisViolation):
+        riesz_potential(SumMeasure([AtomicMeasure([[1.0, 1.0, 1.0]], [1.0]),
+                                    mu]), params, x)
+
+
+def test_infinite_mass_keeps_its_wolff_potential():
+    # the Wolff integral stops at r, so only the mass near x matters
+    mu = RadialProfileMeasure(np.zeros(3), PowerLawProfile(1.0, 2.5))
+    value = wolff_potential(mu, WolffParams(2.5, 0.5), np.zeros(3))
+    # M(t) = t^2.5: integrand (t^2.5 / t^0.5)^(1/1.5) / t = t^(1/3)
+    assert value == pytest.approx(0.75 * 0.5 ** (4.0 / 3.0), rel=1e-12)
