@@ -32,12 +32,12 @@ from .scene import Scene, load_scene, parse_scene
 from .sets import (BallUnion, BoxUnion, Cusp, ParametricSet, PointList,
                    PredicateSet, RestrictedSet, Sphere, cantor_dust,
                    segment_set, sphere_directions)
-from .thinness import (ThinnessReport, ball_sequence_terms, classify_set,
+from .thinness import (ThinnessReport, ball_sequence_terms,
                        classify_thinness, escaping_ray, wiener_terms)
 from .verify import (CHECK_NAMES, CheckResult, Metric, VerifyReport,
                      render_artifacts, run_all, run_check)
-from .wolff import (WitnessReport, WolffParams, scaled_wolff,
-                    thin_witness_blowup, wolff_asymptotic_report,
-                    wolff_decay_check, wolff_potential)
+from .wolff import (WitnessReport, WolffParams, thin_witness_blowup,
+                    wolff_asymptotic_report, wolff_decay_check,
+                    wolff_potential)
 
 __version__ = "0.1.0"

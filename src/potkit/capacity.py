@@ -26,6 +26,7 @@ from .fitting import loglog_slope
 from .geometry import kappa_exponent, sphere_area
 from .grid import EvaluationGrid, _as_vec
 from .penergy import PEnergyProblem, minimize_p_energy, refine_nodes
+from .riesz import _kernel
 from .sets import ParametricSet, RestrictedSet, Sphere
 
 
@@ -196,17 +197,16 @@ _SITE_CAP = 3500
 
 
 def _riesz_kernel_matrix(x, y, alpha, n, diam, r_moll):
+    """Riesz kernel between point sets, with distances below ``r_moll``
+    replaced by the kernel's average over the ball of that radius."""
     d = np.sqrt(np.maximum(
         ((x[:, None, :] - y[None, :, :]) ** 2).sum(axis=2), 0.0))
-    self_like = d < r_moll
-    d = np.maximum(d, r_moll)
+    k = _kernel(np.maximum(d, r_moll), alpha, n, diam)
     if alpha < n:
-        k = d ** (alpha - n)
-        k = np.where(self_like, (n / alpha) * r_moll ** (alpha - n), k)
+        self_term = (n / alpha) * r_moll ** (alpha - n)
     else:
-        k = np.log(diam / d)
-        k = np.where(self_like, math.log(diam / r_moll) + 1.0 / n, k)
-    return k
+        self_term = math.log(diam / r_moll) + 1.0 / n
+    return np.where(d < r_moll, self_term, k)
 
 
 def _decimate_sites(points: np.ndarray, cap: int) -> np.ndarray:

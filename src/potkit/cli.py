@@ -5,8 +5,11 @@ Exit codes: 0 on success, 1 on usage or scene/schema errors, 2 when a
 run completes but an assertion-style outcome fails (an inclusion
 counterexample, a failed verification suite, or a resolution error).
 Artifacts are rendered fully in memory and moved into place through
-temp files, so a failed run never leaves partial outputs.  Flags fall
-back to ``POTKIT_``-prefixed environment variables, then to defaults.
+temp files, so a failed run never leaves partial outputs.  Every
+subcommand takes ``--out``; ``--scene`` all but ``verify-all``, ``--seed``
+only ``cones include`` and ``verify-all``, ``--tol`` only ``cones
+pgamma``.  A flag falls back to its ``POTKIT_``-prefixed environment
+variable, then to its default, only on the subcommands that take it.
 """
 
 from __future__ import annotations
@@ -43,12 +46,15 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _add_common(sp: argparse.ArgumentParser, *, needs_scene: bool = True):
-    sp.add_argument("--scene", help="scene JSON file"
-                    + ("" if needs_scene else " (unused)"))
+_FLAGS = {"scene": (str, "scene JSON file"), "seed": (int, "seed override"),
+          "tol": (float, "tolerance override")}
+
+
+def _add_flags(sp: argparse.ArgumentParser, *names: str):
     sp.add_argument("--out", help="output directory (default potkit-out)")
-    sp.add_argument("--seed", type=int, help="seed override")
-    sp.add_argument("--tol", type=float, help="tolerance override")
+    for name in names:
+        sp.add_argument("--" + name, type=_FLAGS[name][0],
+                        help=_FLAGS[name][1])
 
 
 def _env(name: str):
@@ -56,7 +62,11 @@ def _env(name: str):
 
 
 def _resolve(args, name: str, cast, default=None):
-    val = getattr(args, name, None)
+    """Flag, else environment variable, else ``default``, which is also
+    the value of a flag the subcommand does not take."""
+    if not hasattr(args, name):
+        return default
+    val = getattr(args, name)
     if val is not None:
         return val
     raw = _env(name)
@@ -389,19 +399,20 @@ def build_parser() -> argparse.ArgumentParser:
                             ("plaplace", "measure-data p-Laplace solve"),
                             ("density", "upper density / box counting")):
         sp = sub.add_parser(name, help=help_text)
-        _add_common(sp)
+        _add_flags(sp, "scene")
 
     cones = sub.add_parser("cones", help="eigenvalue cone queries")
     cones_sub = cones.add_subparsers(dest="verb", required=True,
                                      parser_class=_Parser)
-    for verb, help_text in (("member", "membership of one vector"),
-                            ("include", "sampled inclusion check"),
-                            ("pgamma", "critical p index of a cone")):
+    for verb, help_text, flags in (
+            ("member", "membership of one vector", ()),
+            ("include", "sampled inclusion check", ("seed",)),
+            ("pgamma", "critical p index of a cone", ("tol",))):
         sp = cones_sub.add_parser(verb, help=help_text)
-        _add_common(sp)
+        _add_flags(sp, "scene", *flags)
 
     va = sub.add_parser("verify-all", help="run the verification suite")
-    _add_common(va, needs_scene=False)
+    _add_flags(va, "seed")
     va.add_argument("--profile", choices=("full", "quick"), default="full")
     va.add_argument("--checks", help="comma-separated subset of checks")
     return parser

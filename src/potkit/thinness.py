@@ -117,17 +117,6 @@ def classify_thinness(terms, *, floor: float = 0.0,
     return ThinnessReport(t, partial, tail, verdict, evidence)
 
 
-def classify_set(E: ParametricSet, x0, *, index: float, count: int = 8,
-                 weighting: str = "cap-p", delta: float = 1.0,
-                 pitch_rel: float = 1.0 / 8.0, floor: float = 0.0
-                 ) -> ThinnessReport:
-    """Compute Wiener terms for E at x0 and classify them."""
-    terms = wiener_terms(E, x0, index=index, count=count,
-                         weighting=weighting, delta=delta,
-                         pitch_rel=pitch_rel)
-    return classify_thinness(terms, floor=floor)
-
-
 def ball_sequence_terms(s: float, *, n: int, p: float, count: int,
                         model: SmallBallModel) -> np.ndarray:
     """Wiener quotients for the canonical family of balls

@@ -13,8 +13,7 @@ intervals in one array expression; at p = n constants contribute log
 terms.  Intervals whose mass has several terms go through Simpson
 quadrature in log t.  Measures without a profile at x, such as radial
 ones seen off their center, fall back to a geometric t-grid quadrature.
-``wolff_potential`` returns the value alone; ``wolff_potential_detailed``
-also builds the per-interval ``WolffPiece`` record from the same arrays.
+``wolff_potential`` sums the interval values into one number.
 The value +inf is a first-class sentinel: it is the correct answer
 whenever the evaluation point carries an atom.
 """
@@ -32,6 +31,8 @@ from .fitting import (ApproachPath, DecayReport, LimitReport, blowup_exponent,
 from .geometry import kappa_exponent
 from .grid import _as_vec
 from .measures import AtomicMeasure, Measure
+from .sets import BallUnion
+from .thinness import escaping_ray
 
 MIN_PATH_SAMPLES = 6
 
@@ -40,9 +41,10 @@ MIN_PATH_SAMPLES = 6
 class WolffParams:
     """Exponent p in (1, n], upper radius r, and quadrature choice.
 
-    ``quadrature`` is one of ``auto`` (closed piecewise form when the
-    measure exposes one, else log-grid), ``exact-piecewise`` (require
-    the closed form) or ``log-grid``.
+    ``quadrature`` is ``auto`` (closed piecewise form when the measure
+    exposes one, else log-grid) or ``log-grid`` (Simpson quadrature in
+    log t on every interval away from t = 0, a reference for the closed
+    form).
     """
 
     p: float
@@ -55,7 +57,7 @@ class WolffParams:
             raise ValueError("p must be a finite real > 1")
         if not self.r > 0.0:
             raise ValueError("r must be positive")
-        if self.quadrature not in ("auto", "exact-piecewise", "log-grid"):
+        if self.quadrature not in ("auto", "log-grid"):
             raise ValueError(f"unknown quadrature {self.quadrature!r}")
         if self.points_per_decade < 8:
             raise ValueError("points_per_decade must be at least 8")
@@ -63,36 +65,6 @@ class WolffParams:
     def validate_dim(self, n: int):
         if self.p > n:
             raise ValueError(f"p = {self.p} exceeds the dimension n = {n}")
-
-
-@dataclass(frozen=True)
-class WolffPiece:
-    """Contribution of one t-interval to the integral, for audit."""
-
-    t_lo: float
-    t_hi: float
-    value: float
-    method: str
-
-
-@dataclass(frozen=True)
-class WolffValue:
-    """A Wolff value with its per-interval breakdown: ``pieces`` holds one
-    ``WolffPiece`` per integrated t-interval, in increasing t, and sums
-    to ``value``.  Only ``wolff_potential_detailed`` builds it."""
-
-    value: float
-    pieces: tuple
-    method: str
-
-
-# how an interval's integral was obtained, by the codes the integrators
-# return; WolffPiece.method holds the name
-_METHODS = ("zero", "closed-form", "simpson", "simpson+origin-extension",
-            "origin-divergence", "atom-divergence", "sub-floor-extension",
-            "log-grid")
-(_ZERO, _CLOSED, _SIMPSON, _ORIGIN_EXT, _ORIGIN_DIV, _ATOM, _SUB_FLOOR,
- _LOG_GRID) = range(len(_METHODS))
 
 
 def _closed_form(c, m, a, b, n: int, p: float) -> np.ndarray:
@@ -135,9 +107,9 @@ def _simpson_log(mass_of_t, a: float, b: float, n: int, p: float,
 
 
 def _piece_value(terms, a: float, b: float, n: int, p: float,
-                 points_per_decade: int):
+                 points_per_decade: int) -> float:
     """Integrate one interval by quadrature, with mass M(t) the sum of
-    the nonzero c t^m ``terms``; returns (value, method code)."""
+    the nonzero c t^m ``terms``."""
     def mass_of_t(t):
         return sum(c * t ** m for c, m in terms)
 
@@ -149,27 +121,25 @@ def _piece_value(terms, a: float, b: float, n: int, p: float,
         c_min = sum(c for c, m in terms if m == m_min)
         e_min = (m_min - (n - p)) / (p - 1.0)
         if e_min <= 0.0:
-            return math.inf, _ORIGIN_DIV
+            return math.inf
         cut = b * 1e-12
         head = c_min ** (1.0 / (p - 1.0)) * cut ** e_min / e_min
-        body = _simpson_log(mass_of_t, cut, b, n, p, points_per_decade)
-        return head + body, _ORIGIN_EXT
-    return _simpson_log(mass_of_t, a, b, n, p, points_per_decade), _SIMPSON
+        return head + _simpson_log(mass_of_t, cut, b, n, p, points_per_decade)
+    return _simpson_log(mass_of_t, a, b, n, p, points_per_decade)
 
 
-def _integrate_profile(prof, n: int, p: float, r: float, t_min: float,
-                       points_per_decade: int, force_quadrature: bool):
-    """Integrals over the profile's intervals clipped to (t_min, r], as
-    arrays (t_lo, t_hi, value, method code).
+def _integrate_profile(prof, n: int, params: WolffParams,
+                       t_min: float) -> np.ndarray:
+    """Integrals over the profile's intervals clipped to (t_min, r], in
+    increasing t.
 
     An interval whose mass is a single term, constant or one power,
     integrates in closed form, all such intervals in one expression;
-    intervals with several terms, and with ``force_quadrature`` every
+    intervals with several terms, and under ``log-grid`` quadrature every
     interval away from t = 0, go through Simpson quadrature."""
-    bp = prof.breakpoints
+    p, r, bp = params.p, params.r, prof.breakpoints
     if prof.mass_at_zero > 0.0 and t_min == 0.0:
-        first = bp[1] if bp.size > 1 else r
-        return _as_arrays([(0.0, min(first, r), math.inf, _ATOM)])
+        return np.array([math.inf])
     lo = np.maximum(bp, t_min)
     hi = np.minimum(np.append(bp[1:], math.inf), r)
     live = hi > lo
@@ -182,33 +152,27 @@ def _integrate_profile(prof, n: int, p: float, r: float, t_min: float,
         coef = coef + c
         expo[nonzero] = m
         terms += nonzero
-    closed = (terms == 1) & ~(force_quadrature & (lo > 0.0))
+    closed = (terms == 1) & ~((params.quadrature == "log-grid") & (lo > 0.0))
     value = np.zeros(lo.size)
     value[closed] = _closed_form(coef[closed], expo[closed], lo[closed],
                                  hi[closed], n, p)
-    code = np.where(closed, _CLOSED, _ZERO)
     for j in np.flatnonzero((terms > 0) & ~closed):
         live_terms = [(c, m) for c, m in ((const[j], 0.0),
                                           *((cs[j], m) for m, cs in powers))
                       if c != 0.0]
-        value[j], code[j] = _piece_value(live_terms, lo[j], hi[j], n, p,
-                                         points_per_decade)
-    return lo, hi, value, code
+        value[j] = _piece_value(live_terms, lo[j], hi[j], n, p,
+                                params.points_per_decade)
+    return value
 
 
-def _as_arrays(rows):
-    """(t_lo, t_hi, value, method code) rows as four arrays."""
-    table = np.array(rows, dtype=float).reshape(-1, 4)
-    return table[:, 0], table[:, 1], table[:, 2], table[:, 3].astype(int)
-
-
-def _integrate_ball_mass(mu: Measure, x, n: int, p: float, r: float,
-                         t_min: float, points_per_decade: int):
-    """Integrals from ``ball_mass`` alone, as the same arrays as
-    ``_integrate_profile``."""
+def _integrate_ball_mass(mu: Measure, x, n: int, params: WolffParams,
+                         t_min: float) -> np.ndarray:
+    """Integrals from ``ball_mass`` alone: the ambient-volume extension
+    below the resolved scale, then log-grid quadrature up to r."""
+    p, r = params.p, params.r
     if mu.atom_mass_at(x) > 0.0 and t_min == 0.0:
-        return _as_arrays([(0.0, r, math.inf, _ATOM)])
-    rows = []
+        return np.array([math.inf])
+    values = []
     floor = max(t_min, mu.small_scale_floor(x))
     if floor <= 0.0:
         floor = r * 1e-9
@@ -220,66 +184,31 @@ def _integrate_ball_mass(mu: Measure, x, n: int, p: float, r: float,
         if m_floor > 0.0:
             e = (n - (n - p)) / (p - 1.0)
             cp = (m_floor / floor ** n) ** (1.0 / (p - 1.0))
-            rows.append((t_min, floor, cp * (floor ** e - t_min ** e) / e,
-                         _SUB_FLOOR))
+            values.append(cp * (floor ** e - t_min ** e) / e)
     if floor < r:
         def mass_of_t(t):
             return np.array([mu.ball_mass(x, float(tt)) for tt in np.atleast_1d(t)])
-        val = _simpson_log(mass_of_t, floor, r, n, p, points_per_decade)
-        rows.append((floor, r, val, _LOG_GRID))
-    return _as_arrays(rows)
+        values.append(_simpson_log(mass_of_t, floor, r, n, p,
+                                   params.points_per_decade))
+    return np.array(values, dtype=float)
 
 
-def _integrals(mu: Measure, params: WolffParams, x, t_min: float):
-    """Validate and dispatch: (t_lo, t_hi, value, method code) arrays and
-    the overall method."""
+def wolff_potential(mu: Measure, params: WolffParams, x, *,
+                    t_min: float = 0.0) -> float:
+    """Wolff potential W(x, r); +inf when x carries an atom and
+    ``t_min`` is 0.
+
+    ``t_min`` truncates the integral below, which is how scaled values
+    are reported at points that carry an atom."""
     n = mu.dim
     params.validate_dim(n)
     x = _as_vec(x, n)
     if t_min < 0.0 or t_min >= params.r:
         raise ValueError("t_min must lie in [0, r)")
     prof = mu.radial_mass_profile(x)
-    if prof is None and params.quadrature == "exact-piecewise":
-        raise ValueError("measure has no closed ball-mass profile at this point")
-    if prof is not None:
-        force = params.quadrature == "log-grid"
-        arrays = _integrate_profile(prof, n, params.p, params.r, t_min,
-                                    params.points_per_decade, force)
-        return arrays, "log-grid" if force else "exact-piecewise"
-    arrays = _integrate_ball_mass(mu, x, n, params.p, params.r, t_min,
-                                  params.points_per_decade)
-    return arrays, "log-grid"
-
-
-def wolff_potential_detailed(mu: Measure, params: WolffParams, x, *,
-                             t_min: float = 0.0) -> WolffValue:
-    """Wolff potential with the per-piece breakdown.
-
-    ``t_min`` truncates the integral below, which is how scaled values
-    are reported at points that carry an atom (full value +inf)."""
-    (lo, hi, value, code), method = _integrals(mu, params, x, t_min)
-    pieces = tuple(WolffPiece(float(a), float(b), float(v), _METHODS[k])
-                   for a, b, v, k in zip(lo, hi, value, code))
-    return WolffValue(float(value.sum()), pieces, method)
-
-
-def wolff_potential(mu: Measure, params: WolffParams, x, *,
-                    t_min: float = 0.0) -> float:
-    """Wolff potential W(x, r); +inf when x carries an atom and
-    ``t_min`` is 0.  Builds no per-piece record."""
-    (_, _, value, _), _ = _integrals(mu, params, x, t_min)
-    return float(value.sum())
-
-
-def scaled_wolff(mu: Measure, params: WolffParams, x0, rho: float, value: float) -> float:
-    """Scale a Wolff value by the factor whose limit Thm-style
-    asymptotics concern: rho^kappa for p < n, 1/log(1/rho) for p = n."""
-    n = mu.dim
-    if params.p < n:
-        return rho ** kappa_exponent(n, params.p) * value
-    if rho >= 1.0:
-        raise ValueError("log scaling needs rho < 1")
-    return value / math.log(1.0 / rho)
+    if prof is None:
+        return float(_integrate_ball_mass(mu, x, n, params, t_min).sum())
+    return float(_integrate_profile(prof, n, params, t_min).sum())
 
 
 def wolff_asymptotic_report(mu: Measure, params: WolffParams, x0,
@@ -372,11 +301,11 @@ class WitnessReport:
     """Canonical thin-set family with Wolff blow-up along its centers.
 
     ``center_scaled`` holds the above-|x_i| part of the Wolff integral
-    at atom center x_i, which carries the |x_i|^kappa scaling on its
-    own: the own-atom piece equals ((p-1)/(n-p)) i (1 - (|x_i|/r)^kappa)
-    exactly.  The full value there is +inf (kept in ``center_raw``)
-    because each center carries an atom.
-    """
+    (r = 1) at atom center x_i, which carries the |x_i|^kappa scaling on
+    its own: the own-atom piece equals ((p-1)/(n-p)) i (1 - |x_i|^kappa)
+    exactly.  The full value there is +inf because each center carries
+    an atom.  ``ray_scaled`` holds |x|^kappa W(x, 1) along the escaping
+    ray ``ray_direction``."""
 
     measure: AtomicMeasure
     centers: np.ndarray
@@ -384,27 +313,23 @@ class WitnessReport:
     masses: np.ndarray
     indices: np.ndarray
     center_scaled: np.ndarray
-    center_raw: np.ndarray
     ray_direction: np.ndarray
     ray_radii: np.ndarray
     ray_scaled: np.ndarray
     centers_diverge: bool
     ray_vanishes: bool
-    thinness: object = None
     extras: dict = field(default_factory=dict)
 
 
-def thin_witness_blowup(s: float, p: float, *, n: int = 3, count: int = 14,
-                        r: float = 1.0, escape_direction=None,
-                        classify: bool = False,
-                        thinness_options: dict | None = None) -> WitnessReport:
+def thin_witness_blowup(s: float, p: float, *, n: int = 3,
+                        count: int = 14) -> WitnessReport:
     """Build the ball family E_s = union of B(2^-i e1, 2^-i i^-s) with the
     witness measure sum_i a_i delta at the centers, a_i = 2^(-i(n-p)) i^(p-1).
 
-    The masses make the scaled Wolff potential at center i at least
-    ((p-1)/(n-p)) * i * (1 - 2^(-i kappa)) while the total mass stays
-    finite; along a ray that escapes the ball family the scaled values
-    decay to 0.
+    The masses make the scaled Wolff potential W(., 1) at center i at
+    least ((p-1)/(n-p)) * i * (1 - 2^(-i kappa)) while the total mass
+    stays finite; along the ray from 0 that ``escaping_ray`` finds
+    outside the ball family the scaled values decay to 0.
     """
     if not 2.0 < p < n:
         raise ValueError("witness construction requires p in (2, n)")
@@ -418,26 +343,19 @@ def thin_witness_blowup(s: float, p: float, *, n: int = 3, count: int = 14,
     radii = 2.0 ** -idx * idx ** float(-s)
     masses = 2.0 ** (-idx * (n - p)) * idx ** (p - 1.0)
     mu = AtomicMeasure(centers, masses)
-    params = WolffParams(p, r)
+    params = WolffParams(p, 1.0)
     kappa = kappa_exponent(n, p)
 
     rho = 2.0 ** -idx.astype(float)
     # the integral above t = |x_i| carries the |x_i|^kappa scaling by
-    # itself: its own-atom piece is ((p-1)/(n-p)) i (1 - (|x_i|/r)^kappa)
+    # itself: its own-atom piece is ((p-1)/(n-p)) i (1 - |x_i|^kappa)
     center_scaled = np.array([
         wolff_potential(mu, params, centers[k], t_min=rho[k])
         for k in range(count)])
-    center_raw = np.array([wolff_potential(mu, params, centers[k])
-                           for k in range(count)])
 
-    from .sets import BallUnion
-    ball_set = BallUnion(centers, radii)
-    if escape_direction is None:
-        from .thinness import escaping_ray
-        escape_direction = escaping_ray(ball_set, np.zeros(n), 0.75)
-        if escape_direction is None:
-            raise RuntimeError("no escaping ray found for the witness family")
-    v = _as_vec(escape_direction, n)
+    v = escaping_ray(BallUnion(centers, radii), np.zeros(n), 0.75)
+    if v is None:
+        raise RuntimeError("no escaping ray found for the witness family")
     v = v / np.linalg.norm(v)
     # the raw potential along the ray grows like log(1/rr)^2, so the
     # scaled value peaks near rr ~ 2^-10 and only then decays like
@@ -456,14 +374,6 @@ def thin_witness_blowup(s: float, p: float, *, n: int = 3, count: int = 14,
     ray_vanishes = bool(ray_scaled[-1] <= 0.25 * ray_scaled.max()
                         and ray_slope > 0.1)
 
-    thin_report = None
-    if classify:
-        from .thinness import classify_set
-        opts = dict(thinness_options or {})
-        opts.setdefault("count", 8)
-        thin_report = classify_set(ball_set, np.zeros(n), index=p,
-                                   weighting="cap-p", **opts)
-    return WitnessReport(mu, centers, radii, masses, idx, center_scaled,
-                         center_raw, v, ray_radii, ray_scaled,
-                         centers_diverge, ray_vanishes, thin_report,
+    return WitnessReport(mu, centers, radii, masses, idx, center_scaled, v,
+                         ray_radii, ray_scaled, centers_diverge, ray_vanishes,
                          extras={"linear_ramp": ramp, "ray_slope": ray_slope})

@@ -1,10 +1,16 @@
-"""Closed-form capacity of the spherical condenser."""
+"""Closed-form capacity of the spherical condenser, and the exact
+scaling of the discrete p- and Riesz capacities."""
 
 import math
 
+import numpy as np
 import pytest
 
-from potkit.capacity import condenser_capacity
+from potkit.capacity import (BallDomain, BoxDomain, condenser_capacity,
+                             p_capacity, riesz_capacity)
+from potkit.sets import BallUnion, BoxUnion, Sphere, segment_set
+
+LAMBDAS = (0.25, 0.5, 2.0)
 
 
 @pytest.mark.parametrize("r, R", [(0.25, 1.0), (0.5, 0.75), (1.0, 10.0)])
@@ -27,3 +33,37 @@ def test_condenser_capacity_scales_by_lambda_to_n_minus_p(n, p):
         scaled = condenser_capacity(lam * r, lam * R, n, p)
         want = lam ** (n - p) * condenser_capacity(r, R, n, p)
         assert scaled == pytest.approx(want, rel=1e-12)
+
+
+# x -> lam x maps the pitch-h grid of (K, Omega) onto the pitch-lam h
+# grid of (lam K, lam Omega), and both discrete capacities scale exactly
+@pytest.mark.parametrize("K, omega, p, h", [
+    (BallUnion([[0.0, 0.0]], [0.3]), BallDomain((0.0, 0.0), 1.0), 1.5, 1 / 8),
+    (BallUnion([[0.0, 0.0]], [0.3]), BallDomain((0.0, 0.0), 1.0), 2.0, 1 / 8),
+    (BoxUnion([[-0.25, -0.2]], [[0.25, 0.2]]),
+     BoxDomain((-1.0, -1.0), (1.0, 1.0)), 2.5, 1 / 16),
+    (BallUnion([[0.0, 0.0, 0.0]], [0.3]), BallDomain((0.0, 0.0, 0.0), 1.0),
+     2.5, 1 / 8),
+])
+def test_p_capacity_scales_by_lambda_to_n_minus_p(K, omega, p, h):
+    base = p_capacity(K, omega, p, h).value
+    for lam in LAMBDAS:
+        got = p_capacity(K.scaled(lam), omega.scaled(lam), p, lam * h).value
+        assert got == pytest.approx(lam ** (K.dim - p) * base, rel=1e-9)
+
+
+@pytest.mark.parametrize("K, alpha, h", [
+    (Sphere(np.zeros(3), 0.5), 1.5, 1 / 8),
+    (segment_set([-0.3, 0.1], [0.3, 0.1]), 1.5, 1 / 32),
+    # alpha = n: the capacity does not change under scaling
+    (Sphere(np.zeros(2), 0.4), 2.0, 1 / 32),
+])
+def test_riesz_capacity_scales_by_lambda_to_n_minus_alpha(K, alpha, h):
+    n = K.dim
+    omega = BoxDomain((-1.0,) * n, (1.0,) * n)
+    base = riesz_capacity(K, omega, alpha, h)
+    for lam in LAMBDAS:
+        got = riesz_capacity(K.scaled(lam), omega.scaled(lam), alpha, lam * h)
+        factor = lam ** (n - alpha)
+        assert got.value == pytest.approx(factor * base.value, rel=1e-9)
+        assert got.lower == pytest.approx(factor * base.lower, rel=1e-9)

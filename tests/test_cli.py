@@ -3,6 +3,8 @@ outcome through the exit code."""
 
 import json
 
+import pytest
+
 from potkit import cli
 
 
@@ -41,3 +43,45 @@ def test_missing_scene_is_a_usage_error(tmp_path, capsys, monkeypatch):
     assert code == 1
     assert "scene file is required" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def _wolff_scene(tmp_path):
+    scene = tmp_path / "scene.json"
+    scene.write_text(json.dumps({
+        "dimension": 3,
+        "domain": {"lo": [-1.0, -1.0, -1.0], "hi": [1.0, 1.0, 1.0]},
+        "measures": [{"name": "a", "kind": "atoms",
+                      "locations": [[0.0, 0.0, 0.0]], "masses": [2.0]}],
+        "task": {"measure": "a", "p": 2.5, "anchor": [0.0, 0.0, 0.0],
+                 "path": {"count": 8}},
+    }))
+    return scene
+
+
+def test_flags_a_subcommand_does_not_read_are_usage_errors(tmp_path):
+    out = str(tmp_path / "out")
+    for argv in (["verify-all", "--tol", "0.5", "--checks", "determinism",
+                  "--out", out],
+                 ["wolff", "--scene", str(_wolff_scene(tmp_path)),
+                  "--seed", "3", "--out", out]):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 1
+    assert not (tmp_path / "out").exists()
+
+
+def test_environment_fallback_only_where_the_flag_is_taken(tmp_path, capsys,
+                                                          monkeypatch):
+    # wolff takes no seed, so a malformed POTKIT_SEED is never read
+    monkeypatch.setenv("POTKIT_SEED", "not-a-number")
+    out = tmp_path / "out"
+    code = cli.main(["wolff", "--scene", str(_wolff_scene(tmp_path)),
+                     "--out", str(out)])
+    assert code == 0
+    assert sorted(p.name for p in out.iterdir()) == ["report.json",
+                                                     "wolff.csv"]
+    # cones include takes one, so the same variable is a usage error
+    code = cli.main(["cones", "include", "--scene",
+                     str(_wolff_scene(tmp_path)), "--out", str(out)])
+    assert code == 1
+    assert "bad POTKIT_SEED" in capsys.readouterr().err

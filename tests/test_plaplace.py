@@ -7,10 +7,12 @@ import numpy as np
 import pytest
 
 from potkit.errors import HypothesisViolation
+from potkit.fitting import ApproachPath
 from potkit.grid import EvaluationGrid
 from potkit.measures import AtomicMeasure
 from potkit.penergy import PEnergyProblem
-from potkit.plaplace import solve_p_dirichlet
+from potkit.plaplace import (FundamentalSolution, solve_p_dirichlet,
+                             super_asymptotic_report)
 
 
 def _radial_p_harmonic(p):
@@ -49,3 +51,16 @@ def test_residual_is_the_unregularized_defect():
     assert sol.residual == float(np.max(np.abs(grad[~mask])))
     _, reg = replace(problem, eps=1e-12).energy_and_grad(sol.values)
     assert sol.residual > 1e3 * float(np.max(np.abs(reg[~mask])))
+
+
+@pytest.mark.parametrize("shift", [0.0, 0.7])
+def test_super_asymptotic_limit_of_a_multiple_of_g_p(shift):
+    # u = 2 G_p + shift: u / G_p = 2 + shift r^kappa tends to 2, and
+    # u >= 2 G_p everywhere, so no constant c0 is needed
+    u = FundamentalSolution(3, 2.5, m=2.0)
+    path = ApproachPath.geometric(np.zeros(3), [1.0, 0.0, 0.0],
+                                  r0=0.25, ratio=0.5, count=12)
+    rep = super_asymptotic_report(lambda pts: u(pts) + shift, 2.5,
+                                  np.zeros(3), path)
+    assert rep.limit == pytest.approx(2.0, rel=1e-12)
+    assert rep.extras["c0"] == 0.0

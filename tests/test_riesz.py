@@ -16,7 +16,8 @@ from potkit.measures import (
     SumMeasure,
     uniform_ball_measure,
 )
-from potkit.riesz import RieszParams, riesz_asymptotic_report, riesz_potential
+from potkit.riesz import (RieszParams, riesz_asymptotic_report,
+                          riesz_decay_check, riesz_potential)
 from potkit.wolff import WolffParams, wolff_potential
 
 
@@ -144,3 +145,25 @@ def test_infinite_mass_keeps_its_wolff_potential():
     value = wolff_potential(mu, WolffParams(2.5, 0.5), np.zeros(3))
     # M(t) = t^2.5: integrand (t^2.5 / t^0.5)^(1/1.5) / t = t^(1/3)
     assert value == pytest.approx(0.75 * 0.5 ** (4.0 / 3.0), rel=1e-12)
+
+
+def _decay_path():
+    return ApproachPath.geometric(np.zeros(3), [1.0, 0.0, 0.0],
+                                  r0=0.25, ratio=0.5, count=12)
+
+
+@pytest.mark.parametrize("d", [0.3, 0.5])
+def test_riesz_decay_check_on_power_growth(d):
+    # mu(B(0, t)) = t^d gives R ~ |x|^-(n - alpha - d) = |x|^-(1 - d)
+    mu = RadialProfileMeasure(np.zeros(3), PowerLawProfile(1.0, d, 1.0))
+    rep = riesz_decay_check(mu, RieszParams(2.0), np.zeros(3), d,
+                            _decay_path())
+    assert rep.passed
+    assert rep.measured_exponent == pytest.approx(1.0 - d, abs=0.01)
+
+
+def test_riesz_decay_check_rejects_slower_growth_than_assumed():
+    mu = RadialProfileMeasure(np.zeros(3), PowerLawProfile(1.0, 0.3, 1.0))
+    with pytest.raises(HypothesisViolation):
+        riesz_decay_check(mu, RieszParams(2.0), np.zeros(3), 0.6,
+                          _decay_path())

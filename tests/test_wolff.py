@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from potkit.errors import HypothesisViolation
 from potkit.fitting import ApproachPath
 from potkit.grid import EvaluationGrid
 from potkit.measures import (
@@ -20,8 +21,8 @@ from potkit.wolff import (
     WolffParams,
     thin_witness_blowup,
     wolff_asymptotic_report,
+    wolff_decay_check,
     wolff_potential,
-    wolff_potential_detailed,
 )
 
 
@@ -78,7 +79,7 @@ def test_quadrature_agrees_with_exact_piecewise():
     rng = np.random.default_rng(17)
     pts = rng.normal(size=(6, 3)) * 0.3
     mu = AtomicMeasure(pts, rng.uniform(0.2, 1.5, size=6))
-    exact = WolffParams(2.5, 1.0, quadrature="exact-piecewise")
+    exact = WolffParams(2.5, 1.0)
     grid = WolffParams(2.5, 1.0, quadrature="log-grid", points_per_decade=400)
     for _ in range(5):
         x = rng.normal(size=3)
@@ -112,16 +113,6 @@ def test_p_near_n_continuity():
     w_near = wolff_potential(mu, WolffParams(3.0 - 1e-3, 1.0), x)
     w_log = wolff_potential(mu, WolffParams(3.0, 1.0), x)
     assert w_near == pytest.approx(w_log, rel=0.01)
-
-
-def test_piece_breakdown_sums_to_value():
-    mu = AtomicMeasure([[0.0, 0.0, 0.0], [0.5, 0.0, 0.0]], [1.0, 2.0])
-    detail = wolff_potential_detailed(mu, WolffParams(2.5, 1.0),
-                                      [0.1, 0.0, 0.0])
-    assert sum(p.value for p in detail.pieces) == pytest.approx(detail.value,
-                                                                rel=1e-13)
-    los = [p.t_lo for p in detail.pieces]
-    assert los == sorted(los)
 
 
 def _sorted_cumsum_reference(points, masses, x, p, r, t_min=0.0):
@@ -201,36 +192,21 @@ def test_infinite_exactly_on_atoms():
         assert math.isfinite(wolff_potential(gm, params, centers[4] + 1e-3))
 
 
-def test_grid_piece_breakdown_sums_to_value():
-    mu, _, _, rng = _random_grid_measure(8, 5)
-    x = rng.uniform(0.2, 0.8, 3)
-    params = WolffParams(2.5, 0.5)
-    detail = wolff_potential_detailed(mu, params, x)
-    assert detail.value == wolff_potential(mu, params, x)
-    assert sum(p.value for p in detail.pieces) == pytest.approx(detail.value,
-                                                                rel=1e-13)
-    assert {p.method for p in detail.pieces} == {"zero", "closed-form"}
-    # contiguous pieces from t = 0 up to r
-    assert detail.pieces[0].t_lo == 0.0
-    assert all(p.t_hi == q.t_lo for p, q in zip(detail.pieces,
-                                                detail.pieces[1:]))
-    assert detail.pieces[-1].t_hi == 0.5
-
-
 def test_several_term_pieces_go_through_quadrature():
     # above t_min the centre atom and the power law share each interval
+    # below rmax; beyond it the constant piece carries atom plus ball mass
     mu = RadialProfileMeasure(np.zeros(3),
                               AtomPlusPowerProfile(0.5, 1.0, 3.0, rmax=0.4))
-    detail = wolff_potential_detailed(mu, WolffParams(2.5, 0.8), np.zeros(3),
-                                      t_min=0.01)
-    assert [(p.t_lo, p.t_hi, p.method) for p in detail.pieces] == [
-        (0.01, 0.4, "simpson"), (0.4, 0.8, "closed-form")]
-    assert sum(p.value for p in detail.pieces) == pytest.approx(detail.value,
-                                                                rel=1e-13)
-    # the constant piece beyond rmax carries atom plus ball mass
+    params = WolffParams(2.5, 0.8)
     c = 0.5 + 0.4 ** 3
-    want = c ** (1.0 / 1.5) * (0.4 ** -(1.0 / 3.0) - 0.8 ** -(1.0 / 3.0)) * 3.0
-    assert detail.pieces[1].value == pytest.approx(want, rel=1e-13)
+    constant = c ** (1.0 / 1.5) * (0.4 ** -(1.0 / 3.0)
+                                   - 0.8 ** -(1.0 / 3.0)) * 3.0
+    assert wolff_potential(mu, params, np.zeros(3), t_min=0.4) == \
+        pytest.approx(constant, rel=1e-13)
+    two_term, _ = quad(lambda t: ((0.5 + t ** 3) / t ** 0.5) ** (1.0 / 1.5) / t,
+                       0.01, 0.4, epsabs=1e-14, epsrel=1e-13)
+    assert wolff_potential(mu, params, np.zeros(3), t_min=0.01) == \
+        pytest.approx(constant + two_term, rel=1e-8)
 
 
 def test_asymptotic_report_atom_limit():
@@ -269,6 +245,34 @@ def test_asymptotic_report_vanishes_for_diffuse_mass():
                                   r0=0.25, ratio=0.5, count=16)
     rep = wolff_asymptotic_report(mu, WolffParams(2.5, 1.0), np.zeros(3), path)
     assert abs(rep.limit) < 0.01
+
+
+def _decay_path():
+    return ApproachPath.geometric(np.zeros(3), [1.0, 0.0, 0.0],
+                                  r0=0.25, ratio=0.5, count=12)
+
+
+@pytest.mark.parametrize("mu", [
+    AtomicMeasure([np.zeros(3)], [1.0]),
+    RadialProfileMeasure(np.zeros(3), PowerLawProfile(1.0, 0.2, 1.0)),
+], ids=["atom-at-x0", "growth-below-hypothesis"])
+def test_wolff_decay_check_rejects_broken_hypotheses(mu):
+    with pytest.raises(HypothesisViolation):
+        wolff_decay_check(mu, WolffParams(2.2, 1.0), np.zeros(3), 0.5, 0.05,
+                          _decay_path())
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "the fitted slope includes the cap at r = 1: W = A rho^-0.25 - B with "
+    "B near 4, so the local slopes fall from 0.70 only to 0.258 over 20 "
+    "halvings and the 12-point fit measures 0.2998 against a bound of "
+    "0.2917 although the true exponent is 0.25"))
+def test_wolff_decay_check_passes_on_power_growth():
+    # mu(B(0, t)) = t^0.5 gives W ~ |x|^-(n - p - m)/(p - 1) = |x|^-0.25
+    mu = RadialProfileMeasure(np.zeros(3), PowerLawProfile(1.0, 0.5, 1.0))
+    rep = wolff_decay_check(mu, WolffParams(2.2, 1.0), np.zeros(3), 0.5,
+                            0.05, _decay_path())
+    assert rep.passed
 
 
 def test_witness_masses_summable():
