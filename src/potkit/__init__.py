@@ -3,7 +3,7 @@ thin-set diagnostics, measure-data p-Laplace solves, and the eigenvalue
 cones attached to fully nonlinear curvature operators."""
 
 from .capacity import (BallDomain, BoxDomain, CapacityEstimate, ShellDomain,
-                       SmallBallModel, annulus_capacity_ratio, annulus_term,
+                       SmallBallModel, annulus_term,
                        calibrate_small_ball_ratio, condenser_capacity,
                        p_capacity, riesz_capacity)
 from .cones import (BridgeReport, Cone, InclusionReport,
@@ -30,8 +30,8 @@ from .riesz import (RieszParams, riesz_asymptotic_report, riesz_decay_check,
                     riesz_potential)
 from .scene import Scene, load_scene, parse_scene
 from .sets import (BallUnion, BoxUnion, Cusp, ParametricSet, PointList,
-                   PredicateSet, RestrictedSet, Sphere, cantor_dust,
-                   segment_set, sphere_directions)
+                   RestrictedSet, Sphere, cantor_dust, segment_set,
+                   sphere_directions)
 from .thinness import (ThinnessReport, ball_sequence_terms,
                        classify_thinness, escaping_ray, wiener_terms)
 from .verify import (CHECK_NAMES, CheckResult, Metric, VerifyReport,

@@ -25,7 +25,8 @@ from .errors import HypothesisViolation, ResolutionError
 from .fitting import loglog_slope
 from .geometry import kappa_exponent, sphere_area
 from .grid import EvaluationGrid, _as_vec
-from .penergy import PEnergyProblem, minimize_p_energy, refine_nodes
+from .penergy import (PEnergyProblem, minimize_p_energy, refine_nodes,
+                      scatter_cells_to_nodes)
 from .riesz import _kernel
 from .sets import ParametricSet, RestrictedSet, Sphere
 
@@ -42,7 +43,7 @@ class Domain:
     """
 
     def grid(self, h: float) -> EvaluationGrid:
-        raise NotImplementedError
+        return EvaluationGrid.from_box(*self.box, h)
 
     def zero_mask(self, grid: EvaluationGrid) -> np.ndarray:
         raise NotImplementedError
@@ -73,9 +74,6 @@ class BoxDomain(Domain):
         object.__setattr__(self, "lo", tuple(float(v) for v in lo))
         object.__setattr__(self, "hi", tuple(float(v) for v in hi))
 
-    def grid(self, h: float) -> EvaluationGrid:
-        return EvaluationGrid.from_box(self.lo, self.hi, h)
-
     def zero_mask(self, grid: EvaluationGrid) -> np.ndarray:
         return grid.boundary_node_mask()
 
@@ -98,10 +96,6 @@ class BallDomain(Domain):
         if self.radius <= 0:
             raise ValueError("radius must be positive")
         object.__setattr__(self, "center", tuple(float(v) for v in c))
-
-    def grid(self, h: float) -> EvaluationGrid:
-        lo, hi = self.box
-        return EvaluationGrid.from_box(lo, hi, h)
 
     def zero_mask(self, grid: EvaluationGrid) -> np.ndarray:
         d2 = grid.node_dist2(np.asarray(self.center))
@@ -130,10 +124,6 @@ class ShellDomain(Domain):
         if not 0.0 <= self.r_in < self.r_out:
             raise ValueError("need 0 <= r_in < r_out")
         object.__setattr__(self, "center", tuple(float(v) for v in c))
-
-    def grid(self, h: float) -> EvaluationGrid:
-        lo, hi = self.box
-        return EvaluationGrid.from_box(lo, hi, h)
 
     def zero_mask(self, grid: EvaluationGrid) -> np.ndarray:
         d2 = grid.node_dist2(np.asarray(self.center))
@@ -194,6 +184,8 @@ class CapacityEstimate:
 
 
 _SITE_CAP = 3500
+EQ_MAX_ITER = 6000
+EQ_TOL = 1e-7
 
 
 def _riesz_kernel_matrix(x, y, alpha, n, diam, r_moll):
@@ -226,16 +218,17 @@ def _decimate_sites(points: np.ndarray, cap: int) -> np.ndarray:
     return pts
 
 
-def riesz_capacity(E: ParametricSet, omega, alpha: float, h: float, *,
-                   max_iter: int = 6000, eq_tol: float = 1e-7
-                   ) -> CapacityEstimate:
+def riesz_capacity(E: ParametricSet, omega, alpha: float,
+                   h: float) -> CapacityEstimate:
     """Discretized Riesz capacity of E in Omega with certificates.
 
     Sites carry the candidate masses and sit on E at spacing h; the
     potential constraint is enforced on a finer sample (spacing h/2,
     at least four points per grid cell meeting E).  Equilibrium masses
-    come from multiplicative updates m <- m / (K m); the fixed point
-    has potential 1 on every charged site.
+    come from multiplicative updates m <- m / (K m), at most
+    ``EQ_MAX_ITER`` of them, until the site potentials are within
+    ``EQ_TOL`` of 1; the fixed point has potential 1 on every charged
+    site.
     """
     dom = _as_domain(omega)
     n = E.dim
@@ -258,15 +251,15 @@ def riesz_capacity(E: ParametricSet, omega, alpha: float, h: float, *,
     m = np.full(len(sites), 1.0 / max(K.sum(axis=1).max(), 1e-300))
     converged = False
     it = 0
-    for it in range(1, max_iter + 1):
+    for it in range(1, EQ_MAX_ITER + 1):
         pot = K @ m
-        if np.max(np.abs(pot - 1.0)) <= eq_tol:
+        if np.max(np.abs(pot - 1.0)) <= EQ_TOL:
             converged = True
             break
         m = m / np.maximum(pot, 1e-300)
     if not converged:
         pot = K @ m
-        if np.max(np.abs(pot - 1.0)) > 100 * eq_tol:
+        if np.max(np.abs(pot - 1.0)) > 100 * EQ_TOL:
             raise ResolutionError(
                 "equilibrium iteration did not converge; the resolution "
                 "is too coarse for this set")
@@ -295,17 +288,7 @@ def riesz_capacity(E: ParametricSet, omega, alpha: float, h: float, *,
 # variational p-capacity
 
 
-def _mark_cells_nodes(grid: EvaluationGrid, meets: np.ndarray) -> np.ndarray:
-    """Nodes of every cell in the boolean cell mask."""
-    nodes = np.zeros(grid.node_shape, bool)
-    for off in np.ndindex(*(2,) * grid.dim):
-        sl = tuple(slice(o, o + c) for o, c in zip(off, grid.cells))
-        nodes[sl] |= meets
-    return nodes
-
-
 def p_capacity(K: ParametricSet, omega, p: float, h: float, *,
-               rel_energy_tol: float = 1e-8, maxiter: int = 20000,
                fold_center=None) -> CapacityEstimate:
     """Variational p-capacity of K in Omega at grid pitch h.
 
@@ -353,7 +336,7 @@ def p_capacity(K: ParametricSet, omega, p: float, h: float, *,
             else:
                 zero = dom.zero_mask(grid)
         meets = K.meets_cells(grid)
-        ones = _mark_cells_nodes(grid, meets)
+        ones = scatter_cells_to_nodes(meets.astype(float), grid) > 0
         fixed = zero | ones
         vals = np.where(ones, 1.0, 0.0)
         return PEnergyProblem(grid, p, fixed, vals, capacity_mode=True)
@@ -380,9 +363,7 @@ def p_capacity(K: ParametricSet, omega, p: float, h: float, *,
             u0 = refine_nodes(u)
             u0 = np.clip(u0, 0.0, 1.0)
             u0[prob.fixed_mask] = prob.fixed_values[prob.fixed_mask]
-        u, info = minimize_p_energy(prob, u0=u0,
-                                    rel_energy_tol=rel_energy_tol,
-                                    maxiter=maxiter)
+        u, info = minimize_p_energy(prob, u0=u0)
     value = factor * max(info.energy, 0.0)
     return CapacityEstimate(value, "grid-variational", h,
                             iterations=info.iterations,
@@ -463,23 +444,6 @@ def annulus_term(E: ParametricSet, x0, i: int, *, mode: str, index: float,
     return num, den
 
 
-def annulus_capacity_ratio(E: ParametricSet, x0, i: int, *,
-                           p: float | None = None,
-                           alpha: float | None = None,
-                           delta: float = 1.0,
-                           pitch_rel: float = 1.0 / 8.0) -> float:
-    """The i-th capacity quotient of the Wiener-type sum at x0."""
-    if (p is None) == (alpha is None):
-        raise ValueError("give exactly one of p, alpha")
-    mode = "cap" if p is not None else "riesz"
-    index = p if p is not None else alpha
-    num, den = annulus_term(E, x0, i, mode=mode, index=index, delta=delta,
-                            pitch_rel=pitch_rel)
-    if den is None:
-        return 0.0
-    return num / den
-
-
 # ---------------------------------------------------------------------------
 # small-ball calibration
 
@@ -519,12 +483,14 @@ def calibrate_small_ball_ratio(n: int, *, p: float | None = None,
     from .sets import BallUnion
     if (p is None) == (alpha is None):
         raise ValueError("give exactly one of p, alpha")
+    mode = "cap" if p is not None else "riesz"
+    index = p if p is not None else alpha
     ratios = []
     for rho in rhos:
         ball = BallUnion([[1.0] + [0.0] * (n - 1)], [rho])
-        r = annulus_capacity_ratio(ball, [0.0] * n, 1, p=p, alpha=alpha,
-                                   delta=2.0, pitch_rel=pitch_rel)
-        ratios.append(r)
+        num, den = annulus_term(ball, [0.0] * n, 1, mode=mode, index=index,
+                                delta=2.0, pitch_rel=pitch_rel)
+        ratios.append(0.0 if den is None else num / den)
     ratios_a = np.asarray(ratios)
     if np.any(ratios_a <= 0):
         raise ResolutionError("calibration ball vanished below the grid")

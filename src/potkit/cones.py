@@ -20,6 +20,8 @@ import numpy as np
 from .errors import DegenerateConeError, HypothesisViolation
 
 MEMBER_TOL = 1e-12
+RAYS = 512
+MAX_REPORT = 8
 
 __all__ = [
     "MEMBER_TOL",
@@ -222,11 +224,11 @@ class InclusionReport:
 
 
 def inclusion_check(inner: Cone, outer: Cone, n: int, *,
-                    samples: int = 100_000, seed: int = 0,
-                    rays: int = 512, max_report: int = 8) -> InclusionReport:
+                    samples: int = 100_000, seed: int = 0) -> InclusionReport:
     """Rejection-samples `samples` unit vectors of the inner cone, adds
-    the boundary-ray family (-a, 1, ..., 1) up to the inner boundary,
-    and reports every sampled point that escapes the outer cone."""
+    `RAYS` points of the boundary-ray family (-a, 1, ..., 1) up to the
+    inner boundary, and reports the first `MAX_REPORT` sampled points
+    that escape the outer cone."""
     if n < 2:
         raise HypothesisViolation("need at least two eigenvalues")
     rng = np.random.default_rng(seed)
@@ -243,17 +245,17 @@ def inclusion_check(inner: Cone, outer: Cone, n: int, *,
         tested += pts.shape[0]
         out = outer.contains(pts)
         for row in pts[~out]:
-            if len(bad) < max_report:
+            if len(bad) < MAX_REPORT:
                 bad.append([float(v) for v in row])
     a_star = _boundary_a(inner, n)
     if a_star > 0.0:
-        grid = np.linspace(a_star / rays, a_star, rays)
-        ray_pts = np.ones((rays, n))
+        grid = np.linspace(a_star / RAYS, a_star, RAYS)
+        ray_pts = np.ones((RAYS, n))
         ray_pts[:, 0] = -grid
         ray_pts = ray_pts[inner.contains(ray_pts)]
         tested += ray_pts.shape[0]
         for row in ray_pts[~outer.contains(ray_pts)]:
-            if len(bad) < max_report:
+            if len(bad) < MAX_REPORT:
                 bad.append([float(v) for v in row])
     return InclusionReport(inner.label(), outer.label(), n, tested,
                            tuple(tuple(v) for v in bad))
@@ -276,15 +278,15 @@ class BridgeReport:
         return len(self.violations) == 0
 
 
-def fully_nonlinear_bridge(hessian_eigenvalues, cone: Cone, *,
-                           max_report: int = 8) -> BridgeReport:
-    """Verifies -lam(D2 u) in the cone on each sample row and returns the
-    critical exponent with its predicted singular profile."""
+def fully_nonlinear_bridge(hessian_eigenvalues, cone: Cone) -> BridgeReport:
+    """Verifies -lam(D2 u) in the cone on each sample row, recording the
+    first `MAX_REPORT` violations, and returns the critical exponent
+    with its predicted singular profile."""
     arr = _rows(hessian_eigenvalues)
     n = arr.shape[1]
     inside = np.asarray(cone.contains(-arr)).reshape(arr.shape[0])
     bad = [tuple(float(v) for v in row)
-           for row in arr[~inside][:max_report]]
+           for row in arr[~inside][:MAX_REPORT]]
     p = p_gamma(cone, n)
     if math.isinf(p):
         profile, exponent = "none", None

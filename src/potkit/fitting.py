@@ -149,19 +149,19 @@ class TailFit:
     window: int
 
 
-def fit_tail(terms, floor: float = 0.0) -> TailFit:
+def fit_tail(terms) -> TailFit:
     """Fit the trailing half of a nonnegative sequence indexed 1, 2, ...
 
     Compares a geometric model ``c q^i`` against a power model
-    ``c i^-q`` in log coordinates and keeps the better one.
+    ``c i^-q`` in log coordinates and keeps the better one.  Terms at
+    or below 1e-12 times the largest term (or 1e-12) count as zero.
     """
     t = np.asarray(terms, dtype=float)
     if t.ndim != 1 or t.size == 0:
         raise ValueError("terms must be a nonempty 1-D array")
     if np.any(t < 0):
         raise ValueError("terms must be nonnegative")
-    if floor <= 0.0:
-        floor = 1e-12 * max(1.0, float(t.max(initial=0.0)))
+    floor = 1e-12 * max(1.0, float(t.max(initial=0.0)))
     idx = np.arange(1, t.size + 1, dtype=float)
     window = max(4, t.size // 2)
     window = min(window, t.size)
@@ -213,10 +213,6 @@ class LimitReport:
     residual: float
     extras: dict = field(default_factory=dict)
 
-    @property
-    def samples(self) -> np.ndarray:
-        return np.stack([self.radii, self.values], axis=1)
-
 
 @dataclass(frozen=True)
 class DecayReport:
@@ -239,14 +235,20 @@ class DecayReport:
 
 
 def blowup_exponent(radii, values) -> float:
-    """Fitted sigma with ``values ~ radii**(-sigma)`` on the trailing
-    half; 0 when fewer than two positive samples remain."""
+    """Fitted sigma with ``values ~ C + A radii**(-sigma)`` on the
+    trailing half.
+
+    The log-log slope is taken of the successive differences
+    |v_(k+1) - v_k| against r_k, which a constant offset C does not
+    bias; sigma is negative when the values converge, and 0 when fewer
+    than two differences are positive."""
     r = np.asarray(radii, dtype=float)
     v = np.asarray(values, dtype=float)
     half = max(2, r.size // 2)
     r, v = r[-half:], v[-half:]
-    keep = v > 0
+    diffs = np.abs(np.diff(v))
+    keep = diffs > 0
     if keep.sum() < 2:
         return 0.0
-    slope, _, _ = loglog_slope(r[keep], v[keep])
+    slope, _, _ = loglog_slope(r[:-1][keep], diffs[keep])
     return -slope

@@ -94,10 +94,6 @@ class EvaluationGrid:
         return int(np.prod(self.node_shape))
 
     @property
-    def n_cells(self) -> int:
-        return int(np.prod(self.cells))
-
-    @property
     def cell_volume(self) -> float:
         return self.h ** self.dim
 

@@ -13,6 +13,11 @@ pinned nodes.  Minimization is limited-memory quasi-Newton descent with
 an optional Newton polish: on grids small enough for a sparse direct
 solve, damped Newton steps with the exact Hessian (nested-dissection
 order, pattern built once per call) push the gradient to machine level.
+
+Every solve runs at one setting: the descent stops at relative energy
+change ``REL_ENERGY_TOL`` within ``LBFGS_MAXITER`` iterations, and the
+polish stops at max-norm gradient ``NEWTON_GTOL`` within
+``NEWTON_ITERS`` steps.  The solvers read these constants when called.
 """
 
 from __future__ import annotations
@@ -28,6 +33,11 @@ from scipy.optimize import minimize as scipy_minimize
 
 from .errors import ResolutionError
 from .grid import EvaluationGrid
+
+REL_ENERGY_TOL = 1e-8
+LBFGS_MAXITER = 20000
+NEWTON_ITERS = 40
+NEWTON_GTOL = 1e-14
 
 
 def cell_gradient(u: np.ndarray, h: float, axis: int) -> np.ndarray:
@@ -138,14 +148,12 @@ class PEnergyInfo:
     energy: float
     iterations: int
     grad_norm: float
-    converged: bool
     method: str
     newton_steps: int = 0
 
 
 def minimize_p_energy(problem: PEnergyProblem, u0: np.ndarray | None = None,
-                      *, rel_energy_tol: float = 1e-8, maxiter: int = 20000,
-                      polish: str | None = None):
+                      *, polish: str | None = None):
     """Minimize the pinned p-energy; returns (u, PEnergyInfo).
 
     ``polish="newton"`` follows the descent with :func:`newton_polish`
@@ -160,7 +168,7 @@ def minimize_p_energy(problem: PEnergyProblem, u0: np.ndarray | None = None,
     if not np.any(free):
         u = problem.fixed_values.copy()
         energy, _ = problem.energy_and_grad(u)
-        return u, PEnergyInfo(float(energy), 0, 0.0, True, "pinned")
+        return u, PEnergyInfo(float(energy), 0, 0.0, "pinned")
     if u0 is None:
         u0 = problem.fixed_values.copy()
         if np.any(problem.fixed_mask):
@@ -173,14 +181,14 @@ def minimize_p_energy(problem: PEnergyProblem, u0: np.ndarray | None = None,
         return e, np.ascontiguousarray(g[free])
 
     res = scipy_minimize(fg, x0, jac=True, method="L-BFGS-B",
-                         options={"maxiter": maxiter, "maxcor": 10,
-                                  "ftol": rel_energy_tol,
+                         options={"maxiter": LBFGS_MAXITER, "maxcor": 10,
+                                  "ftol": REL_ENERGY_TOL,
                                   "gtol": 1e-12})
     u = problem.full(res.x)
     if polish == "newton":
         u, newton = newton_polish(problem, u)
         return u, PEnergyInfo(newton.energy, int(res.nit), newton.grad_norm,
-                              True, "lbfgs+newton", newton.iterations)
+                              "lbfgs+newton", newton.iterations)
     if polish is not None:
         raise ValueError("polish must be 'newton' or None")
     if not res.success:
@@ -189,8 +197,7 @@ def minimize_p_energy(problem: PEnergyProblem, u0: np.ndarray | None = None,
             "refine the grid or raise the iteration budget")
     energy, grad = problem.energy_and_grad(u)
     grad_norm = float(np.max(np.abs(grad[free])))
-    return u, PEnergyInfo(float(energy), int(res.nit), grad_norm, True,
-                          "lbfgs")
+    return u, PEnergyInfo(float(energy), int(res.nit), grad_norm, "lbfgs")
 
 
 def _nested_dissection(shape) -> np.ndarray:
@@ -328,8 +335,7 @@ class _FrozenHessian:
         return sp.csc_matrix((data, self.indices, self.indptr), shape=(m, m))
 
 
-def newton_polish(problem: PEnergyProblem, u: np.ndarray, *,
-                  iters: int = 40, gtol: float = 1e-14):
+def newton_polish(problem: PEnergyProblem, u: np.ndarray):
     """Damped Newton refinement with the exact sparse Hessian; returns
     (u, PEnergyInfo) with the number of Newton steps as ``iterations``.
 
@@ -346,11 +352,11 @@ def newton_polish(problem: PEnergyProblem, u: np.ndarray, *,
     the energy's rounding level, 64 eps max(1, |E|), that test compares
     round-off: there a step is accepted when it lowers the max-norm
     gradient, and the refinement stops when it does not.  Iteration ends
-    when the max-norm gradient over free nodes is below ``gtol``.  Both
-    stops count as converged; raises ResolutionError when ``iters``
-    steps do not reach either, or when no damping of the Newton system
-    gives a descent direction.  Intended for grids small enough for a
-    sparse direct solve.
+    when the max-norm gradient over free nodes is below ``NEWTON_GTOL``.
+    Both stops count as converged; raises ResolutionError when
+    ``NEWTON_ITERS`` steps do not reach either, or when no damping of
+    the Newton system gives a descent direction.  Intended for grids
+    small enough for a sparse direct solve.
     """
     hess = _FrozenHessian(problem.grid, problem.fixed_mask)
     order = hess.order
@@ -360,11 +366,11 @@ def newton_polish(problem: PEnergyProblem, u: np.ndarray, *,
     gf = grad.reshape(-1)[order]
     gmax = float(np.max(np.abs(gf)))
     steps = 0
-    while gmax >= gtol:
-        if steps == iters:
+    while gmax >= NEWTON_GTOL:
+        if steps == NEWTON_ITERS:
             raise ResolutionError(
-                f"Newton polish spent its {iters} iterations at gradient "
-                f"{gmax:.3g}; refine the descent or coarsen the grid")
+                f"Newton polish spent its {NEWTON_ITERS} iterations at "
+                f"gradient {gmax:.3g}; refine the descent or coarsen the grid")
         H = hess.assemble(problem, u)
         # a free node whose cells are all flat has a zero row: damp from
         # the start rather than factor an exactly singular matrix
@@ -401,13 +407,13 @@ def newton_polish(problem: PEnergyProblem, u: np.ndarray, *,
                 if g1max < gmax:
                     break
                 flat[order] = x0
-                return u, PEnergyInfo(e0, steps, gmax, True, "newton")
+                return u, PEnergyInfo(e0, steps, gmax, "newton")
             if e1 <= e0 + 1e-4 * t * slope:
                 break
             t *= 0.5
         steps += 1
         e0, gf, gmax = e1, g1, g1max
-    return u, PEnergyInfo(e0, steps, gmax, True, "newton")
+    return u, PEnergyInfo(e0, steps, gmax, "newton")
 
 
 def refine_nodes(u: np.ndarray) -> np.ndarray:
@@ -429,6 +435,17 @@ def refine_nodes(u: np.ndarray) -> np.ndarray:
         r[tuple(sl_odd)] = 0.5 * (out[tuple(sl0)] + out[tuple(sl1)])
         out = r
     return out
+
+
+def scatter_cells_to_nodes(cell_masses: np.ndarray,
+                           grid: EvaluationGrid) -> np.ndarray:
+    """Each cell's mass split equally among its 2^n nodes."""
+    share = cell_masses / (2 ** grid.dim)
+    load = np.zeros(grid.node_shape)
+    for off in np.ndindex(*(2,) * grid.dim):
+        sl = tuple(slice(o, o + c) for o, c in zip(off, grid.cells))
+        load[sl] += share
+    return load
 
 
 def affine_fill(grid: EvaluationGrid, boundary_values: np.ndarray,

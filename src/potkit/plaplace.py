@@ -27,7 +27,7 @@ from .geometry import kappa_exponent, sphere_area
 from .grid import EvaluationGrid, _as_vec
 from .measures import Measure
 from .penergy import (PEnergyProblem, affine_fill, minimize_p_energy,
-                      refine_nodes)
+                      refine_nodes, scatter_cells_to_nodes)
 from .sets import sphere_directions
 from .wolff import WolffParams, wolff_potential
 
@@ -103,21 +103,6 @@ class FundamentalSolution:
 
 
 # ---------------------------------------------------------------------------
-# measure projection
-
-
-def scatter_cells_to_nodes(cell_masses: np.ndarray,
-                           grid: EvaluationGrid) -> np.ndarray:
-    """Each cell's mass split equally among its 2^n nodes."""
-    share = cell_masses / (2 ** grid.dim)
-    load = np.zeros(grid.node_shape)
-    for off in np.ndindex(*(2,) * grid.dim):
-        sl = tuple(slice(o, o + c) for o, c in zip(off, grid.cells))
-        load[sl] += share
-    return load
-
-
-# ---------------------------------------------------------------------------
 # solutions
 
 
@@ -126,9 +111,7 @@ class PSolution:
     """Grid minimizer of the measure-data p-energy.
 
     ``residual`` is the max-norm of the unregularized energy gradient
-    over free nodes at ``values`` (the discrete Euler-Lagrange defect);
-    ``tolerance`` is the declared relative-energy convergence target the
-    descent was run with.
+    over free nodes at ``values`` (the discrete Euler-Lagrange defect).
     """
 
     grid: EvaluationGrid
@@ -136,9 +119,6 @@ class PSolution:
     p: float
     residual: float
     energy: float
-    tolerance: float
-    boundary_min: float
-    boundary_max: float
     iterations: int = 0
     extras: dict = field(default_factory=dict)
 
@@ -147,11 +127,6 @@ class PSolution:
         out = np.array([self.grid.interpolate(self.values, pt)
                         for pt in pts])
         return out if np.asarray(points).ndim > 1 else float(out[0])
-
-    def comparison_defect(self) -> float:
-        """Positive when some value drops below the boundary minimum by
-        more than it should (zero-measure solves only)."""
-        return float(max(0.0, self.boundary_min - self.values.min()))
 
 
 def _boundary_values(grid: EvaluationGrid, boundary_data,
@@ -172,8 +147,7 @@ def _boundary_values(grid: EvaluationGrid, boundary_data,
 
 
 def solve_p_dirichlet(grid: EvaluationGrid, mu: Measure | None, p: float,
-                      boundary_data, *, rel_energy_tol: float = 1e-8,
-                      maxiter: int = 20000) -> PSolution:
+                      boundary_data) -> PSolution:
     """Minimize the discrete measure-data functional with Dirichlet data.
 
     Any p > 1 is accepted without a measure; with one, p must lie in
@@ -238,16 +212,13 @@ def solve_p_dirichlet(grid: EvaluationGrid, mu: Measure | None, p: float,
         else:
             u0 = refine_nodes(u)
             u0[prob.fixed_mask] = prob.fixed_values[prob.fixed_mask]
-        u, info = minimize_p_energy(
-            prob, u0=u0, rel_energy_tol=rel_energy_tol, maxiter=maxiter,
-            polish=polish if level == 0 else None)
+        u, info = minimize_p_energy(prob, u0=u0,
+                                    polish=polish if level == 0 else None)
     residual = info.grad_norm
     if prob.eps > 0.0:
         _, grad = replace(prob, eps=0.0).energy_and_grad(u)
         residual = float(np.max(np.abs(grad[~mask])))
-    bvals = prob.fixed_values
-    return PSolution(grid, u, p, residual, info.energy, rel_energy_tol,
-                     float(bvals[mask].min()), float(bvals[mask].max()),
+    return PSolution(grid, u, p, residual, info.energy,
                      iterations=info.iterations,
                      extras={"method": info.method,
                              "newton_steps": info.newton_steps})
@@ -257,28 +228,22 @@ def solve_p_dirichlet(grid: EvaluationGrid, mu: Measure | None, p: float,
 # flux normalization
 
 
-def flux_normalization(n: int, p: float, *, rho: float = 0.5,
-                       h: float | None = None,
-                       quad_points: int | None = None,
-                       m: float | None = None) -> float:
-    """Discrete flux of u = m G_p across the sphere of radius rho.
+def flux_normalization(n: int, p: float) -> float:
+    """Discrete flux of the unit-mass fundamental solution m(n,p) G_p
+    across the sphere of radius 1/2.
 
-    The gradient is evaluated by centered differences of pitch h at a
-    deterministic equal-weight direction set; the integrand
+    The gradient is evaluated by centered differences of pitch 1/128 at
+    a deterministic equal-weight direction set (2048 directions in the
+    plane, 4096 in space, 16384 above); the integrand
     |grad u|^(p-2) (grad u . nu) is summed with weight area/count.
-    Must come out -1 when m is the unit normalization.
+    Must come out -1.
     """
     if not 1.0 < p < n:
         raise HypothesisViolation("flux normalization needs p in (1, n)")
-    if rho <= 0:
-        raise ValueError("rho must be positive")
-    if h is None:
-        h = rho / 64.0
-    if h >= rho / 4.0:
-        raise ResolutionError("difference pitch too coarse for the sphere")
-    if quad_points is None:
-        quad_points = 4096 if n == 3 else (2048 if n == 2 else 16384)
-    fund = FundamentalSolution(n, p, m=m)
+    rho = 0.5
+    h = rho / 64.0
+    quad_points = 4096 if n == 3 else (2048 if n == 2 else 16384)
+    fund = FundamentalSolution(n, p)
     dirs = sphere_directions(n, quad_points)
     pts = rho * dirs
     grads = np.zeros_like(pts)
@@ -317,8 +282,8 @@ class EnvelopeReport:
     upper_ratio: float | None
 
 
-def envelope_check(u_eval, mu: Measure, p: float, x, r: float, *,
-                   grid: EvaluationGrid | None = None) -> EnvelopeReport:
+def envelope_check(u_eval, mu: Measure, p: float, x,
+                   r: float) -> EnvelopeReport:
     """Evaluate both envelope ratios for a nonnegative supersolution.
 
     ``u_eval`` is a callable on point arrays or a PSolution; for grid
@@ -326,8 +291,7 @@ def envelope_check(u_eval, mu: Measure, p: float, x, r: float, *,
     is the minimum over grid nodes in the closed ball.
     """
     x = _as_vec(x)
-    if isinstance(u_eval, PSolution):
-        grid = u_eval.grid
+    grid = u_eval.grid if isinstance(u_eval, PSolution) else None
     if grid is not None:
         lo, hi = np.asarray(grid.lo), np.asarray(grid.hi)
         if np.any(x - 3 * r < lo - 1e-12) or np.any(x + 3 * r > hi + 1e-12):
@@ -337,13 +301,7 @@ def envelope_check(u_eval, mu: Measure, p: float, x, r: float, *,
         raise HypothesisViolation("envelope check needs u >= 0")
     if grid is not None:
         d2 = grid.node_dist2(x)
-        sel = d2 <= r * r * (1 + 1e-12)
-        if isinstance(u_eval, PSolution):
-            inf_ball = float(u_eval.values[sel].min())
-        else:
-            axes = np.meshgrid(*grid.node_axes(), indexing="ij")
-            pts = np.stack([a[sel] for a in axes], axis=1)
-            inf_ball = float(np.asarray(u_eval(pts)).min())
+        inf_ball = float(u_eval.values[d2 <= r * r * (1 + 1e-12)].min())
     else:
         dirs = sphere_directions(x.size, 256)
         radii = np.linspace(0.0, r, 17)[1:]

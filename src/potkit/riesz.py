@@ -25,6 +25,7 @@ from .measures import (AtomicMeasure, GridMeasure, Measure,
                        RadialProfileMeasure, SumMeasure)
 
 MIN_PATH_SAMPLES = 8
+SLOPE_TOLERANCE = 0.05
 
 
 @dataclass(frozen=True)
@@ -217,10 +218,10 @@ def riesz_asymptotic_report(mu: Measure, params: RieszParams, p,
 
 
 def riesz_decay_check(mu: Measure, params: RieszParams, p, d: float,
-                      path: ApproachPath, *,
-                      slope_tolerance: float = 0.05) -> DecayReport:
+                      path: ApproachPath) -> DecayReport:
     """Check R(x) <= C' |x-p|^-(n-alpha-d) for measures with ball-mass
-    growth mu(B(p,t)) <= C t^d, d < n - alpha."""
+    growth mu(B(p,t)) <= C t^d, d < n - alpha; the fitted exponent may
+    exceed n - alpha - d by ``SLOPE_TOLERANCE``."""
     n = mu.dim
     params.validate_dim(n)
     if not 0.0 <= d < n - params.alpha:
@@ -246,5 +247,5 @@ def riesz_decay_check(mu: Measure, params: RieszParams, p, d: float,
     measured = blowup_exponent(path.radii, values)
     constant = float(np.max(values * path.radii ** bound)) if values.size else 0.0
     return DecayReport(path.radii, values, measured, bound, constant,
-                       hyp_const, bool(measured <= bound + slope_tolerance),
-                       extras={"slope_tolerance": slope_tolerance, "d": d})
+                       hyp_const, bool(measured <= bound + SLOPE_TOLERANCE),
+                       extras={"slope_tolerance": SLOPE_TOLERANCE, "d": d})

@@ -1,13 +1,13 @@
 """Parametric point sets: unions of balls and boxes, spheres, point
-lists, power cusps, and predicate-defined sets.
+lists and power cusps, and their restrictions to closed shells.
 
 Every set answers containment for batches of points, produces a
 deterministic sample cloud at a requested pitch (lattices are anchored
 to each primitive's own bounding box, so scaled copies of a set yield
 exactly scaled clouds), reports which grid cells it meets, and supports
 segment-intersection queries.  Segment and cell tests are exact for
-balls, boxes and spheres; cusp and predicate kinds fall back to dense
-sampling and say so in their docstrings.
+balls, boxes and spheres; the cusp kind falls back to dense sampling
+and says so in its docstring.
 """
 
 from __future__ import annotations
@@ -109,14 +109,8 @@ class ParametricSet:
         mask |= self.contains(centers).reshape(grid.cell_shape)
         return mask
 
-    def is_empty_sample(self, pitch: float) -> bool:
-        return self.sample_points(pitch).shape[0] == 0
-
     def scaled(self, lam: float) -> "ParametricSet":
         raise NotImplementedError(f"{type(self).__name__} does not support scaling")
-
-    def translated(self, shift) -> "ParametricSet":
-        raise NotImplementedError(f"{type(self).__name__} does not support translation")
 
 
 class BallUnion(ParametricSet):
@@ -201,9 +195,6 @@ class BallUnion(ParametricSet):
     def scaled(self, lam: float) -> "BallUnion":
         return BallUnion(self.centers * lam, self.radii * lam)
 
-    def translated(self, shift) -> "BallUnion":
-        return BallUnion(self.centers + _as_vec(shift, self.dim), self.radii)
-
 
 class BoxUnion(ParametricSet):
     """Finite union of closed axis-aligned boxes; degenerate extents
@@ -284,10 +275,6 @@ class BoxUnion(ParametricSet):
     def scaled(self, lam: float) -> "BoxUnion":
         return BoxUnion(self.los * lam, self.his * lam)
 
-    def translated(self, shift) -> "BoxUnion":
-        s = _as_vec(shift, self.dim)
-        return BoxUnion(self.los + s, self.his + s)
-
 
 def segment_set(a, b) -> BoxUnion:
     """Axis-aligned segment as a degenerate box (a and b must differ in
@@ -345,14 +332,11 @@ class Sphere(ParametricSet):
         d = np.sqrt(((pts - self.center) ** 2).sum(axis=1))
         return np.abs(d - self.radius) <= 1e-12 * self.radius
 
-    def _directions(self, count: int) -> np.ndarray:
-        return sphere_directions(self.dim, count)
-
     def sample_points(self, pitch: float) -> np.ndarray:
         area = sphere_area(self.dim) * self.radius ** (self.dim - 1)
         count = int(min(400_000, max(2 * self.dim + 2,
                                      math.ceil(area / pitch ** (self.dim - 1)))))
-        return self.center + self.radius * self._directions(count)
+        return self.center + self.radius * sphere_directions(self.dim, count)
 
     def segment_hits(self, a, b) -> bool:
         a = _as_vec(a, self.dim) - self.center
@@ -373,9 +357,6 @@ class Sphere(ParametricSet):
 
     def scaled(self, lam: float) -> "Sphere":
         return Sphere(self.center * lam, self.radius * lam)
-
-    def translated(self, shift) -> "Sphere":
-        return Sphere(self.center + _as_vec(shift, self.dim), self.radius)
 
 
 class PointList(ParametricSet):
@@ -419,9 +400,6 @@ class PointList(ParametricSet):
 
     def scaled(self, lam: float) -> "PointList":
         return PointList(self.points * lam)
-
-    def translated(self, shift) -> "PointList":
-        return PointList(self.points + _as_vec(shift, self.dim))
 
 
 class Cusp(ParametricSet):
@@ -482,40 +460,6 @@ class Cusp(ParametricSet):
             raise NotImplementedError("power cusps are not scale invariant")
         return Cusp(self.gamma, self.length * lam, self.dim,
                     self.vertex * lam, self.axis)
-
-    def translated(self, shift) -> "Cusp":
-        return Cusp(self.gamma, self.length, self.dim,
-                    self.vertex + _as_vec(shift, self.dim), self.axis)
-
-
-class PredicateSet(ParametricSet):
-    """Set defined by a vectorized boolean predicate on a bounding box.
-    Sampling, segment and cell queries all go through the predicate."""
-
-    def __init__(self, predicate, lo, hi):
-        self.predicate = predicate
-        self.lo = _as_vec(lo)
-        self.hi = _as_vec(hi, self.lo.size)
-        if np.any(self.hi < self.lo):
-            raise ValueError("box corners must satisfy lo <= hi")
-
-    @property
-    def dim(self) -> int:
-        return self.lo.size
-
-    def bounding_box(self):
-        return self.lo.copy(), self.hi.copy()
-
-    def contains(self, points) -> np.ndarray:
-        pts = _as_points(points, self.dim)
-        out = np.asarray(self.predicate(pts), dtype=bool)
-        if out.shape != (pts.shape[0],):
-            raise ValueError("predicate must return one boolean per point")
-        return out
-
-    def sample_points(self, pitch: float) -> np.ndarray:
-        cand = _lattice(self.lo, self.hi, pitch)
-        return cand[self.contains(cand)]
 
 
 class RestrictedSet(ParametricSet):

@@ -27,6 +27,8 @@ from .grid import _as_vec
 from .sets import ParametricSet, sphere_directions
 
 WEIGHTINGS = ("riesz-alpha", "cap-p", "cap-n")
+CAUCHY_TOL = 0.1
+RAY_DIRECTIONS = 512
 
 
 @dataclass
@@ -76,13 +78,13 @@ def wiener_terms(E: ParametricSet, x0, *, index: float, count: int,
     return terms
 
 
-def classify_thinness(terms, *, floor: float = 0.0,
-                      cauchy_tol: float = 0.1) -> ThinnessReport:
+def classify_thinness(terms) -> ThinnessReport:
     """Apply the verdict protocol to computed Wiener terms.
 
-    thin: all terms at the floor, or the fitted tail is summable
+    thin: all terms at the floor (1e-12 times the largest term, or
+    1e-12 when no term exceeds 1), or the fitted tail is summable
     (geometric ratio <= 0.95 or power exponent >= 1.1) and the last
-    quarter of the terms adds less than cauchy_tol of the total.
+    quarter of the terms adds less than ``CAUCHY_TOL`` of the total.
     not-thin: trailing terms bounded below by a positive constant with
     a flat-or-slower fit (geometric ratio >= 0.98 or power exponent
     <= 0.85).  Everything else: inconclusive.
@@ -91,23 +93,23 @@ def classify_thinness(terms, *, floor: float = 0.0,
     if t.ndim != 1 or t.size == 0:
         raise ValueError("terms must be a nonempty 1-D array")
     partial = float(t.sum())
-    eff_floor = floor if floor > 0 else 1e-12 * max(1.0, float(t.max(initial=0.0)))
-    if np.all(t <= eff_floor):
+    floor = 1e-12 * max(1.0, float(t.max(initial=0.0)))
+    if np.all(t <= floor):
         return ThinnessReport(t, partial, None, "thin",
                               {"reason": "all terms at floor",
-                               "floor": eff_floor})
-    tail = fit_tail(t, floor=floor)
+                               "floor": floor})
+    tail = fit_tail(t)
     quarter = max(1, t.size // 4)
     last_quarter = float(t[-quarter:].sum())
-    cauchy = last_quarter <= cauchy_tol * max(partial, 1e-300)
+    cauchy = last_quarter <= CAUCHY_TOL * max(partial, 1e-300)
     trailing_min = float(t[-quarter:].min())
     evidence = {"cauchy_increment": last_quarter,
                 "cauchy": cauchy,
                 "trailing_min": trailing_min,
-                "floor": eff_floor}
+                "floor": floor}
     if tail.summable and cauchy:
         verdict = "thin"
-    elif trailing_min > eff_floor and (
+    elif trailing_min > floor and (
             (tail.model == "geometric" and tail.rate >= 0.98)
             or (tail.model == "power" and tail.rate <= 0.85)
             or tail.model == "flat"):
@@ -131,18 +133,18 @@ def ball_sequence_terms(s: float, *, n: int, p: float, count: int,
     return model.amplitude * i ** (-s * model.exponent)
 
 
-def escaping_ray(E: ParametricSet, x0, delta: float = 1.0,
-                 directions: int = 512):
+def escaping_ray(E: ParametricSet, x0, delta: float = 1.0):
     """Search for a unit direction whose segment x0 + t v, t in (0,
-    delta], misses E; returns the direction or None when the budget is
-    exhausted.  The base point itself is excluded (offset 1e-9 delta),
-    so x0 may sit on the boundary of E.  Directions come from a
-    deterministic low-discrepancy sphere sequence, and each candidate
-    is checked with the exact segment test of the set kind."""
+    delta], misses E; returns the direction or None when all
+    ``RAY_DIRECTIONS`` candidates hit E.  The base point itself is
+    excluded (offset 1e-9 delta), so x0 may sit on the boundary of E.
+    Directions come from a deterministic low-discrepancy sphere
+    sequence, and each candidate is checked with the exact segment test
+    of the set kind."""
     if delta <= 0:
         raise ValueError("delta must be positive")
     x0 = _as_vec(x0, E.dim)
-    for v in sphere_directions(E.dim, directions):
+    for v in sphere_directions(E.dim, RAY_DIRECTIONS):
         if not E.segment_hits(x0 + 1e-9 * delta * v, x0 + delta * v):
             return v
     return None

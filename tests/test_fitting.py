@@ -84,6 +84,13 @@ def test_blowup_exponent():
     assert blowup_exponent(r, vals) == pytest.approx(1.25, abs=1e-10)
 
 
+def test_blowup_exponent_ignores_a_constant_offset():
+    # W = C + A r^-sigma: the offset bent the slope of log W itself
+    r = 2.0 ** -np.arange(2, 16, dtype=float)
+    vals = -4.0 + 0.7 * r ** -0.25
+    assert blowup_exponent(r, vals) == pytest.approx(0.25, abs=1e-10)
+
+
 def test_approach_path_geometric():
     path = ApproachPath.geometric(np.zeros(3), (1.0, 0.0, 0.0),
                                   r0=0.5, ratio=0.5, count=10)

@@ -11,6 +11,7 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg
 
+from potkit import penergy
 from potkit.capacity import BallDomain, p_capacity
 from potkit.errors import ResolutionError
 from potkit.grid import EvaluationGrid
@@ -127,36 +128,38 @@ def _comparison_pair_data(grid, p_index, pair):
         math.pi * (X + Y))) ** 2
 
 
-def test_newton_reaches_round_off_on_comparison_pair():
+def test_newton_reaches_round_off_on_comparison_pair(monkeypatch):
     # p = 3, pair 7 with the bump: the Armijo test alone stalled here at
     # a residual of 1.25e-9 for 120 iterations
     grid = EvaluationGrid.from_box((0.0, 0.0), (1.0, 1.0), 1.0 / 64.0)
     bmask = grid.boundary_node_mask()
     fixed = np.where(bmask, _comparison_pair_data(grid, 2, 7), 0.0)
     problem = PEnergyProblem(grid, 3.0, bmask, fixed)
-    u, _ = minimize_p_energy(problem, u0=affine_fill(grid, fixed, bmask),
-                             rel_energy_tol=1e-10)
-    u, _ = newton_polish(problem, u, iters=10)
+    monkeypatch.setattr(penergy, "REL_ENERGY_TOL", 1e-10)
+    u, _ = minimize_p_energy(problem, u0=affine_fill(grid, fixed, bmask))
+    monkeypatch.setattr(penergy, "NEWTON_ITERS", 10)
+    u, _ = newton_polish(problem, u)
     _, g = problem.energy_and_grad(u)
     assert np.max(np.abs(g[~bmask])) < 1e-13
 
 
-def test_iteration_cap_raises():
+def test_iteration_cap_raises(monkeypatch):
     grid = EvaluationGrid.from_box((0.0, 0.0), (1.0, 1.0), 1.0 / 16.0)
     bmask = grid.boundary_node_mask()
     X, _ = np.meshgrid(*grid.node_axes(), indexing="ij")
     fixed = np.where(bmask, X * X, 0.0)
     problem = PEnergyProblem(grid, 3.0, bmask, fixed)
     u0 = affine_fill(grid, fixed, bmask)
+    monkeypatch.setattr(penergy, "LBFGS_MAXITER", 3)
     with pytest.raises(ResolutionError):
-        minimize_p_energy(problem, u0=u0, maxiter=3)
+        minimize_p_energy(problem, u0=u0)
     # the Newton polish still finishes a capped descent
-    _, info = minimize_p_energy(problem, u0=u0, maxiter=3, polish="newton")
+    _, info = minimize_p_energy(problem, u0=u0, polish="newton")
     assert info.grad_norm < 1e-12
     with pytest.raises(ResolutionError):
         p_capacity(BallUnion([np.zeros(3)], [0.25]),
                    BallDomain((0.0,) * 3, 1.0), 2.5, 1.0 / 12.0,
-                   fold_center=np.zeros(3), maxiter=3)
+                   fold_center=np.zeros(3))
 
 
 def _pole_data(pts):
@@ -212,9 +215,10 @@ def test_flat_start_factors_no_singular_matrix(monkeypatch):
     bmask = grid.boundary_node_mask()
     X, _ = np.meshgrid(*grid.node_axes(), indexing="ij")
     problem = PEnergyProblem(grid, 3.0, bmask, np.where(bmask, X * X, 0.0))
+    monkeypatch.setattr(penergy, "LBFGS_MAXITER", 3)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        _, info = minimize_p_energy(problem, maxiter=3, polish="newton")
+        _, info = minimize_p_energy(problem, polish="newton")
     assert not [w for w in caught
                 if issubclass(w.category,
                               scipy.sparse.linalg.MatrixRankWarning)]
@@ -224,7 +228,7 @@ def test_flat_start_factors_no_singular_matrix(monkeypatch):
     assert info.grad_norm < 1e-12
 
 
-def test_newton_steps_are_recorded_and_a_spent_polish_raises():
+def test_newton_steps_are_recorded_and_a_spent_polish_raises(monkeypatch):
     grid = EvaluationGrid.from_box((0.0, 0.0), (1.0, 1.0), 1.0 / 16.0)
     bmask = grid.boundary_node_mask()
     X, _ = np.meshgrid(*grid.node_axes(), indexing="ij")
@@ -233,10 +237,11 @@ def test_newton_steps_are_recorded_and_a_spent_polish_raises():
     u0 = affine_fill(grid, fixed, bmask)
     _, info = minimize_p_energy(problem, u0=u0, polish="newton")
     assert info.newton_steps >= 1
-    with pytest.raises(ResolutionError):
-        newton_polish(problem, u0, iters=1)
     assert solve_p_dirichlet(grid, None, 3.0,
                              fixed).extras["newton_steps"] >= 1
+    monkeypatch.setattr(penergy, "NEWTON_ITERS", 1)
+    with pytest.raises(ResolutionError):
+        newton_polish(problem, u0)
 
 
 def test_polish_without_descent_direction_raises(monkeypatch):

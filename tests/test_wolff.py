@@ -262,11 +262,6 @@ def test_wolff_decay_check_rejects_broken_hypotheses(mu):
                           _decay_path())
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "the fitted slope includes the cap at r = 1: W = A rho^-0.25 - B with "
-    "B near 4, so the local slopes fall from 0.70 only to 0.258 over 20 "
-    "halvings and the 12-point fit measures 0.2998 against a bound of "
-    "0.2917 although the true exponent is 0.25"))
 def test_wolff_decay_check_passes_on_power_growth():
     # mu(B(0, t)) = t^0.5 gives W ~ |x|^-(n - p - m)/(p - 1) = |x|^-0.25
     mu = RadialProfileMeasure(np.zeros(3), PowerLawProfile(1.0, 0.5, 1.0))
