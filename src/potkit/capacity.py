@@ -27,7 +27,7 @@ from .geometry import kappa_exponent, sphere_area
 from .grid import EvaluationGrid, _as_vec
 from .penergy import (PEnergyProblem, minimize_p_energy, refine_nodes,
                       scatter_cells_to_nodes)
-from .riesz import _kernel
+from .riesz import _ball_average, _kernel
 from .sets import ParametricSet, RestrictedSet, Sphere
 
 
@@ -194,11 +194,7 @@ def _riesz_kernel_matrix(x, y, alpha, n, diam, r_moll):
     d = np.sqrt(np.maximum(
         ((x[:, None, :] - y[None, :, :]) ** 2).sum(axis=2), 0.0))
     k = _kernel(np.maximum(d, r_moll), alpha, n, diam)
-    if alpha < n:
-        self_term = (n / alpha) * r_moll ** (alpha - n)
-    else:
-        self_term = math.log(diam / r_moll) + 1.0 / n
-    return np.where(d < r_moll, self_term, k)
+    return np.where(d < r_moll, _ball_average(r_moll, alpha, n, diam), k)
 
 
 def _decimate_sites(points: np.ndarray, cap: int) -> np.ndarray:

@@ -67,16 +67,6 @@ class EvaluationGrid:
             raise ValueError("pitch h must divide the box extent on every axis")
         return EvaluationGrid(tuple(lo), tuple(hi), tuple(int(c) for c in cells), float(h))
 
-    @staticmethod
-    def cube(center, half_width, cells_per_side) -> "EvaluationGrid":
-        center = _as_vec(center)
-        if half_width <= 0 or cells_per_side < 1:
-            raise ValueError("cube needs positive half width and at least one cell")
-        h = 2.0 * half_width / cells_per_side
-        lo = center - half_width
-        hi = center + half_width
-        return EvaluationGrid(tuple(lo), tuple(hi), (int(cells_per_side),) * center.size, h)
-
     @property
     def dim(self) -> int:
         return len(self.cells)

@@ -4,11 +4,13 @@ Every measure answers ``ball_mass(x, t)``, the mass of the closed ball
 of radius ``t`` about ``x``; distances within a relative tolerance of
 ``1e-12`` of ``t`` count as inside.  Where the map ``t -> ball_mass(x, t)``
 has a closed piecewise form (atomic measures everywhere, radial-profile
-measures at their center, grid measures via their finite cell table),
+measures at their center, grid measures everywhere),
 ``radial_mass_profile`` exposes it as a ``RadialMassFunction``: arrays of
 breakpoints and of per-interval coefficients, so that potential
 integrals can be evaluated over all intervals at once instead of by
-blind quadrature.
+blind quadrature.  A grid measure's ball masses are those of point
+masses at its loaded cell centers, so grids and atoms share one profile
+code path.
 
 The same ``RadialMassFunction`` is the one profile type of radially
 symmetric measures: ``PowerLawProfile``, ``AtomPlusPowerProfile`` and
@@ -292,6 +294,14 @@ def TableProfile(radii, values) -> RadialMassFunction:
     return _step_profile(r, v)
 
 
+def _is_center(rho: float) -> bool:
+    """Whether a point at distance ``rho`` from a radial measure's center
+    is the center: exactly 0, as ``AtomicMeasure`` decides that a point
+    carries an atom.  Ball masses, profiles, atoms and Riesz values all
+    use this one test."""
+    return rho == 0.0
+
+
 class RadialProfileMeasure(Measure):
     """Radially symmetric measure about a center, given by its profile
     M(t) = mu(B(center, t)); off the center, ``ball_mass`` integrates the
@@ -330,8 +340,7 @@ class RadialProfileMeasure(Measure):
         if t <= 0:
             raise ValueError("ball radius must be positive")
         rho = self._rho(x)
-        scale = max(t, rho)
-        if rho <= BALL_REL_TOL * scale:
+        if _is_center(rho):
             return float(self._profile.eval(t))
         out = 0.0
         if rho <= t * (1.0 + BALL_REL_TOL):
@@ -354,12 +363,12 @@ class RadialProfileMeasure(Measure):
         return float(out)
 
     def atom_mass_at(self, x) -> float:
-        if self._rho(x) == 0.0:
+        if _is_center(self._rho(x)):
             return self._profile.mass_at_zero
         return 0.0
 
     def radial_mass_profile(self, x):
-        if self._rho(x) <= BALL_REL_TOL:
+        if _is_center(self._rho(x)):
             return self._profile
         return None
 
@@ -369,8 +378,11 @@ class RadialProfileMeasure(Measure):
 
 
 class GridMeasure(Measure):
-    """Piecewise-constant density on the cells of a uniform grid; all
-    cell mass is treated as sitting at the cell center."""
+    """Piecewise-constant density on the cells of a uniform grid.  For
+    ball masses each cell's mass sits at its center: ``ball_mass`` and
+    ``radial_mass_profile`` are those of the ``AtomicMeasure`` of the
+    loaded cell centers, built once here.  The grid itself reports no
+    atoms: ``atoms()`` is empty and ``atom_mass_at`` is 0."""
 
     def __init__(self, grid: EvaluationGrid, density):
         density = np.asarray(density, dtype=float)
@@ -380,8 +392,9 @@ class GridMeasure(Measure):
             raise ValueError("density must be finite and nonnegative")
         self._grid = grid
         self._density = density
-        self._cache_key = None
-        self._cache_profile = None
+        loaded = density > 0
+        self._centers = AtomicMeasure(grid.cell_center_points(loaded),
+                                      density[loaded] * grid.cell_volume)
 
     @property
     def dim(self) -> int:
@@ -399,31 +412,11 @@ class GridMeasure(Measure):
     def total_mass(self) -> float:
         return float(self._density.sum() * self._grid.cell_volume)
 
-    def _table(self, x):
-        """Sorted (distance, cumulative mass) over loaded cells."""
-        x = _as_vec(x, self.dim)
-        key = x.tobytes()
-        if key != self._cache_key:
-            d2 = self._grid.cell_center_dist2(x)
-            loaded = self._density > 0
-            d = np.sqrt(d2[loaded])
-            w = self._density[loaded] * self._grid.cell_volume
-            order = np.argsort(d, kind="stable")
-            self._cache_key = key
-            self._cache_profile = (d[order], np.cumsum(w[order]))
-        return self._cache_profile
-
     def ball_mass(self, x, t: float) -> float:
-        if t <= 0:
-            raise ValueError("ball radius must be positive")
-        d, cum = self._table(x)
-        if d.size == 0:
-            return 0.0
-        k = int(np.searchsorted(d, t * (1.0 + BALL_REL_TOL), side="right"))
-        return float(cum[k - 1]) if k > 0 else 0.0
+        return self._centers.ball_mass(x, t)
 
     def radial_mass_profile(self, x):
-        return _step_profile(*self._table(x))
+        return self._centers.radial_mass_profile(x)
 
     def small_scale_floor(self, x) -> float:
         return 0.5 * self._grid.h

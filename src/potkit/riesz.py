@@ -19,10 +19,10 @@ from scipy.integrate import quad
 from .errors import HypothesisViolation
 from .fitting import (ApproachPath, DecayReport, LimitReport, blowup_exponent,
                       fit_limit, loglog_slope)
-from .geometry import ball_volume, sphere_area
+from .geometry import ball_volume
 from .grid import _as_vec
 from .measures import (AtomicMeasure, GridMeasure, Measure,
-                       RadialProfileMeasure, SumMeasure)
+                       RadialProfileMeasure, SumMeasure, _is_center)
 
 MIN_PATH_SAMPLES = 8
 SLOPE_TOLERANCE = 0.05
@@ -62,6 +62,14 @@ def _kernel(dist, alpha: float, n: int, D):
     return out if out.ndim else float(out)
 
 
+def _ball_average(r, alpha: float, n: int, D):
+    """Average of the kernel over a ball of radius r about its center:
+    (n/alpha) r^(alpha-n), or log(D/r) + 1/n at alpha = n."""
+    if alpha < n:
+        return (n / alpha) * r ** (alpha - n)
+    return math.log(D / r) + 1.0 / n
+
+
 def _sin_power_norm(n: int) -> float:
     # integral of sin^(n-2) over (0, pi)
     return math.sqrt(math.pi) * math.gamma((n - 1) / 2.0) / math.gamma(n / 2.0)
@@ -72,7 +80,7 @@ def _ring_average(s: float, rho: float, alpha: float, n: int, D) -> float:
     profile center, seen from a point at distance rho from that center."""
     if s == 0.0:
         return _kernel(rho, alpha, n, D)
-    if rho == 0.0:
+    if _is_center(rho):
         return _kernel(s, alpha, n, D)
 
     def f(theta):
@@ -110,15 +118,16 @@ def _potential_radial(mu: RadialProfileMeasure, params: RieszParams, x) -> float
     rho = float(np.linalg.norm(_as_vec(x, n) - mu.center))
     prof = mu.profile
     total = 0.0
+    at_center = _is_center(rho)
     a0 = prof.mass_at_zero
     if a0 > 0.0:
-        if rho == 0.0:
+        if at_center:
             return math.inf
         total += a0 * _kernel(rho, params.alpha, n, D)
     for s, dm in prof.shells():
         total += dm * _ring_average(s, rho, params.alpha, n, D)
     for a, b, coef, m in prof.continuous_pieces():
-        if rho == 0.0:
+        if at_center:
             total += _centered_piece(a, b, coef, m, params.alpha, n, D)
         else:
             val, _ = quad(
@@ -140,15 +149,11 @@ def _potential_grid(mu: GridMeasure, params: RieszParams, x) -> float:
     vol = grid.cell_volume
     total = 0.0
     if cell_idx is not None and density[cell_idx] > 0.0:
-        # replace the singular self-cell term by the exact integral of the
-        # kernel over the volume-equivalent ball
+        # replace the singular self-cell term by the kernel's average over
+        # the volume-equivalent ball times the cell's mass
         r_eq = grid.h * ball_volume(n) ** (-1.0 / n)
-        if params.alpha == n:
-            self_val = ball_volume(n) * r_eq ** n \
-                * (math.log(params.domain_diameter / r_eq) + 1.0 / n)
-        else:
-            self_val = sphere_area(n) * r_eq ** params.alpha / params.alpha
-        total += density[cell_idx] * self_val
+        total += density[cell_idx] * vol * _ball_average(
+            r_eq, params.alpha, n, params.domain_diameter)
         d2 = d2.copy()
         d2[cell_idx] = -1.0
     keep = (density > 0.0) & (d2 > 0.0)

@@ -3,14 +3,13 @@
 Each check builds its own scene, runs it at the ``full`` production
 settings or at a reduced ``quick`` profile, and returns a CheckResult
 whose metrics carry the observed value, the reference value and the
-tolerance.  ``render_artifacts`` serializes a report deterministically;
+tolerance.  ``artifact_texts`` serializes a report deterministically;
 runtimes are deliberately kept out of the artifacts so repeated runs
 with the same seed are byte-identical.
 """
 
 from __future__ import annotations
 
-import filecmp
 import json
 import math
 import os
@@ -44,7 +43,6 @@ class Metric:
     """One named comparison inside a check.
 
     kind 'rel': |observed - expected| <= tolerance * |expected|;
-    kind 'abs': |observed - expected| <= tolerance;
     kind 'at-most' / 'at-least': one-sided bound against expected;
     kind 'true': observed must be exactly 1 (booleans as 0/1).
     """
@@ -62,8 +60,6 @@ class Metric:
         if self.kind == "rel":
             return abs(self.observed - self.expected) <= \
                 self.tolerance * abs(self.expected)
-        if self.kind == "abs":
-            return abs(self.observed - self.expected) <= self.tolerance
         if self.kind == "at-most":
             return self.observed <= self.expected
         if self.kind == "at-least":
@@ -446,33 +442,17 @@ _DETERMINISM_NAMES = ("wolff-atom-limit", "wolff-log-limit",
 
 
 def _check_determinism(profile: str, seed: int) -> CheckResult:
-    def one_run(outdir: str):
+    def one_run() -> dict:
         results = tuple(run_check(nm, profile="quick", seed=seed)
                         for nm in _DETERMINISM_NAMES)
-        render_artifacts(VerifyReport("quick", seed, results), outdir)
+        return artifact_texts(VerifyReport("quick", seed, results))
 
-    identical = True
-    compared = 0
-    with tempfile.TemporaryDirectory() as tmp:
-        dir_a = os.path.join(tmp, "a")
-        dir_b = os.path.join(tmp, "b")
-        os.mkdir(dir_a)
-        os.mkdir(dir_b)
-        one_run(dir_a)
-        one_run(dir_b)
-        names_a = sorted(os.listdir(dir_a))
-        names_b = sorted(os.listdir(dir_b))
-        identical = names_a == names_b
-        for nm in names_a:
-            if not identical:
-                break
-            identical = filecmp.cmp(os.path.join(dir_a, nm),
-                                    os.path.join(dir_b, nm), shallow=False)
-            compared += 1
+    texts = one_run()
+    identical = texts == one_run()
     return _finish(
         "determinism",
         [Metric("artifacts-identical", float(identical), kind="true"),
-         Metric("files-compared", float(compared), 3.0, kind="at-least")],
+         Metric("files-compared", float(len(texts)), 3.0, kind="at-least")],
         notes="two renders of the same sub-report compared byte by byte")
 
 
@@ -594,12 +574,9 @@ def write_files(outdir: str, files: dict) -> list:
     return written
 
 
-def render_artifacts(report: VerifyReport, outdir: str) -> list:
-    """Write report.json, criteria.csv and the per-check series CSVs.
-
-    Every file is rendered in memory before the first is written, and
-    :func:`write_files` moves each into place through a temp name.
-    """
+def artifact_texts(report: VerifyReport) -> dict:
+    """report.json, criteria.csv and the per-check series CSVs, as a
+    mapping from file name to text."""
     doc = {"profile": report.profile, "seed": report.seed,
            "passed": report.passed, "checks": {}}
     for res in report.results:
@@ -624,4 +601,10 @@ def render_artifacts(report: VerifyReport, outdir: str) -> list:
     for res in report.results:
         for stem, (header, rows) in res.series.items():
             files[stem + ".csv"] = csv_text(header, rows)
-    return write_files(outdir, files)
+    return files
+
+
+def render_artifacts(report: VerifyReport, outdir: str) -> list:
+    """Write the :func:`artifact_texts` of ``report`` into ``outdir``
+    through :func:`write_files`; returns the written paths."""
+    return write_files(outdir, artifact_texts(report))

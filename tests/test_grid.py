@@ -58,13 +58,6 @@ def test_interpolate_reproduces_affine():
         assert g.interpolate(vals, x) == pytest.approx(want, abs=1e-12)
 
 
-def test_cube_constructor():
-    g = EvaluationGrid.cube(np.zeros(3), 1.0, 8)
-    assert g.lo == (-1.0, -1.0, -1.0)
-    assert g.hi == (1.0, 1.0, 1.0)
-    assert g.cells == (8, 8, 8)
-
-
 def test_contains_with_slack():
     g = EvaluationGrid.from_box((0.0,) * 2, (1.0,) * 2, 0.5)
     assert g.contains((0.5, 0.5))

@@ -1,5 +1,7 @@
 """Ball-mass and total-mass behavior across the three measure kinds."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -18,6 +20,7 @@ from potkit.measures import (
     uniform_ball_measure,
 )
 from potkit.riesz import RieszParams, riesz_potential
+from potkit.wolff import WolffParams, wolff_potential
 
 
 def test_atom_inside_ball():
@@ -210,6 +213,20 @@ def test_radial_measure_from_two_atom_profile_matches_sphere_shells():
         params = RieszParams(2.0)
         assert riesz_potential(radial, params, x) == pytest.approx(
             riesz_potential(shells, params, x), rel=1e-14)
+
+
+@pytest.mark.parametrize("offset", [0.0, 1e-13])
+def test_radial_centre_is_decided_once(offset):
+    # the profile, the atom and the finiteness of the Wolff and Riesz
+    # values agree on whether x is the centre, also 1e-13 away from it
+    c = np.array([0.3, 0.2, 0.1])
+    mu = RadialProfileMeasure(c, TableProfile([0.0, 0.5], [1.0, 2.0]))
+    x = c + np.array([offset, 0.0, 0.0])
+    at_centre = mu.radial_mass_profile(x) is not None
+    assert at_centre == (offset == 0.0)
+    assert (mu.atom_mass_at(x) > 0.0) == at_centre
+    assert math.isinf(wolff_potential(mu, WolffParams(2.5, 1.0), x)) == at_centre
+    assert math.isinf(riesz_potential(mu, RieszParams(2.0), x)) == at_centre
 
 
 def test_uniform_ball_measure_mass():

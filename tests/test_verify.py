@@ -6,7 +6,7 @@ from potkit.verify import run_check
 
 FAST_CHECKS = ("wolff-atom-limit", "wolff-log-limit", "riesz-atom-limit",
                "envelope-band", "flux-normalization", "cone-suite",
-               "determinism", "comparison-principle")
+               "determinism", "comparison-principle", "capacity-scaling")
 
 
 @pytest.mark.parametrize("name", FAST_CHECKS)

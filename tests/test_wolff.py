@@ -152,6 +152,40 @@ def test_grid_matches_sorted_cumsum_reference(p):
             _sorted_cumsum_reference(centers, cmass, x, p, 0.5), rel=1e-12)
 
 
+def test_grid_equals_atoms_at_loaded_centres():
+    # a grid measure's ball masses are those of its cell masses sitting
+    # at the loaded cell centres
+    gm, centers, cmass, rng = _random_grid_measure(8, 6)
+    am = AtomicMeasure(centers, cmass)
+    params = WolffParams(2.5, 0.5)
+    for x in rng.uniform(0.2, 0.8, (5, 3)):
+        assert wolff_potential(gm, params, x) == pytest.approx(
+            wolff_potential(am, params, x), rel=1e-13)
+        pg, pa = gm.radial_mass_profile(x), am.radial_mass_profile(x)
+        assert np.allclose(pg.breakpoints, pa.breakpoints, rtol=1e-14, atol=0)
+        assert np.allclose(pg.constant, pa.constant, rtol=1e-13, atol=0)
+        for t in (0.05, 0.2, 0.6):
+            assert gm.ball_mass(x, t) == pytest.approx(am.ball_mass(x, t),
+                                                       rel=1e-13)
+
+
+def test_grid_values_carry_no_state_between_points():
+    # two points evaluated alternately on one measure give the values of
+    # a freshly built measure at each
+    gm, _, _, rng = _random_grid_measure(8, 7)
+    xs = rng.uniform(0.2, 0.8, (2, 3))
+    params = WolffParams(2.5, 0.5)
+
+    def values(mu, x):
+        return (wolff_potential(mu, params, x), mu.ball_mass(x, 0.3),
+                mu.radial_mass_profile(x).constant.tolist())
+
+    fresh = [values(_random_grid_measure(8, 7)[0], x) for x in xs]
+    for _ in range(2):
+        for x, want in zip(xs, fresh):
+            assert values(gm, x) == want
+
+
 def test_atomic_log_case_matches_sorted_cumsum_reference():
     rng = np.random.default_rng(8)
     pts = rng.normal(size=(40, 3)) * 0.4
