@@ -78,7 +78,7 @@ def upper_density(mu: Measure, x, d: float, r_ladder) -> DensityProfile:
     if not 0.0 <= d <= mu.dim:
         raise HypothesisViolation("density order d must lie in [0, n]")
     r = _check_ladder(r_ladder)
-    vals = np.array([mu.ball_mass(x, t) / t ** d for t in r])
+    vals = mu.ball_mass(x, r) / r ** d
     tail = max(4, r.size // 2)
     rt, vt = r[-tail:], vals[-tail:]
     if np.all(vt == 0.0):

@@ -45,9 +45,10 @@ def cap_area_fraction(cos_theta, n: int):
 def ball_intersection_fraction(s, rho: float, t: float, n: int):
     """Fraction of the sphere of radius ``s`` about a center that lies
     inside the ball of radius ``t`` around a point at distance ``rho``
-    from the center.  Vectorized in ``s``."""
+    from the center.  Vectorized in ``s`` and ``t``, which broadcast."""
     s = np.asarray(s, dtype=float)
-    if rho < 0 or t < 0:
+    t = np.asarray(t, dtype=float)
+    if rho < 0 or np.any(t < 0):
         raise ValueError("radii must be nonnegative")
     if rho == 0.0:
         out = np.where(s <= t, 1.0, 0.0)
@@ -57,5 +58,5 @@ def ball_intersection_fraction(s, rho: float, t: float, n: int):
     frac = cap_area_fraction(cos_theta, n)
     frac = np.where(s <= t - rho, 1.0, frac)
     frac = np.where(s >= t + rho, 0.0, frac)
-    frac = np.where(s <= 0.0, 1.0 if rho <= t else 0.0, frac)
+    frac = np.where(s <= 0.0, np.where(rho <= t, 1.0, 0.0), frac)
     return frac if frac.ndim else float(frac)

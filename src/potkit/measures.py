@@ -1,16 +1,19 @@
 """Nonnegative measures with queryable ball masses.
 
 Every measure answers ``ball_mass(x, t)``, the mass of the closed ball
-of radius ``t`` about ``x``; distances within a relative tolerance of
-``1e-12`` of ``t`` count as inside.  Where the map ``t -> ball_mass(x, t)``
-has a closed piecewise form (atomic measures everywhere, radial-profile
-measures at their center, grid measures everywhere),
-``radial_mass_profile`` exposes it as a ``RadialMassFunction``: arrays of
-breakpoints and of per-interval coefficients, so that potential
-integrals can be evaluated over all intervals at once instead of by
-blind quadrature.  A grid measure's ball masses are those of point
-masses at its loaded cell centers, so grids and atoms share one profile
-code path.
+of radius ``t`` about ``x``, for one radius or an array of radii;
+distances within a relative tolerance of ``1e-12`` of ``t`` count as
+inside.  ``ball_mass_breakpoints(x)`` lists the radii between which
+``t -> ball_mass(x, t)`` is smooth.  Where that map has a closed
+piecewise form (atomic and grid measures everywhere, radial-profile
+measures at their center), ``radial_mass_profile`` exposes it as a
+``RadialMassFunction``: arrays of breakpoints and of per-interval
+coefficients, so that potential integrals can be evaluated over all
+intervals at once.  Atomic ball masses are read off that profile, and a
+grid measure's are those of point masses at its loaded cell centers, so
+grids and atoms share one code path.  Off its center, a radial-profile
+measure integrates its profile against the covered fraction of each
+sphere by the tanh-sinh rule of ``integrate``.
 
 The same ``RadialMassFunction`` is the one profile type of radially
 symmetric measures: ``PowerLawProfile``, ``AtomPlusPowerProfile`` and
@@ -23,13 +26,21 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import HypothesisViolation, RepresentationError
 from .geometry import ball_intersection_fraction, ball_volume
 from .grid import EvaluationGrid, _as_vec
+from .integrate import tanh_sinh
 
 BALL_REL_TOL = 1e-12
+
+
+def _radii(t) -> np.ndarray:
+    """Ball radii as an array; each must be positive."""
+    t = np.asarray(t, dtype=float)
+    if np.any(t <= 0):
+        raise ValueError("ball radius must be positive")
+    return t
 
 
 @dataclass(frozen=True)
@@ -153,8 +164,16 @@ class Measure:
     def total_mass(self) -> float:
         raise NotImplementedError
 
-    def ball_mass(self, x, t: float) -> float:
+    def ball_mass(self, x, t):
+        """Mass of the closed ball B(x, t): a float for one radius, an
+        array for an array of radii."""
         raise NotImplementedError
+
+    def ball_mass_breakpoints(self, x) -> np.ndarray:
+        """Increasing radii, starting at 0, between which
+        ``ball_mass(x, .)`` is smooth: by default the breakpoints of the
+        closed profile at x."""
+        return self.radial_mass_profile(x).breakpoints
 
     def atom_mass_at(self, x) -> float:
         """Exact point mass carried by the location ``x`` (0 if none)."""
@@ -163,11 +182,6 @@ class Measure:
     def radial_mass_profile(self, x):
         """Closed piecewise form of ``t -> ball_mass(x, t)`` or None."""
         return None
-
-    def small_scale_floor(self, x) -> float:
-        """Scale below which ``ball_mass(x, .)`` is constant or follows
-        the ambient-volume law; used to anchor numerical quadratures."""
-        return 0.0
 
     def atoms(self):
         """Point masses as (locations (k, n), masses (k,)), positive
@@ -222,10 +236,8 @@ class AtomicMeasure(Measure):
         x = _as_vec(x, self.dim)
         return np.sqrt(((self._loc - x) ** 2).sum(axis=1))
 
-    def ball_mass(self, x, t: float) -> float:
-        if t <= 0:
-            raise ValueError("ball radius must be positive")
-        return float(self._mass[self._dists(x) <= t * (1.0 + BALL_REL_TOL)].sum())
+    def ball_mass(self, x, t):
+        return self.radial_mass_profile(x).eval(_radii(t))
 
     def atom_mass_at(self, x) -> float:
         d = self._dists(x)
@@ -236,11 +248,6 @@ class AtomicMeasure(Measure):
         d, w = self._dists(x)[keep], self._mass[keep]
         order = np.argsort(d)
         return _step_profile(d[order], np.cumsum(w[order]))
-
-    def small_scale_floor(self, x) -> float:
-        d = self._dists(x)
-        d = d[(d > 0) & (self._mass > 0)]
-        return float(d.min()) if d.size else 0.0
 
     def atoms(self):
         keep = self._mass > 0
@@ -336,31 +343,38 @@ class RadialProfileMeasure(Measure):
         x = _as_vec(x, self.dim)
         return float(np.sqrt(((x - self._center) ** 2).sum()))
 
-    def ball_mass(self, x, t: float) -> float:
-        if t <= 0:
-            raise ValueError("ball radius must be positive")
+    def ball_mass(self, x, t):
+        t = _radii(t)
         rho = self._rho(x)
         if _is_center(rho):
-            return float(self._profile.eval(t))
-        out = 0.0
-        if rho <= t * (1.0 + BALL_REL_TOL):
-            out += self._profile.mass_at_zero
+            return self._profile.eval(t)
+        n, tt = self.dim, np.atleast_1d(t)
+        out = np.where(rho <= tt * (1.0 + BALL_REL_TOL),
+                       self._profile.mass_at_zero, 0.0)
         for s, dm in self._shells:
-            out += dm * ball_intersection_fraction(s, rho, t, self.dim)
+            out += dm * ball_intersection_fraction(s, rho, tt, n)
         for a, b, coef, m in self._pieces:
-            lo = max(a, abs(t - rho))
-            hi = min(b, t + rho)
-            if t > rho:
-                full_hi = min(b, max(a, t - rho))
-                if full_hi > a:
-                    out += coef * (full_hi ** m - a ** m)
-            if hi > lo:
-                val, _ = quad(
-                    lambda s: ball_intersection_fraction(s, rho, t, self.dim)
-                    * coef * m * s ** (m - 1.0),
-                    lo, hi, limit=200)
-                out += val
-        return float(out)
+            # spheres wholly inside the ball, then those it cuts
+            out += coef * (np.clip(tt - rho, a, b) ** m - a ** m)
+            lo = np.maximum(a, np.abs(tt - rho))
+            hi = np.minimum(b, tt + rho)
+            cut = hi > lo
+            tc = tt[cut]
+            out[cut] += tanh_sinh(
+                lambda s, k: ball_intersection_fraction(s, rho, tc[k, None], n)
+                * coef * m * s ** (m - 1.0), lo[cut], hi[cut])
+        return out if t.ndim else float(out[0])
+
+    def ball_mass_breakpoints(self, x) -> np.ndarray:
+        """The distance rho to the center, and |s - rho| and s + rho, where
+        B(x, t) starts and stops cutting the sphere of radius s, for each
+        shell and each finite piece edge s."""
+        rho = self._rho(x)
+        s = np.array([s for s, _ in self._shells]
+                     + [e for a, b, _, _ in self._pieces for e in (a, b)
+                        if math.isfinite(e)])
+        return np.unique(np.concatenate([[0.0, rho], np.abs(s - rho),
+                                         s + rho]))
 
     def atom_mass_at(self, x) -> float:
         if _is_center(self._rho(x)):
@@ -371,10 +385,6 @@ class RadialProfileMeasure(Measure):
         if _is_center(self._rho(x)):
             return self._profile
         return None
-
-    def small_scale_floor(self, x) -> float:
-        rho = self._rho(x)
-        return 1e-3 * rho if rho > 0 else 0.0
 
 
 class GridMeasure(Measure):
@@ -412,14 +422,11 @@ class GridMeasure(Measure):
     def total_mass(self) -> float:
         return float(self._density.sum() * self._grid.cell_volume)
 
-    def ball_mass(self, x, t: float) -> float:
+    def ball_mass(self, x, t):
         return self._centers.ball_mass(x, t)
 
     def radial_mass_profile(self, x):
         return self._centers.radial_mass_profile(x)
-
-    def small_scale_floor(self, x) -> float:
-        return 0.5 * self._grid.h
 
     def cell_masses(self, grid: EvaluationGrid) -> np.ndarray:
         """The density integrated cellwise; on a grid of other geometry
@@ -465,8 +472,12 @@ class SumMeasure(Measure):
     def total_mass(self) -> float:
         return float(sum(m.total_mass for m in self._parts))
 
-    def ball_mass(self, x, t: float) -> float:
-        return float(sum(m.ball_mass(x, t) for m in self._parts))
+    def ball_mass(self, x, t):
+        return sum(m.ball_mass(x, t) for m in self._parts)
+
+    def ball_mass_breakpoints(self, x) -> np.ndarray:
+        return np.unique(np.concatenate([m.ball_mass_breakpoints(x)
+                                         for m in self._parts]))
 
     def atom_mass_at(self, x) -> float:
         return float(sum(m.atom_mass_at(x) for m in self._parts))
@@ -476,11 +487,6 @@ class SumMeasure(Measure):
         if any(p is None for p in profs):
             return None
         return _merge_profiles(profs)
-
-    def small_scale_floor(self, x) -> float:
-        floors = [m.small_scale_floor(x) for m in self._parts]
-        positive = [f for f in floors if f > 0]
-        return min(positive) if positive else 0.0
 
     def atoms(self):
         locs, masses = zip(*(m.atoms() for m in self._parts))

@@ -233,7 +233,7 @@ def riesz_decay_check(mu: Measure, params: RieszParams, p, d: float,
         raise ValueError("d must lie in [0, n-alpha)")
     p = _as_vec(p, n)
     scales = path.radii
-    masses = np.array([mu.ball_mass(p, t) for t in scales])
+    masses = mu.ball_mass(p, scales)
     if d > 0.2:
         positive = masses > 0
         if positive.sum() >= 3:

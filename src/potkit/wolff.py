@@ -4,20 +4,20 @@ The central object is
 
     W(x, r) = integral over t in (0, r] of (M(t) / t^(n-p))^(1/(p-1)) dt/t,
 
-with ``M(t) = ball_mass(mu, x, t)`` and 1 < p <= n.  Where the measure
-exposes a piecewise constant/power ball-mass profile at x (atomic
-measures, grid measures through their cell table, radial profiles at
-their center), every interval whose mass is a single term integrates in
-closed form, c^(1/(p-1)) (b^e - a^e) / e, evaluated over all such
-intervals in one array expression; at p = n constants contribute log
-terms.  Intervals whose mass has several terms go through Simpson
-quadrature in log t.  Measures without a profile at x, such as radial
-ones seen off their center, fall back to a geometric t-grid quadrature.
-``wolff_potential`` sums the interval values into one number.
-The value +inf is a first-class sentinel: it is the correct answer
-whenever the evaluation point carries an atom.
+with ``M(t) = ball_mass(mu, x, t)`` and 1 < p <= n, integrated interval
+by interval between the breakpoints of M.  Where the measure exposes a
+piecewise constant/power ball-mass profile at x (atomic and grid
+measures, radial profiles at their center), every interval whose mass is
+a single term integrates in closed form, c^(1/(p-1)) (b^e - a^e) / e,
+all such intervals in one array expression; at p = n constants
+contribute log terms.  All else goes through the one tanh-sinh rule of
+``integrate``: profile intervals whose mass has several terms and, for
+measures without a profile at x such as radial ones seen off their
+center, the intervals between the ``ball_mass_breakpoints``, all nodes in
+one ``ball_mass`` call.  ``wolff_potential`` sums the interval values
+into one number.  The value +inf is a first-class sentinel: it is the
+correct answer whenever the evaluation point carries an atom.
 """
-
 from __future__ import annotations
 
 import math
@@ -31,6 +31,7 @@ from .fitting import (ApproachPath, DecayReport, LimitReport, blowup_exponent,
 from .geometry import kappa_exponent
 from .grid import _as_vec
 from .measures import AtomicMeasure, Measure
+from .integrate import tanh_sinh
 from .sets import BallUnion
 from .thinness import escaping_ray
 
@@ -39,28 +40,16 @@ MIN_PATH_SAMPLES = 6
 
 @dataclass(frozen=True)
 class WolffParams:
-    """Exponent p in (1, n], upper radius r, and quadrature choice.
-
-    ``quadrature`` is ``auto`` (closed piecewise form when the measure
-    exposes one, else log-grid) or ``log-grid`` (Simpson quadrature in
-    log t on every interval away from t = 0, a reference for the closed
-    form).
-    """
+    """Exponent p in (1, n] and upper radius r."""
 
     p: float
     r: float
-    quadrature: str = "auto"
-    points_per_decade: int = 64
 
     def __post_init__(self):
         if not math.isfinite(self.p) or self.p <= 1.0:
             raise ValueError("p must be a finite real > 1")
         if not self.r > 0.0:
             raise ValueError("r must be positive")
-        if self.quadrature not in ("auto", "log-grid"):
-            raise ValueError(f"unknown quadrature {self.quadrature!r}")
-        if self.points_per_decade < 8:
-            raise ValueError("points_per_decade must be at least 8")
 
     def validate_dim(self, n: int):
         if self.p > n:
@@ -83,49 +72,13 @@ def _closed_form(c, m, a, b, n: int, p: float) -> np.ndarray:
     return out
 
 
-def _simpson_log(mass_of_t, a: float, b: float, n: int, p: float,
-                 points_per_decade: int) -> float:
-    """Composite Simpson rule in u = log t for the Wolff integrand over
-    (a, b); assumes the mass function is smooth on the open interval."""
-    if b <= a:
-        return 0.0
-    decades = math.log10(b / a)
-    steps = max(8, int(math.ceil(points_per_decade * decades)))
-    if steps % 2:
-        steps += 1
-    u = np.linspace(math.log(a), math.log(b), steps + 1)
-    t = np.exp(u)
-    mass = np.asarray(mass_of_t(t), dtype=float)
-    f = np.where(mass > 0.0,
-                 (mass / t ** (n - p)) ** (1.0 / (p - 1.0)),
-                 0.0)
-    w = np.ones(steps + 1)
-    w[1:-1:2] = 4.0
-    w[2:-1:2] = 2.0
-    du = (u[-1] - u[0]) / steps
-    return float((w * f).sum() * du / 3.0)
+def _quadrature(mass_of_t, lo, hi, n: int, p: float) -> np.ndarray:
+    """Integrals over the intervals (lo, hi) by the tanh-sinh rule, the
+    mass ``mass_of_t`` (of an array of radii) smooth inside each."""
+    def integrand(t, _):
+        return (mass_of_t(t) / t ** (n - p)) ** (1.0 / (p - 1.0)) / t
 
-
-def _piece_value(terms, a: float, b: float, n: int, p: float,
-                 points_per_decade: int) -> float:
-    """Integrate one interval by quadrature, with mass M(t) the sum of
-    the nonzero c t^m ``terms``."""
-    def mass_of_t(t):
-        return sum(c * t ** m for c, m in terms)
-
-    if a == 0.0:
-        # piece reaching t = 0: divergence is decided by the smallest
-        # exponent; when finite, integrate from a tiny cut and account
-        # for the dominant term below it in closed form
-        m_min = min(m for _, m in terms)
-        c_min = sum(c for c, m in terms if m == m_min)
-        e_min = (m_min - (n - p)) / (p - 1.0)
-        if e_min <= 0.0:
-            return math.inf
-        cut = b * 1e-12
-        head = c_min ** (1.0 / (p - 1.0)) * cut ** e_min / e_min
-        return head + _simpson_log(mass_of_t, cut, b, n, p, points_per_decade)
-    return _simpson_log(mass_of_t, a, b, n, p, points_per_decade)
+    return tanh_sinh(integrand, lo, hi)
 
 
 def _integrate_profile(prof, n: int, params: WolffParams,
@@ -134,9 +87,10 @@ def _integrate_profile(prof, n: int, params: WolffParams,
     increasing t.
 
     An interval whose mass is a single term, constant or one power,
-    integrates in closed form, all such intervals in one expression;
-    intervals with several terms, and under ``log-grid`` quadrature every
-    interval away from t = 0, go through Simpson quadrature."""
+    integrates in closed form, all such intervals in one expression.
+    Intervals with several terms go through ``_quadrature``; one that
+    reaches t = 0 is cut at 1e-12 of its length, and below the cut its
+    smallest power, which dominates there, integrates in closed form."""
     p, r, bp = params.p, params.r, prof.breakpoints
     if prof.mass_at_zero > 0.0 and t_min == 0.0:
         return np.array([math.inf])
@@ -152,45 +106,33 @@ def _integrate_profile(prof, n: int, params: WolffParams,
         coef = coef + c
         expo[nonzero] = m
         terms += nonzero
-    closed = (terms == 1) & ~((params.quadrature == "log-grid") & (lo > 0.0))
+    closed = terms == 1
     value = np.zeros(lo.size)
     value[closed] = _closed_form(coef[closed], expo[closed], lo[closed],
                                  hi[closed], n, p)
-    for j in np.flatnonzero((terms > 0) & ~closed):
-        live_terms = [(c, m) for c, m in ((const[j], 0.0),
-                                          *((cs[j], m) for m, cs in powers))
-                      if c != 0.0]
-        value[j] = _piece_value(live_terms, lo[j], hi[j], n, p,
-                                params.points_per_decade)
+    multi = terms > 1
+    if multi[0] and lo[0] == 0.0:
+        m_min, c_min = min((m, c[0]) for m, c in powers if c[0] != 0.0)
+        lo[0] = hi[0] * 1e-12
+        value[:1] = _closed_form(np.array([c_min]), np.array([m_min]),
+                                 np.zeros(1), lo[:1], n, p)
+    if multi.any():
+        value[multi] += _quadrature(prof.eval, lo[multi], hi[multi], n, p)
     return value
 
 
 def _integrate_ball_mass(mu: Measure, x, n: int, params: WolffParams,
                          t_min: float) -> np.ndarray:
-    """Integrals from ``ball_mass`` alone: the ambient-volume extension
-    below the resolved scale, then log-grid quadrature up to r."""
-    p, r = params.p, params.r
+    """Integrals from ``ball_mass`` alone, by ``_quadrature`` between
+    consecutive breakpoints of t -> ball_mass(x, t) clipped to
+    (t_min, r]."""
     if mu.atom_mass_at(x) > 0.0 and t_min == 0.0:
         return np.array([math.inf])
-    values = []
-    floor = max(t_min, mu.small_scale_floor(x))
-    if floor <= 0.0:
-        floor = r * 1e-9
-    floor = min(floor, r)
-    if t_min < floor:
-        # below the resolved scale, extend with the ambient-volume law
-        # M(t) ~ M(floor) (t/floor)^n, which integrates in closed form
-        m_floor = mu.ball_mass(x, floor)
-        if m_floor > 0.0:
-            e = (n - (n - p)) / (p - 1.0)
-            cp = (m_floor / floor ** n) ** (1.0 / (p - 1.0))
-            values.append(cp * (floor ** e - t_min ** e) / e)
-    if floor < r:
-        def mass_of_t(t):
-            return np.array([mu.ball_mass(x, float(tt)) for tt in np.atleast_1d(t)])
-        values.append(_simpson_log(mass_of_t, floor, r, n, p,
-                                   params.points_per_decade))
-    return np.array(values, dtype=float)
+    edges = np.unique(np.clip(np.append(mu.ball_mass_breakpoints(x),
+                                        [t_min, params.r]),
+                              t_min, params.r))
+    return _quadrature(lambda t: mu.ball_mass(x, t), edges[:-1], edges[1:],
+                       n, params.p)
 
 
 def wolff_potential(mu: Measure, params: WolffParams, x, *,
@@ -238,7 +180,8 @@ def wolff_asymptotic_report(mu: Measure, params: WolffParams, x0,
         scaled = path.radii ** kappa * raw
         fit = fit_limit(path.radii, scaled)
         limit, exponent, residual = fit.limit, fit.exponent, fit.residual
-        mass = (limit * (n - params.p) / (params.p - 1.0)) ** (params.p - 1.0)
+        mass = math.copysign(abs(limit * (n - params.p) / (params.p - 1.0))
+                             ** (params.p - 1.0), limit)
     else:
         # the correction to W / log(1/rho) is O(1/log(1/rho)), which a
         # power fit in rho cannot extrapolate; fit linearly in that
@@ -250,7 +193,7 @@ def wolff_asymptotic_report(mu: Measure, params: WolffParams, x0,
         coef, *_ = np.linalg.lstsq(design, scaled[-w:], rcond=None)
         limit, exponent = float(coef[0]), 1.0
         residual = float(np.max(np.abs(design @ coef - scaled[-w:])))
-        mass = limit ** (n - 1.0)
+        mass = math.copysign(abs(limit) ** (n - 1.0), limit)
         # alternative normalization against the integration cap; for a
         # pure atom it is constant in rho
         extras["scaled_cap_normalized"] = raw / np.log(params.r / path.radii)
@@ -275,7 +218,7 @@ def wolff_decay_check(mu: Measure, params: WolffParams, x0, m: float,
     if mu.atom_mass_at(x0) > 0.0:
         raise HypothesisViolation("measure carries an atom at x0")
     scales = params.r * 2.0 ** -np.arange(0, 16)
-    masses = np.array([mu.ball_mass(x0, t) for t in scales])
+    masses = mu.ball_mass(x0, scales)
     positive = masses > 0
     if positive.sum() >= 3:
         slope, _, _ = loglog_slope(scales[positive][-8:], masses[positive][-8:])

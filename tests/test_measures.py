@@ -4,14 +4,17 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from potkit.errors import HypothesisViolation, RepresentationError
+from potkit.geometry import ball_intersection_fraction
 from potkit.grid import EvaluationGrid
 from potkit.measures import (
     AtomicMeasure,
     AtomPlusPowerProfile,
     GridMeasure,
     PowerLawProfile,
+    RadialMassFunction,
     RadialProfileMeasure,
     SumMeasure,
     TableProfile,
@@ -227,6 +230,71 @@ def test_radial_centre_is_decided_once(offset):
     assert (mu.atom_mass_at(x) > 0.0) == at_centre
     assert math.isinf(wolff_potential(mu, WolffParams(2.5, 1.0), x)) == at_centre
     assert math.isinf(riesz_potential(mu, RieszParams(2.0), x)) == at_centre
+
+
+def _radial_ball_mass_oracle(atom, coef, m, R, shell, n, rho, t):
+    """Ball mass off the centre of atom + coef * min(s, R)**m + a shell of
+    mass 1 at ``shell``, the cut spheres by a tight adaptive quadrature."""
+    out = (atom if rho <= t else 0.0) + ball_intersection_fraction(
+        shell, rho, t, n)
+    if t > rho:
+        out += coef * min(R, t - rho) ** m
+    lo, hi = abs(t - rho), min(R, t + rho)
+    if hi > lo:
+        out += quad(lambda s: ball_intersection_fraction(s, rho, t, n)
+                    * coef * m * s ** (m - 1.0),
+                    lo, hi, epsabs=0.0, epsrel=1e-13, limit=500)[0]
+    return out
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_radial_ball_mass_matches_tight_quadrature(n):
+    R, shell = 0.3, 0.4
+    ts = np.geomspace(0.01, 0.9, 9)
+    for m in (0.5, float(n)):
+        prof = AtomPlusPowerProfile(0.7, 1.3, m, rmax=R)
+        prof = RadialMassFunction(
+            np.append(prof.breakpoints, shell),
+            np.append(prof.constant, prof.constant[-1] + 1.0),
+            tuple((e, np.append(c, 0.0)) for e, c in prof.powers))
+        mu = RadialProfileMeasure(np.zeros(n), prof)
+        for rho in (0.05, 0.2, 0.45):
+            x = np.zeros(n)
+            x[-1] = rho
+            want = [_radial_ball_mass_oracle(0.7, 1.3, m, R, shell, n, rho, t)
+                    for t in ts]
+            assert mu.ball_mass(x, ts) == pytest.approx(want, rel=1e-9)
+
+
+def test_ball_mass_breakpoints_off_centre_and_of_sums():
+    # a radial measure breaks at rho and at |s -+ rho| for its piece edges
+    # s = 0 and 0.3; a sum breaks wherever one of its parts does
+    mu = RadialProfileMeasure(np.zeros(3),
+                              AtomPlusPowerProfile(1.0, 1.0, 3.0, rmax=0.3))
+    x = [0.1, 0.0, 0.0]
+    assert mu.ball_mass_breakpoints(x) == pytest.approx([0.0, 0.1, 0.2, 0.4])
+    both = SumMeasure([mu, AtomicMeasure([[0.6, 0.0, 0.0]], [1.0])])
+    assert both.ball_mass_breakpoints(x) == pytest.approx(
+        [0.0, 0.1, 0.2, 0.4, 0.5])
+
+
+def test_ball_mass_takes_an_array_of_radii():
+    grid = EvaluationGrid.from_box((0.0,) * 3, (1.0,) * 3, 0.25)
+    density = np.random.default_rng(31).uniform(0.0, 2.0, grid.cell_shape)
+    atomic = AtomicMeasure([[0.4, 0.5, 0.6], [0.2, 0.2, 0.2]], [1.0, 2.0])
+    radial = RadialProfileMeasure(
+        np.full(3, 0.5), AtomPlusPowerProfile(0.5, 2.0, 1.5, rmax=0.3))
+    measures = [atomic, GridMeasure(grid, density), radial,
+                SumMeasure([atomic, radial])]
+    ts = np.array([0.01, 0.1, 0.15, 0.3, 0.45, 0.8])
+    for mu in measures:
+        for x in ([0.45, 0.5, 0.55], [0.5, 0.5, 0.5], [0.4, 0.5, 0.6]):
+            got = mu.ball_mass(x, ts)
+            assert got.shape == ts.shape
+            assert got.tolist() == [mu.ball_mass(x, t) for t in ts]
+            assert all(type(mu.ball_mass(x, t)) is float for t in ts)
+        with pytest.raises(ValueError):
+            mu.ball_mass(x, np.array([0.1, 0.0]))
 
 
 def test_uniform_ball_measure_mass():

@@ -1,6 +1,7 @@
 """Wolff potential closed forms, quadrature agreement, and the witness
 family whose scaled potential blows up along its atom centers."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -16,9 +17,11 @@ from potkit.measures import (
     GridMeasure,
     PowerLawProfile,
     RadialProfileMeasure,
+    SumMeasure,
 )
 from potkit.wolff import (
     WolffParams,
+    _integrate_ball_mass,
     thin_witness_blowup,
     wolff_asymptotic_report,
     wolff_decay_check,
@@ -79,13 +82,46 @@ def test_quadrature_agrees_with_exact_piecewise():
     rng = np.random.default_rng(17)
     pts = rng.normal(size=(6, 3)) * 0.3
     mu = AtomicMeasure(pts, rng.uniform(0.2, 1.5, size=6))
-    exact = WolffParams(2.5, 1.0)
-    grid = WolffParams(2.5, 1.0, quadrature="log-grid", points_per_decade=400)
+    params = WolffParams(2.5, 1.0)
     for _ in range(5):
         x = rng.normal(size=3)
-        a = wolff_potential(mu, exact, x)
-        b = wolff_potential(mu, grid, x)
-        assert b == pytest.approx(a, rel=1e-6)
+        a = wolff_potential(mu, params, x)
+        b = _integrate_ball_mass(mu, x, 3, params, 0.0).sum()
+        assert b == pytest.approx(a, rel=1e-10)
+
+
+def _lens_volume(t, rho, R):
+    """Volume of B(x, t) intersected with B(0, R) in R^3, |x| = rho."""
+    if rho >= t + R:
+        return 0.0
+    if rho <= abs(R - t):
+        return 4.0 / 3.0 * math.pi * min(t, R) ** 3
+    return (math.pi * (t + R - rho) ** 2
+            * (rho * rho + 2.0 * rho * R - 3.0 * R * R + 2.0 * rho * t
+               + 6.0 * R * t - 3.0 * t * t) / (12.0 * rho))
+
+
+@pytest.mark.parametrize("rho", [0.05, 0.15, 0.25, 0.3, 0.35, 0.45])
+def test_off_centre_radial_matches_lens_volume_oracle(rho):
+    # an atom at the centre plus a uniform ball of radius 0.3, off centre:
+    # the oracle integrates exact lens volumes adaptively between the
+    # breakpoints of the ball mass
+    atom, coef, R, p, r = 1.3, 0.9, 0.3, 2.5, 0.5
+    c = np.array([0.05, -0.02, 0.01])
+    mu = RadialProfileMeasure(c, AtomPlusPowerProfile(atom, coef, 3.0, rmax=R))
+    density = coef / (4.0 / 3.0 * math.pi)
+
+    def integrand(t):
+        mass = (atom if t >= rho else 0.0) + density * _lens_volume(t, rho, R)
+        return (mass / t ** (3 - p)) ** (1.0 / (p - 1.0)) / t
+
+    edges = [0.0, *sorted(b for b in (rho, abs(R - rho), R + rho)
+                          if 0.0 < b < r), r]
+    want = sum(quad(integrand, a, b, epsabs=0.0, epsrel=1e-13, limit=200)[0]
+               for a, b in zip(edges[:-1], edges[1:]))
+    x = c + rho * np.array([0.6, 0.0, 0.8])
+    assert wolff_potential(mu, WolffParams(p, r), x) == pytest.approx(
+        want, rel=1e-9)
 
 
 def test_monotone_in_r():
@@ -241,6 +277,15 @@ def test_several_term_pieces_go_through_quadrature():
                        0.01, 0.4, epsabs=1e-14, epsrel=1e-13)
     assert wolff_potential(mu, params, np.zeros(3), t_min=0.01) == \
         pytest.approx(constant + two_term, rel=1e-8)
+    # two powers down to t = 0: the smaller one, integrated in closed form
+    # below a cut, carries the integral there
+    two_powers = SumMeasure([
+        RadialProfileMeasure(np.zeros(3), PowerLawProfile(1.0, e))
+        for e in (2.0, 3.0)])
+    want, _ = quad(lambda t: ((t ** 2 + t ** 3) / t ** 0.5) ** (1.0 / 1.5) / t,
+                   0.0, 0.8, epsabs=1e-14, epsrel=1e-13)
+    assert wolff_potential(two_powers, params, np.zeros(3)) == \
+        pytest.approx(want, rel=1e-10)
 
 
 def test_asymptotic_report_atom_limit():
@@ -279,6 +324,20 @@ def test_asymptotic_report_vanishes_for_diffuse_mass():
                                   r0=0.25, ratio=0.5, count=16)
     rep = wolff_asymptotic_report(mu, WolffParams(2.5, 1.0), np.zeros(3), path)
     assert abs(rep.limit) < 0.01
+
+
+def test_asymptotic_report_keeps_the_sign_of_a_negative_limit():
+    # no mass at x0: the fitted limit comes out a little below 0, and the
+    # point-mass estimate is a signed real number, not a complex power
+    mu = AtomicMeasure([[0.0, 0.3, 0.0]], [1.0])
+    path = ApproachPath.geometric(np.zeros(3), [1.0, 0.0, 0.0],
+                                  r0=0.25, ratio=0.5, count=16)
+    rep = wolff_asymptotic_report(mu, WolffParams(2.5, 1.0), np.zeros(3), path)
+    mass = rep.extras["point_mass_estimate"]
+    assert rep.limit < 0.0
+    assert isinstance(mass, float)
+    assert math.copysign(1.0, mass) == -1.0
+    assert abs(mass) < 1e-6
 
 
 def _decay_path():
@@ -335,6 +394,7 @@ def test_witness_invalid_s_rejected():
 
 
 def test_params_validation():
+    assert [f.name for f in dataclasses.fields(WolffParams)] == ["p", "r"]
     with pytest.raises(ValueError):
         WolffParams(1.0, 1.0)
     with pytest.raises(ValueError):
