@@ -29,6 +29,13 @@ def kappa_exponent(n: int, p: float) -> float:
     return (n - p) / (p - 1.0)
 
 
+def _cap_fraction(cos_theta, sin2_theta, n: int):
+    """Cap fraction from sin^2 of its angle, the sign of cos picking the
+    side."""
+    half = 0.5 * betainc((n - 1) / 2.0, 0.5, np.clip(sin2_theta, 0.0, 1.0))
+    return np.where(cos_theta >= 0.0, half, 1.0 - half)
+
+
 def cap_area_fraction(cos_theta, n: int):
     """Fraction of the unit sphere in R^n with polar angle <= theta.
 
@@ -36,16 +43,17 @@ def cap_area_fraction(cos_theta, n: int):
     reduces to (1 - cos(theta)) / 2.  Vectorized in ``cos_theta``.
     """
     c = np.clip(np.asarray(cos_theta, dtype=float), -1.0, 1.0)
-    x = np.clip(1.0 - c * c, 0.0, 1.0)
-    half = 0.5 * betainc((n - 1) / 2.0, 0.5, x)
-    frac = np.where(c >= 0.0, half, 1.0 - half)
+    frac = _cap_fraction(c, 1.0 - c * c, n)
     return frac if frac.ndim else float(frac)
 
 
 def ball_intersection_fraction(s, rho: float, t: float, n: int):
     """Fraction of the sphere of radius ``s`` about a center that lies
     inside the ball of radius ``t`` around a point at distance ``rho``
-    from the center.  Vectorized in ``s`` and ``t``, which broadcast."""
+    from the center.  Vectorized in ``s`` and ``t``, which broadcast.
+
+    sin^2 of the cap's angle is formed as a product of differences, not
+    as 1 - cos^2, which cancels as t nears |s - rho| or s + rho."""
     s = np.asarray(s, dtype=float)
     t = np.asarray(t, dtype=float)
     if rho < 0 or np.any(t < 0):
@@ -55,7 +63,9 @@ def ball_intersection_fraction(s, rho: float, t: float, n: int):
         return out if out.ndim else float(out)
     with np.errstate(divide="ignore", invalid="ignore"):
         cos_theta = (s * s + rho * rho - t * t) / (2.0 * s * rho)
-    frac = cap_area_fraction(cos_theta, n)
+        sin2_theta = ((t * t - (s - rho) ** 2) * ((s + rho) ** 2 - t * t)
+                      / (2.0 * s * rho) ** 2)
+    frac = _cap_fraction(cos_theta, sin2_theta, n)
     frac = np.where(s <= t - rho, 1.0, frac)
     frac = np.where(s >= t + rho, 0.0, frac)
     frac = np.where(s <= 0.0, np.where(rho <= t, 1.0, 0.0), frac)

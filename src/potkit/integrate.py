@@ -1,4 +1,14 @@
-"""The one fixed integration rule: 31-node double-exponential (tanh-sinh).
+"""Integrals of the ball mass M(t) = mu(B(x, t)) against powers of t.
+
+Wolff and Riesz potentials are both integrals of M(t) times a power of t
+(Riesz after integrating by parts), so they share the two ways this
+module takes them:
+
+* ``power_integral``, the closed form of coef * t^(e-1) over an
+  interval, for a mass that is a sum of powers of t on each interval of
+  a profile;
+* ``ball_mass_integral``, one fixed 31-node double-exponential
+  (tanh-sinh) rule between the breakpoints of M for any other measure.
 
 The rule of Takahasi & Mori, Publ. RIMS 9 (1974), substitutes
 y = (1 + tanh((pi/2) sinh u)) / 2 on a unit interval and applies the
@@ -48,3 +58,27 @@ def tanh_sinh(f, lo, hi) -> np.ndarray:
     s = np.where(log, np.exp(y), y)
     parts = (f(s, k) * np.where(log, s, 1.0) * DE_WEIGHTS).sum(axis=1)
     return np.bincount(k, weights=parts * width[:, 0], minlength=lo.size)
+
+
+def power_integral(coef, e, a, b) -> np.ndarray:
+    """Elementwise integral of coef * t^(e-1) over (a, b), 0 <= a < b:
+    coef (b^e - a^e) / e, the log form coef log(b/a) at e = 0, and +inf
+    where e <= 0 and the interval starts at t = 0.  A zero coefficient
+    gives 0, whatever e and a are."""
+    out = np.where(coef == 0.0, 0.0, math.inf)
+    log = (e == 0.0) & (a > 0.0)
+    out[log] = coef[log] * np.log(b[log] / a[log])
+    power = (e != 0.0) & ((a > 0.0) | (e > 0.0))
+    e = e[power]
+    out[power] = coef[power] * (b[power] ** e - a[power] ** e) / e
+    return out
+
+
+def ball_mass_integral(mu, x, f, lo: float, hi: float) -> float:
+    """Integral of ``f(M(t), t)`` over (lo, hi) with M(t) = mu(B(x, t)),
+    by the tanh-sinh rule between consecutive breakpoints of M clipped to
+    (lo, hi); M is evaluated at every node in one ``ball_mass`` call."""
+    edges = np.unique(np.clip(np.append(mu.ball_mass_breakpoints(x),
+                                        [lo, hi]), lo, hi))
+    return float(tanh_sinh(lambda t, _: f(mu.ball_mass(x, t), t),
+                           edges[:-1], edges[1:]).sum())

@@ -1,11 +1,22 @@
-"""Riesz potentials with singular-kernel quadrature and asymptotics.
+"""Riesz potentials and their singular asymptotics.
 
-The kernel is |x-y|^(alpha-n) for alpha in (1, n) and log(D/|x-y|) for
-alpha = n, D the domain diameter.  Atomic parts are exact sums, grid
-parts use midpoint quadrature with an analytic correction for the cell
-containing the evaluation point, and radial-profile parts reduce to 1-D
-integrals against the profile's shells and continuous pieces via exact
-sphere averages of the kernel; infinite radial mass raises.
+The kernel k(d) is d^(alpha-n) for alpha in (1, n), and log(D/d) at
+alpha = n with D the domain diameter.  The potential at x integrates k
+against the ball mass M(t) = mu(B(x, t)), by parts up to the last
+breakpoint T of M (Adams & Hedberg, *Function Spaces and Potential
+Theory*, 1996):
+
+    R(x) = M(T) k(T) + integral over (0, T) of M(t) (-k'(t)) dt,
+
+with -k'(t) = (n-alpha) t^(alpha-n-1), or 1/t at alpha = n.  As for
+Wolff, a piecewise constant/power profile at x (atomic measures, radial
+ones at their center) integrates term by term with
+``integrate.power_integral``, and any other measure by
+``integrate.ball_mass_integral`` between its ``ball_mass_breakpoints``.
+A sum of measures gives the sum of its parts' potentials.  A grid
+measure is a midpoint sum over its loaded cells, the cell that contains
+x replaced by the kernel's average over the equal-volume ball.  The
+value at an atom is +inf; a measure of infinite mass raises.
 """
 
 from __future__ import annotations
@@ -14,15 +25,14 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import HypothesisViolation
 from .fitting import (ApproachPath, DecayReport, LimitReport, blowup_exponent,
                       fit_limit, loglog_slope)
 from .geometry import ball_volume
 from .grid import _as_vec
-from .measures import (AtomicMeasure, GridMeasure, Measure,
-                       RadialProfileMeasure, SumMeasure, _is_center)
+from .integrate import ball_mass_integral, power_integral
+from .measures import GridMeasure, Measure, SumMeasure
 
 MIN_PATH_SAMPLES = 8
 SLOPE_TOLERANCE = 0.05
@@ -70,75 +80,6 @@ def _ball_average(r, alpha: float, n: int, D):
     return math.log(D / r) + 1.0 / n
 
 
-def _sin_power_norm(n: int) -> float:
-    # integral of sin^(n-2) over (0, pi)
-    return math.sqrt(math.pi) * math.gamma((n - 1) / 2.0) / math.gamma(n / 2.0)
-
-
-def _ring_average(s: float, rho: float, alpha: float, n: int, D) -> float:
-    """Average of the kernel over the sphere of radius s centered at the
-    profile center, seen from a point at distance rho from that center."""
-    if s == 0.0:
-        return _kernel(rho, alpha, n, D)
-    if _is_center(rho):
-        return _kernel(s, alpha, n, D)
-
-    def f(theta):
-        d2 = s * s + rho * rho - 2.0 * s * rho * math.cos(theta)
-        return _kernel(math.sqrt(max(d2, 0.0)), alpha, n, D) \
-            * math.sin(theta) ** (n - 2)
-
-    val, _ = quad(f, 0.0, math.pi, limit=200)
-    return val / _sin_power_norm(n)
-
-
-def _centered_piece(a: float, b: float, coef: float, m: float,
-                    alpha: float, n: int, D) -> float:
-    """Integral of the kernel at the center against dM = coef*m*s^(m-1) ds."""
-    if coef == 0.0 or b <= a:
-        return 0.0
-    if alpha == n:
-        def anti(s):
-            return coef * s ** m * (math.log(D / s) + 1.0 / m) if s > 0 else 0.0
-        return anti(b) - anti(a)
-    e = m + alpha - n
-    if e == 0.0:
-        return math.inf if a == 0.0 else coef * m * math.log(b / a)
-    if e < 0.0 and a == 0.0:
-        return math.inf
-    return coef * m / e * (b ** e - a ** e)
-
-
-def _potential_radial(mu: RadialProfileMeasure, params: RieszParams, x) -> float:
-    if math.isinf(mu.total_mass):
-        raise HypothesisViolation(
-            "Riesz potential of a radial measure of infinite mass")
-    n = mu.dim
-    D = params.domain_diameter
-    rho = float(np.linalg.norm(_as_vec(x, n) - mu.center))
-    prof = mu.profile
-    total = 0.0
-    at_center = _is_center(rho)
-    a0 = prof.mass_at_zero
-    if a0 > 0.0:
-        if at_center:
-            return math.inf
-        total += a0 * _kernel(rho, params.alpha, n, D)
-    for s, dm in prof.shells():
-        total += dm * _ring_average(s, rho, params.alpha, n, D)
-    for a, b, coef, m in prof.continuous_pieces():
-        if at_center:
-            total += _centered_piece(a, b, coef, m, params.alpha, n, D)
-        else:
-            val, _ = quad(
-                lambda s: _ring_average(s, rho, params.alpha, n, D)
-                * coef * m * s ** (m - 1.0),
-                a, b, limit=200,
-                points=[rho] if a < rho < b else None)
-            total += val
-    return float(total)
-
-
 def _potential_grid(mu: GridMeasure, params: RieszParams, x) -> float:
     n = mu.dim
     grid = mu.grid
@@ -163,6 +104,17 @@ def _potential_grid(mu: GridMeasure, params: RieszParams, x) -> float:
     return float(total)
 
 
+def _profile_integral(prof, scale: float, shift: float) -> float:
+    """Integral of M(t) * scale * t^(shift-1) over the profile's finite
+    intervals, every term of every interval in one ``power_integral``."""
+    a, b = prof.breakpoints[:-1], prof.breakpoints[1:]
+    terms = [(0.0, prof.constant)] + list(prof.powers)
+    coef = np.concatenate([scale * c[:-1] for _, c in terms])
+    e = np.concatenate([np.full(a.size, m + shift) for m, _ in terms])
+    return float(power_integral(coef, e, np.tile(a, len(terms)),
+                                np.tile(b, len(terms))).sum())
+
+
 def riesz_potential(mu: Measure, params: RieszParams, x) -> float:
     """Potential value at x; +inf sentinel when x carries an atom.
 
@@ -172,20 +124,27 @@ def riesz_potential(mu: Measure, params: RieszParams, x) -> float:
     x = _as_vec(x, n)
     if isinstance(mu, SumMeasure):
         return float(sum(riesz_potential(part, params, x) for part in mu.parts))
-    if isinstance(mu, AtomicMeasure):
-        if mu.atom_mass_at(x) > 0.0:
-            return math.inf
-        loc, mass = mu.atoms()
-        if mass.size == 0:
-            return 0.0
-        d = np.sqrt(((loc - x) ** 2).sum(axis=1))
-        vals = mass * _kernel(d, params.alpha, n, params.domain_diameter)
-        return float(vals.sum())
     if isinstance(mu, GridMeasure):
         return _potential_grid(mu, params, x)
-    if isinstance(mu, RadialProfileMeasure):
-        return _potential_radial(mu, params, x)
-    raise TypeError(f"unsupported measure type {type(mu).__name__}")
+    if math.isinf(mu.total_mass):
+        raise HypothesisViolation("Riesz potential of a measure of infinite mass")
+    if mu.atom_mass_at(x) > 0.0:
+        return math.inf
+    alpha = params.alpha
+    # -k'(t) = scale * t^(shift-1)
+    scale, shift = (1.0 if params.is_log(n) else n - alpha), alpha - n
+    prof = mu.radial_mass_profile(x)
+    if prof is not None:
+        T, mass = prof.breakpoints[-1], prof.total
+        value = _profile_integral(prof, scale, shift)
+    else:
+        T = mu.ball_mass_breakpoints(x)[-1]
+        mass = mu.ball_mass(x, T)
+        value = ball_mass_integral(
+            mu, x, lambda m, t: m * scale * t ** (shift - 1.0), 0.0, T)
+    if mass > 0.0:
+        value += mass * _kernel(T, alpha, n, params.domain_diameter)
+    return float(value)
 
 
 def riesz_asymptotic_report(mu: Measure, params: RieszParams, p,

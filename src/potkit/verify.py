@@ -23,6 +23,7 @@ from .capacity import (BallDomain, BoxDomain, calibrate_small_ball_ratio,
 from .cones import Cone, inclusion_check, p_gamma
 from .fitting import ApproachPath, loglog_slope
 from .grid import EvaluationGrid
+from .integrate import ball_mass_integral
 from .measures import AtomicMeasure, AtomPlusPowerProfile, RadialProfileMeasure
 # perfbench's tracer test patches and reads this module's binding
 from .penergy import newton_polish  # noqa: F401
@@ -32,7 +33,7 @@ from .plaplace import (FundamentalSolution, envelope_band, envelope_check,
 from .riesz import RieszParams, riesz_asymptotic_report
 from .sets import BallUnion, Sphere, sphere_directions
 from .thinness import ball_sequence_terms, classify_thinness
-from .wolff import WolffParams, _integrate_ball_mass, thin_witness_blowup, \
+from .wolff import WolffParams, _integrand, thin_witness_blowup, \
     wolff_asymptotic_report, wolff_potential
 
 PROFILES = ("full", "quick")
@@ -120,7 +121,7 @@ def _check_wolff_atom_limit(profile: str, seed: int) -> CheckResult:
     for d in (0.3, 0.1, 0.02):
         x = np.array([d, 0.0, 0.0])
         exact = wolff_potential(mu, params, x)
-        approx = float(_integrate_ball_mass(mu, x, n, params, 0.0).sum())
+        approx = ball_mass_integral(mu, x, _integrand(n, p), 0.0, params.r)
         quad_err = max(quad_err, abs(approx - exact) / exact)
 
     rows = list(zip(path.radii, rep.values, rep.extras["raw"]))

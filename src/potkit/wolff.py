@@ -5,18 +5,19 @@ The central object is
     W(x, r) = integral over t in (0, r] of (M(t) / t^(n-p))^(1/(p-1)) dt/t,
 
 with ``M(t) = ball_mass(mu, x, t)`` and 1 < p <= n, integrated interval
-by interval between the breakpoints of M.  Where the measure exposes a
-piecewise constant/power ball-mass profile at x (atomic and grid
-measures, radial profiles at their center), every interval whose mass is
-a single term integrates in closed form, c^(1/(p-1)) (b^e - a^e) / e,
-all such intervals in one array expression; at p = n constants
-contribute log terms.  All else goes through the one tanh-sinh rule of
-``integrate``: profile intervals whose mass has several terms and, for
-measures without a profile at x such as radial ones seen off their
-center, the intervals between the ``ball_mass_breakpoints``, all nodes in
-one ``ball_mass`` call.  ``wolff_potential`` sums the interval values
-into one number.  The value +inf is a first-class sentinel: it is the
-correct answer whenever the evaluation point carries an atom.
+by interval between the breakpoints of M by the two helpers of
+``integrate``.  Where the measure exposes a piecewise constant/power
+ball-mass profile at x (atomic and grid measures, radial profiles at
+their center), every interval whose mass is a single term integrates in
+closed form by ``power_integral``, c^(1/(p-1)) (b^e - a^e) / e, all
+such intervals in one array expression; at p = n constants contribute
+log terms.  Profile intervals whose mass has several terms go through
+the tanh-sinh rule, and measures without a profile at x, such as radial
+ones seen off their center, through ``ball_mass_integral`` between the
+``ball_mass_breakpoints``, all nodes in one ``ball_mass`` call.
+``wolff_potential`` sums the interval values into one number.  The value
++inf is a first-class sentinel: it is the correct answer whenever the
+evaluation point carries an atom.
 """
 from __future__ import annotations
 
@@ -31,7 +32,7 @@ from .fitting import (ApproachPath, DecayReport, LimitReport, blowup_exponent,
 from .geometry import kappa_exponent
 from .grid import _as_vec
 from .measures import AtomicMeasure, Measure
-from .integrate import tanh_sinh
+from .integrate import ball_mass_integral, power_integral, tanh_sinh
 from .sets import BallUnion
 from .thinness import escaping_ray
 
@@ -56,29 +57,9 @@ class WolffParams:
             raise ValueError(f"p = {self.p} exceeds the dimension n = {n}")
 
 
-def _closed_form(c, m, a, b, n: int, p: float) -> np.ndarray:
-    """Elementwise integral of (c t^m / t^(n-p))^(1/(p-1)) dt/t over
-    (a, b) for c > 0: c^(1/(p-1)) (b^e - a^e) / e with
-    e = (m - (n-p)) / (p-1); the log form where e = 0 (constants at
-    p = n), and +inf where e <= 0 and the interval reaches t = 0."""
-    e = (m - (n - p)) / (p - 1.0)
-    cp = c ** (1.0 / (p - 1.0))
-    out = np.full(c.shape, math.inf)
-    log = (e == 0.0) & (a > 0.0)
-    out[log] = cp[log] * np.log(b[log] / a[log])
-    power = (e != 0.0) & ((a > 0.0) | (e > 0.0))
-    e = e[power]
-    out[power] = cp[power] * (b[power] ** e - a[power] ** e) / e
-    return out
-
-
-def _quadrature(mass_of_t, lo, hi, n: int, p: float) -> np.ndarray:
-    """Integrals over the intervals (lo, hi) by the tanh-sinh rule, the
-    mass ``mass_of_t`` (of an array of radii) smooth inside each."""
-    def integrand(t, _):
-        return (mass_of_t(t) / t ** (n - p)) ** (1.0 / (p - 1.0)) / t
-
-    return tanh_sinh(integrand, lo, hi)
+def _integrand(n: int, p: float):
+    """The Wolff integrand (M / t^(n-p))^(1/(p-1)) / t as f(M, t)."""
+    return lambda mass, t: (mass / t ** (n - p)) ** (1.0 / (p - 1.0)) / t
 
 
 def _integrate_profile(prof, n: int, params: WolffParams,
@@ -86,14 +67,21 @@ def _integrate_profile(prof, n: int, params: WolffParams,
     """Integrals over the profile's intervals clipped to (t_min, r], in
     increasing t.
 
-    An interval whose mass is a single term, constant or one power,
-    integrates in closed form, all such intervals in one expression.
-    Intervals with several terms go through ``_quadrature``; one that
-    reaches t = 0 is cut at 1e-12 of its length, and below the cut its
-    smallest power, which dominates there, integrates in closed form."""
+    An interval whose mass is a single term, constant or one power
+    c t^m, integrates in closed form by ``power_integral``, all such
+    intervals in one expression: the integrand is c^(1/(p-1)) t^(e-1)
+    with e = (m - (n-p)) / (p-1).  Intervals with several terms go
+    through the tanh-sinh rule; one that reaches t = 0 is cut at 1e-12
+    of its length, and below the cut its smallest power, which dominates
+    there, integrates in closed form."""
     p, r, bp = params.p, params.r, prof.breakpoints
     if prof.mass_at_zero > 0.0 and t_min == 0.0:
         return np.array([math.inf])
+
+    def closed_form(c, m, a, b):
+        return power_integral(c ** (1.0 / (p - 1.0)),
+                              (m - (n - p)) / (p - 1.0), a, b)
+
     lo = np.maximum(bp, t_min)
     hi = np.minimum(np.append(bp[1:], math.inf), r)
     live = hi > lo
@@ -108,31 +96,19 @@ def _integrate_profile(prof, n: int, params: WolffParams,
         terms += nonzero
     closed = terms == 1
     value = np.zeros(lo.size)
-    value[closed] = _closed_form(coef[closed], expo[closed], lo[closed],
-                                 hi[closed], n, p)
+    value[closed] = closed_form(coef[closed], expo[closed], lo[closed],
+                                hi[closed])
     multi = terms > 1
     if multi[0] and lo[0] == 0.0:
         m_min, c_min = min((m, c[0]) for m, c in powers if c[0] != 0.0)
         lo[0] = hi[0] * 1e-12
-        value[:1] = _closed_form(np.array([c_min]), np.array([m_min]),
-                                 np.zeros(1), lo[:1], n, p)
+        value[:1] = closed_form(np.array([c_min]), np.array([m_min]),
+                                np.zeros(1), lo[:1])
     if multi.any():
-        value[multi] += _quadrature(prof.eval, lo[multi], hi[multi], n, p)
+        f = _integrand(n, p)
+        value[multi] += tanh_sinh(lambda t, _: f(prof.eval(t), t),
+                                  lo[multi], hi[multi])
     return value
-
-
-def _integrate_ball_mass(mu: Measure, x, n: int, params: WolffParams,
-                         t_min: float) -> np.ndarray:
-    """Integrals from ``ball_mass`` alone, by ``_quadrature`` between
-    consecutive breakpoints of t -> ball_mass(x, t) clipped to
-    (t_min, r]."""
-    if mu.atom_mass_at(x) > 0.0 and t_min == 0.0:
-        return np.array([math.inf])
-    edges = np.unique(np.clip(np.append(mu.ball_mass_breakpoints(x),
-                                        [t_min, params.r]),
-                              t_min, params.r))
-    return _quadrature(lambda t: mu.ball_mass(x, t), edges[:-1], edges[1:],
-                       n, params.p)
 
 
 def wolff_potential(mu: Measure, params: WolffParams, x, *,
@@ -148,9 +124,12 @@ def wolff_potential(mu: Measure, params: WolffParams, x, *,
     if t_min < 0.0 or t_min >= params.r:
         raise ValueError("t_min must lie in [0, r)")
     prof = mu.radial_mass_profile(x)
-    if prof is None:
-        return float(_integrate_ball_mass(mu, x, n, params, t_min).sum())
-    return float(_integrate_profile(prof, n, params, t_min).sum())
+    if prof is not None:
+        return float(_integrate_profile(prof, n, params, t_min).sum())
+    if mu.atom_mass_at(x) > 0.0 and t_min == 0.0:
+        return math.inf
+    return ball_mass_integral(mu, x, _integrand(n, params.p), t_min,
+                              params.r)
 
 
 def wolff_asymptotic_report(mu: Measure, params: WolffParams, x0,

@@ -73,3 +73,12 @@ def test_ball_intersection_fraction_monte_carlo():
 def test_ball_intersection_fraction_extremes():
     assert ball_intersection_fraction(0.1, 1.0, 2.0, 3) == 1.0
     assert ball_intersection_fraction(0.1, 1.0, 0.5, 3) == 0.0
+
+
+def test_ball_intersection_fraction_near_the_first_touch():
+    # on S^2 a ball of radius t about a point of the sphere (rho = s)
+    # covers t^2 / (4 s^2) of it; 1 - cos^2 would cancel as t -> 0
+    s = 0.3
+    for t in (1e-7, 1e-4, 0.1):
+        assert ball_intersection_fraction(s, s, t, 3) == pytest.approx(
+            t * t / (4.0 * s * s), rel=1e-12, abs=0.0)

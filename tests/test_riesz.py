@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from potkit.errors import HypothesisViolation
 from potkit.fitting import ApproachPath
@@ -14,6 +15,8 @@ from potkit.measures import (
     PowerLawProfile,
     RadialProfileMeasure,
     SumMeasure,
+    lebesgue_ball_measure,
+    normalized_sphere_shell,
     uniform_ball_measure,
 )
 from potkit.riesz import (RieszParams, riesz_asymptotic_report,
@@ -64,6 +67,83 @@ def test_linearity_for_atomic_parts():
     got = riesz_potential(SumMeasure([a, b]), params, x)
     want = riesz_potential(a, params, x) + riesz_potential(b, params, x)
     assert got == pytest.approx(want, rel=1e-13)
+
+
+def test_sum_of_atomic_and_radial_parts():
+    a = AtomicMeasure([[0.1, 0.0, 0.0], [0.0, 0.4, 0.2]], [0.7, 1.1])
+    b = lebesgue_ball_measure([0.5, 0.2, 0.0], 0.4, 1.3)
+    params = RieszParams(2.2)
+    x = np.array([0.6, 0.1, 0.1])
+    got = riesz_potential(SumMeasure([a, b]), params, x)
+    assert got == riesz_potential(a, params, x) + riesz_potential(b, params, x)
+
+
+def test_atoms_of_zero_mass_give_zero():
+    mu = AtomicMeasure([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]], [0.0, 0.0])
+    assert riesz_potential(mu, RieszParams(2.0), [0.5, 0.0, 0.0]) == 0.0
+    assert riesz_potential(mu, RieszParams(2.0), [0.0, 0.0, 0.0]) == 0.0
+
+
+@pytest.mark.parametrize("alpha", [1.5, 2.0, 2.5])
+@pytest.mark.parametrize("rho", [0.1, 0.3, 0.45])
+def test_sphere_shell_matches_closed_form(alpha, rho):
+    # the kernel averaged over a sphere of radius s in R^3, seen from
+    # distance rho: ((s+rho)^(alpha-1) - |s-rho|^(alpha-1)) / (2 s rho (alpha-1))
+    s, mass = 0.3, 1.7
+    mu = normalized_sphere_shell(np.zeros(3), s, mass)
+    want = mass * ((s + rho) ** (alpha - 1.0) - abs(s - rho) ** (alpha - 1.0)) \
+        / (2.0 * s * rho * (alpha - 1.0))
+    got = riesz_potential(mu, RieszParams(alpha), np.array([0.0, 0.0, rho]))
+    # on the shell at alpha < 2 the integrand has a t^(alpha-2) singularity
+    # at t = 0, whose innermost part the rule's last node leaves out
+    tol = 1e-7 if rho == s and alpha < 2.0 else 1e-12
+    assert got == pytest.approx(want, rel=tol)
+
+
+@pytest.mark.parametrize("rho", [0.05, 0.15, 0.25, 0.3, 0.35, 0.45])
+def test_atom_plus_uniform_ball_newtonian(rho):
+    atom, coef, R = 1.3, 0.9, 0.3
+    density = coef / (4.0 / 3.0 * math.pi)
+    c = np.array([0.05, -0.02, 0.01])
+    mu = RadialProfileMeasure(c, AtomPlusPowerProfile(atom, coef, 3.0, rmax=R))
+    if rho <= R:
+        bulk = 2.0 * math.pi * density * (R * R - rho * rho / 3.0)
+    else:
+        bulk = 4.0 / 3.0 * math.pi * density * R ** 3 / rho
+    x = c + rho * np.array([0.6, 0.0, 0.8])
+    assert riesz_potential(mu, RieszParams(2.0), x) == pytest.approx(
+        atom / rho + bulk, rel=1e-11)
+
+
+@pytest.mark.parametrize("rho", [0.1, 0.3, 0.45])
+def test_log_kernel_on_a_uniform_ball_matches_quad(rho):
+    # alpha = n = 3: integrate over spheres of radius s the kernel's
+    # sphere average (1/(2 s rho)) * int_{|s-rho|}^{s+rho} u log(D/u) du
+    R, density, D = 0.3, 1.4, 4.0
+    mu = lebesgue_ball_measure(np.zeros(3), R, density)
+
+    def anti(u):
+        return 0.5 * u * u * math.log(D / u) + 0.25 * u * u if u > 0 else 0.0
+
+    def shell(s):
+        avg = (anti(s + rho) - anti(abs(s - rho))) / (2.0 * s * rho)
+        return density * 4.0 * math.pi * s * s * avg
+
+    points = [rho] if rho < R else None
+    want = quad(shell, 0.0, R, points=points, epsabs=0.0, epsrel=1e-13,
+                limit=200)[0]
+    got = riesz_potential(mu, RieszParams(3.0, domain_diameter=D),
+                          np.array([rho, 0.0, 0.0]))
+    # the off-centre ball masses themselves are good to about 2e-11
+    assert got == pytest.approx(want, rel=3e-11)
+
+
+def test_atom_at_a_radial_center_gives_infinity():
+    mu = RadialProfileMeasure(np.zeros(3),
+                              AtomPlusPowerProfile(1.0, 1.0, 3.0, rmax=0.5))
+    assert riesz_potential(mu, RieszParams(2.0), np.zeros(3)) == math.inf
+    assert riesz_potential(mu, RieszParams(3.0, domain_diameter=2.0),
+                           np.zeros(3)) == math.inf
 
 
 def test_scaling_law_atomic():

@@ -1,4 +1,4 @@
-"""The fast checks of the verification suite pass at the quick profile."""
+"""Every check of the verification suite passes at the quick profile."""
 
 import pytest
 
@@ -6,7 +6,8 @@ from potkit.verify import run_check
 
 FAST_CHECKS = ("wolff-atom-limit", "wolff-log-limit", "riesz-atom-limit",
                "envelope-band", "flux-normalization", "cone-suite",
-               "determinism", "comparison-principle", "capacity-scaling")
+               "determinism", "comparison-principle", "capacity-scaling",
+               "condenser", "witness-flip")
 
 
 @pytest.mark.parametrize("name", FAST_CHECKS)

@@ -11,6 +11,7 @@ from scipy.integrate import quad
 from potkit.errors import HypothesisViolation
 from potkit.fitting import ApproachPath
 from potkit.grid import EvaluationGrid
+from potkit.integrate import ball_mass_integral
 from potkit.measures import (
     AtomicMeasure,
     AtomPlusPowerProfile,
@@ -18,10 +19,11 @@ from potkit.measures import (
     PowerLawProfile,
     RadialProfileMeasure,
     SumMeasure,
+    normalized_sphere_shell,
 )
 from potkit.wolff import (
     WolffParams,
-    _integrate_ball_mass,
+    _integrand,
     thin_witness_blowup,
     wolff_asymptotic_report,
     wolff_decay_check,
@@ -86,7 +88,7 @@ def test_quadrature_agrees_with_exact_piecewise():
     for _ in range(5):
         x = rng.normal(size=3)
         a = wolff_potential(mu, params, x)
-        b = _integrate_ball_mass(mu, x, 3, params, 0.0).sum()
+        b = ball_mass_integral(mu, x, _integrand(3, 2.5), 0.0, 1.0)
         assert b == pytest.approx(a, rel=1e-10)
 
 
@@ -122,6 +124,18 @@ def test_off_centre_radial_matches_lens_volume_oracle(rho):
     x = c + rho * np.array([0.6, 0.0, 0.8])
     assert wolff_potential(mu, WolffParams(p, r), x) == pytest.approx(
         want, rel=1e-9)
+
+
+@pytest.mark.parametrize("p", [2.2, 2.5, 2.9])
+def test_on_a_sphere_shell_matches_closed_form(p):
+    # on a sphere of radius s in R^3, B(x, t) covers the fraction
+    # t^2 / (4 s^2) of it for t <= 2s: M(t) = c t^2, and the integrand is
+    # c^(1/(p-1)) t^(e-1) with e = (2 - (3-p)) / (p-1) = 1
+    s, mass, r = 0.3, 1.7, 0.5
+    mu = normalized_sphere_shell(np.zeros(3), s, mass)
+    want = (mass / (4.0 * s * s)) ** (1.0 / (p - 1.0)) * r
+    got = wolff_potential(mu, WolffParams(p, r), np.array([0.0, s, 0.0]))
+    assert got == pytest.approx(want, rel=1e-12)
 
 
 def test_monotone_in_r():
