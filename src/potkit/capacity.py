@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import HypothesisViolation, ResolutionError
 from .fitting import loglog_slope
-from .geometry import kappa_exponent, sphere_area
+from .geometry import dist2, kappa_exponent, sphere_area
 from .grid import EvaluationGrid, _as_vec
 from .penergy import (PEnergyProblem, minimize_p_energy, refine_nodes,
                       scatter_cells_to_nodes)
@@ -189,12 +189,13 @@ EQ_TOL = 1e-7
 
 
 def _riesz_kernel_matrix(x, y, alpha, n, diam, r_moll):
-    """Riesz kernel between point sets, with distances below ``r_moll``
-    replaced by the kernel's average over the ball of that radius."""
-    d = np.sqrt(np.maximum(
-        ((x[:, None, :] - y[None, :, :]) ** 2).sum(axis=2), 0.0))
-    k = _kernel(np.maximum(d, r_moll), alpha, n, diam)
-    return np.where(d < r_moll, _ball_average(r_moll, alpha, n, diam), k)
+    """Riesz kernel between point sets, built in place, with distances
+    below ``r_moll`` replaced by the kernel's average over that ball."""
+    d = dist2(x[:, None, :], y[None, :, :])
+    near = np.sqrt(d, out=d) < r_moll
+    k = _kernel(np.maximum(d, r_moll, out=d), alpha, n, diam, out=d)
+    np.copyto(k, _ball_average(r_moll, alpha, n, diam), where=near)
+    return k
 
 
 def _decimate_sites(points: np.ndarray, cap: int) -> np.ndarray:

@@ -1,4 +1,5 @@
-"""Sphere and ball constants plus spherical-cap area fractions."""
+"""Sphere and ball constants, squared distances and spherical-cap area
+fractions."""
 
 from __future__ import annotations
 
@@ -27,6 +28,19 @@ def kappa_exponent(n: int, p: float) -> float:
     if not 1.0 < p <= n:
         raise ValueError("p must lie in (1, n]")
     return (n - p) / (p - 1.0)
+
+
+def dist2(a, b) -> np.ndarray:
+    """Squared distance along the last axis of a and b, broadcast over the
+    others: ``((a - b) ** 2).sum(-1)``, summed in the same order for up
+    to 7 coordinates, without the difference array."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    out = np.zeros(np.broadcast_shapes(a.shape[:-1], b.shape[:-1]))
+    tmp = np.empty_like(out)
+    for k in range(a.shape[-1]):
+        np.square(np.subtract(a[..., k], b[..., k], out=tmp), out=tmp)
+        np.add(out, tmp, out=out)
+    return out
 
 
 def _cap_fraction(cos_theta, sin2_theta, n: int):

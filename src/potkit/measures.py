@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import HypothesisViolation, RepresentationError
-from .geometry import ball_intersection_fraction, ball_volume
+from .geometry import ball_intersection_fraction, ball_volume, dist2
 from .grid import EvaluationGrid, _as_vec
 from .integrate import tanh_sinh
 
@@ -233,8 +233,7 @@ class AtomicMeasure(Measure):
         return float(self._mass.sum())
 
     def _dists(self, x):
-        x = _as_vec(x, self.dim)
-        return np.sqrt(((self._loc - x) ** 2).sum(axis=1))
+        return np.sqrt(dist2(self._loc, _as_vec(x, self.dim)))
 
     def ball_mass(self, x, t):
         return self.radial_mass_profile(x).eval(_radii(t))
@@ -341,7 +340,7 @@ class RadialProfileMeasure(Measure):
 
     def _rho(self, x) -> float:
         x = _as_vec(x, self.dim)
-        return float(np.sqrt(((x - self._center) ** 2).sum()))
+        return float(np.sqrt(dist2(x, self._center)))
 
     def ball_mass(self, x, t):
         t = _radii(t)

@@ -18,13 +18,21 @@ Every solve runs at one setting: the descent stops at relative energy
 change ``REL_ENERGY_TOL`` within ``LBFGS_MAXITER`` iterations, and the
 polish stops at max-norm gradient ``NEWTON_GTOL`` within
 ``NEWTON_ITERS`` steps.  The solvers read these constants when called.
+
+The energy works on the flat node array: a cell sits at the index of
+its lowest corner, its neighbour along axis b is a shift by the node
+stride s_b, and each difference, average and scatter is one contiguous
+1-D operation on buffers a problem allocates once.  A position with its
+lowest corner on an upper face is not a cell; its shifted reads wrap,
+so its weight is overwritten with 0 (a product with 0 would pass inf or
+nan) and adds exactly +0 to every node.  The float operations are those
+of the cell-shaped form, in the same order.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import reduce
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
@@ -40,43 +48,55 @@ NEWTON_ITERS = 40
 NEWTON_GTOL = 1e-14
 
 
-def cell_gradient(u: np.ndarray, h: float, axis: int) -> np.ndarray:
-    """Edge-averaged forward difference along one axis, in cell shape."""
-    g = np.diff(u, axis=axis) / h
-    for b in range(u.ndim):
-        if b == axis:
-            continue
-        sl0 = [slice(None)] * u.ndim
-        sl1 = [slice(None)] * u.ndim
-        sl0[b] = slice(None, -1)
-        sl1[b] = slice(1, None)
-        g = 0.5 * (g[tuple(sl0)] + g[tuple(sl1)])
-    return g
+class _CellKernel:
+    """Cell gradients and their adjoint on the flat node array of one
+    grid, in buffers reused from call to call; not for concurrent calls."""
 
+    def __init__(self, grid: EvaluationGrid):
+        shape, self.h = grid.node_shape, grid.h
+        self.strides = [math.prod(shape[a + 1:]) for a in range(grid.dim)]
+        self.on_face = np.pad(np.zeros(grid.cells, dtype=bool),
+                              [(0, 1)] * grid.dim, constant_values=True).ravel()
+        self.cells = np.flatnonzero(~self.on_face)
+        self.grads = [np.zeros(grid.n_nodes) for _ in range(grid.dim)]
+        self.g2, self.w, self.t, self.tmp = np.zeros((4, grid.n_nodes))
 
-def _adjoint_accumulate(w: np.ndarray, h: float, axis: int, out: np.ndarray):
-    """Adjoint of cell_gradient: scatter cell weights w back to nodes."""
-    t = w
-    n = out.ndim
-    for b in reversed(range(n)):
-        if b == axis:
-            continue
-        shape = list(t.shape)
-        shape[b] += 1
-        r = np.zeros(shape)
-        sl0 = [slice(None)] * n
-        sl1 = [slice(None)] * n
-        sl0[b] = slice(None, -1)
-        sl1[b] = slice(1, None)
-        r[tuple(sl0)] += 0.5 * t
-        r[tuple(sl1)] += 0.5 * t
-        t = r
-    sl0 = [slice(None)] * n
-    sl1 = [slice(None)] * n
-    sl0[axis] = slice(None, -1)
-    sl1[axis] = slice(1, None)
-    out[tuple(sl1)] += t / h
-    out[tuple(sl0)] -= t / h
+    def gradients(self, u: np.ndarray, eps: float):
+        """Per axis the difference / h, then the mean of two neighbours
+        along each other axis in ascending order; and |gradient|^2 + eps^2."""
+        u = np.asarray(u, dtype=float).reshape(-1)
+        g2, tmp = self.g2, self.tmp
+        for a, g in enumerate(self.grads):
+            sa = self.strides[a]
+            np.divide(np.subtract(u[sa:], u[:-sa], out=g[:-sa]), self.h,
+                      out=g[:-sa])
+            for b, s in enumerate(self.strides):
+                if b != a:
+                    np.add(g[:-s], g[s:], out=tmp[:-s])
+                    np.multiply(tmp[:-s], 0.5, out=g[:-s])
+        np.multiply(self.grads[0], self.grads[0], out=g2)
+        for d in self.grads[1:]:
+            np.add(g2, np.multiply(d, d, out=tmp), out=g2)
+        if eps > 0.0:
+            np.add(g2, eps ** 2, out=g2)
+        return self.grads, g2
+
+    def add_adjoint(self, t: np.ndarray, axis: int, out: np.ndarray):
+        """Add the adjoint of the gradient along ``axis`` at the cell weights
+        t (overwritten, 0 off the cells) to the nodes: t spreads along the
+        other axes in descending order, then adds +t/h hi and -t/h lo."""
+        np.copyto(t, 0.0, where=self.on_face)
+        half = self.tmp
+        for b in reversed(range(len(self.strides))):
+            if b != axis:
+                s = self.strides[b]
+                np.multiply(t, 0.5, out=half)
+                t[:s] = half[:s]
+                np.add(half[s:], half[:-s], out=t[s:])
+        s = self.strides[axis]
+        np.divide(t[:-s], self.h, out=half[:-s])
+        np.add(out[s:], half[:-s], out=out[s:])
+        np.subtract(out[:-s], half[:-s], out=out[:-s])
 
 
 @dataclass
@@ -96,6 +116,8 @@ class PEnergyProblem:
     load: np.ndarray | None = None
     capacity_mode: bool = False
     eps: float = 0.0
+    _kernel: _CellKernel | None = field(default=None, init=False,
+                                        repr=False, compare=False)
 
     def __post_init__(self):
         if self.p <= 1.0:
@@ -117,26 +139,30 @@ class PEnergyProblem:
         u[~self.fixed_mask] = free_values
         return u
 
+    def _cell_kernel(self) -> _CellKernel:
+        if self._kernel is None:
+            self._kernel = _CellKernel(self.grid)
+        return self._kernel
+
     def energy_and_grad(self, u: np.ndarray):
         """Energy and its full node gradient at u."""
-        grid, p = self.grid, self.p
-        n = grid.dim
-        hn = grid.cell_volume
-        grads = [cell_gradient(u, grid.h, a) for a in range(n)]
-        g2 = reduce(np.add, (d * d for d in grads))
-        if self.eps > 0.0:
-            g2 = g2 + self.eps ** 2
-        gp = g2 ** (p / 2.0)
-        energy = self.coef * hn * float(gp.sum())
+        p, hn = self.p, self.grid.cell_volume
+        kernel = self._cell_kernel()
+        grads, g2 = kernel.gradients(u, self.eps)
+        w, t = kernel.w, kernel.t
+        np.power(g2, p / 2.0, out=t)
+        energy = self.coef * hn * float(t[kernel.cells].sum())
         with np.errstate(divide="ignore"):
-            gpm2 = np.where(g2 > 0.0, g2 ** ((p - 2.0) / 2.0), 0.0)
-        node_grad = np.zeros_like(u)
-        for a in range(n):
-            _adjoint_accumulate(self.coef * p * hn * gpm2 * grads[a],
-                                grid.h, a, node_grad)
+            np.power(g2, (p - 2.0) / 2.0, out=w)
+        np.copyto(w, 0.0, where=~(g2 > 0.0))
+        np.multiply(w, self.coef * p * hn, out=w)
+        node_grad = np.zeros(np.shape(u))
+        for a, d in enumerate(grads):
+            kernel.add_adjoint(np.multiply(w, d, out=t), a,
+                               node_grad.reshape(-1))
         if self.load is not None:
             energy -= float((self.load * u).sum())
-            node_grad = node_grad - self.load
+            node_grad -= self.load
         return energy, node_grad
 
 
@@ -313,10 +339,10 @@ class _FrozenHessian:
         """
         grid, p = problem.grid, problem.p
         n = grid.dim
-        grads = [cell_gradient(u, grid.h, a).ravel() for a in range(n)]
-        g2 = reduce(np.add, (d * d for d in grads))
-        if problem.eps > 0.0:
-            g2 = g2 + problem.eps ** 2
+        kernel = problem._cell_kernel()
+        grads, g2 = kernel.gradients(u, problem.eps)
+        grads = [d[kernel.cells] for d in grads]
+        g2 = g2[kernel.cells]
         # powers only where g > 0 (g2^((p-4)/2) is infinite on flat cells,
         # which get weight 0, or g^0 = 1 in the quadratic energy at p = 2)
         pos = g2 > 0.0

@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import HypothesisViolation, ResolutionError
 from .fitting import ApproachPath, LimitReport, fit_limit
-from .geometry import kappa_exponent, sphere_area
+from .geometry import dist2, kappa_exponent, sphere_area
 from .grid import EvaluationGrid, _as_vec
 from .measures import Measure
 from .penergy import (PEnergyProblem, affine_fill, minimize_p_energy,
@@ -85,7 +85,7 @@ class FundamentalSolution:
 
     def __call__(self, points):
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        d = np.sqrt(((pts - np.asarray(self.x0)) ** 2).sum(axis=1))
+        d = np.sqrt(dist2(pts, self.x0))
         out = self.radial(d)
         return out if np.asarray(points).ndim > 1 else float(out[0])
 

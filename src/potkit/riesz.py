@@ -62,13 +62,13 @@ class RieszParams:
         return self.alpha == n
 
 
-def _kernel(dist, alpha: float, n: int, D):
+def _kernel(dist, alpha: float, n: int, D, out=None):
     dist = np.asarray(dist, dtype=float)
     with np.errstate(divide="ignore"):
         if alpha == n:
-            out = np.log(D / dist)
+            out = np.log(np.divide(D, dist, out=out), out=out)
         else:
-            out = dist ** (alpha - n)
+            out = np.power(dist, alpha - n, out=out)
     return out if out.ndim else float(out)
 
 

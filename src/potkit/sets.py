@@ -18,7 +18,7 @@ import numpy as np
 from scipy.special import ndtri
 from scipy.stats import qmc
 
-from .geometry import sphere_area
+from .geometry import dist2, sphere_area
 from .grid import EvaluationGrid, _as_vec
 
 _SEGMENT_SAMPLES = 2048
@@ -141,7 +141,7 @@ class BallUnion(ParametricSet):
         pts = _as_points(points, self.dim)
         out = np.zeros(pts.shape[0], dtype=bool)
         for c, r in zip(self.centers, self.radii):
-            out |= ((pts - c) ** 2).sum(axis=1) <= r * r
+            out |= dist2(pts, c) <= r * r
         return out
 
     def sample_points(self, pitch: float) -> np.ndarray:
@@ -151,7 +151,7 @@ class BallUnion(ParametricSet):
                 chunks.append(c[None, :])
                 continue
             cand = _lattice(c - r, c + r, pitch)
-            keep = ((cand - c) ** 2).sum(axis=1) <= r * r
+            keep = dist2(cand, c) <= r * r
             sel = cand[keep]
             chunks.append(sel if sel.shape[0] else c[None, :])
         return _dedupe(np.concatenate(chunks, axis=0))
@@ -164,7 +164,7 @@ class BallUnion(ParametricSet):
         for c, r in zip(self.centers, self.radii):
             t = 0.0 if dd == 0.0 else float(np.clip((c - a) @ d / dd, 0.0, 1.0))
             nearest = a + t * d
-            if ((nearest - c) ** 2).sum() <= r * r:
+            if dist2(nearest, c) <= r * r:
                 return True
         return False
 
@@ -329,7 +329,7 @@ class Sphere(ParametricSet):
 
     def contains(self, points) -> np.ndarray:
         pts = _as_points(points, self.dim)
-        d = np.sqrt(((pts - self.center) ** 2).sum(axis=1))
+        d = np.sqrt(dist2(pts, self.center))
         return np.abs(d - self.radius) <= 1e-12 * self.radius
 
     def sample_points(self, pitch: float) -> np.ndarray:
@@ -485,7 +485,7 @@ class RestrictedSet(ParametricSet):
         return lo, np.maximum(hi, lo)
 
     def _in_shell(self, pts) -> np.ndarray:
-        d2 = ((pts - self.center) ** 2).sum(axis=1)
+        d2 = dist2(pts, self.center)
         return (d2 >= self.r_in ** 2) & (d2 <= self.r_out ** 2)
 
     def contains(self, points) -> np.ndarray:

@@ -6,8 +6,9 @@ import math
 import numpy as np
 import pytest
 
-from potkit.capacity import (BallDomain, BoxDomain, condenser_capacity,
-                             p_capacity, riesz_capacity)
+from potkit.capacity import (BallDomain, BoxDomain, _riesz_kernel_matrix,
+                             condenser_capacity, p_capacity, riesz_capacity)
+from potkit.riesz import _ball_average, _kernel
 from potkit.sets import BallUnion, BoxUnion, Sphere, segment_set
 
 LAMBDAS = (0.25, 0.5, 2.0)
@@ -67,3 +68,29 @@ def test_riesz_capacity_scales_by_lambda_to_n_minus_alpha(K, alpha, h):
         factor = lam ** (n - alpha)
         assert got.value == pytest.approx(factor * base.value, rel=1e-9)
         assert got.lower == pytest.approx(factor * base.lower, rel=1e-9)
+
+
+def _broadcast_kernel_matrix(x, y, alpha, n, diam, r_moll):
+    """The kernel matrix through the (len(x), len(y), n) difference
+    array."""
+    d = np.sqrt(np.maximum(
+        ((x[:, None, :] - y[None, :, :]) ** 2).sum(axis=2), 0.0))
+    k = _kernel(np.maximum(d, r_moll), alpha, n, diam)
+    return np.where(d < r_moll, _ball_average(r_moll, alpha, n, diam), k)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_riesz_kernel_matrix_equals_broadcast_form(n):
+    # equal to the bit at alpha < n and alpha = n, with pairs closer than
+    # the mollifier radius and coincident points
+    rng = np.random.default_rng(20 + n)
+    x = rng.uniform(-0.5, 0.5, size=(60, n))
+    y = np.concatenate([x[:7], x[7:20] + 0.01 * rng.normal(size=(13, n)),
+                        rng.uniform(-0.5, 0.5, size=(25, n))])
+    r_moll = 0.05
+    d = np.sqrt(((x[:, None, :] - y[None, :, :]) ** 2).sum(axis=2))
+    assert np.any(d == 0.0) and np.any((d > 0.0) & (d < r_moll))
+    for alpha in (1.5, n - 0.25, float(n)):
+        got = _riesz_kernel_matrix(x, y, alpha, n, 2.0, r_moll)
+        assert np.array_equal(
+            got, _broadcast_kernel_matrix(x, y, alpha, n, 2.0, r_moll))

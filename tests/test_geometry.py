@@ -1,4 +1,5 @@
-"""Closed-form sphere/ball constants and kernel exponents."""
+"""Closed-form sphere/ball constants, kernel exponents and squared
+distances."""
 
 import math
 
@@ -9,6 +10,7 @@ from potkit.geometry import (
     ball_intersection_fraction,
     ball_volume,
     cap_area_fraction,
+    dist2,
     kappa_exponent,
     sphere_area,
 )
@@ -82,3 +84,16 @@ def test_ball_intersection_fraction_near_the_first_touch():
     for t in (1e-7, 1e-4, 0.1):
         assert ball_intersection_fraction(s, s, t, 3) == pytest.approx(
             t * t / (4.0 * s * s), rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 7])
+def test_dist2_equals_summed_squares(n):
+    # equal to the bit: pairs of point sets, one point against many, one
+    # point against one, and coincident points
+    rng = np.random.default_rng(n)
+    a = rng.normal(size=(300, n)) * np.exp(5.0 * rng.normal(size=(300, 1)))
+    b = np.concatenate([a[:5], rng.normal(size=(35, n))])
+    for x, y in [(a[:, None, :], b[None, :, :]), (a, b[7]), (b[7], a),
+                 (a, a)] + [(a[i], b[i % 40]) for i in range(0, 300, 7)]:
+        assert np.array_equal(dist2(x, y), ((x - y) ** 2).sum(axis=-1))
+    assert np.count_nonzero(dist2(a[:, None, :], b[None, :, :]) == 0.0) >= 5

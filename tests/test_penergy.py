@@ -1,9 +1,11 @@
-"""p-energy minimization: the frozen-pattern Newton Hessian against a
+"""p-energy minimization: the flat-array energy kernel against the
+cell-shaped reference, the frozen-pattern Newton Hessian against a
 reference assembly, the Newton polish, the iteration cap, and the
 boundary data of the Dirichlet cascade."""
 
 import math
 import warnings
+from dataclasses import replace
 from functools import reduce
 
 import numpy as np
@@ -16,9 +18,134 @@ from potkit.capacity import BallDomain, p_capacity
 from potkit.errors import ResolutionError
 from potkit.grid import EvaluationGrid
 from potkit.penergy import (PEnergyProblem, _FrozenHessian, affine_fill,
-                            cell_gradient, minimize_p_energy, newton_polish)
+                            minimize_p_energy, newton_polish)
 from potkit.plaplace import solve_p_dirichlet
 from potkit.sets import BallUnion
+
+
+def cell_gradient(u: np.ndarray, h: float, axis: int) -> np.ndarray:
+    """Edge-averaged forward difference along one axis, in cell shape."""
+    g = np.diff(u, axis=axis) / h
+    for b in range(u.ndim):
+        if b == axis:
+            continue
+        sl0 = [slice(None)] * u.ndim
+        sl1 = [slice(None)] * u.ndim
+        sl0[b] = slice(None, -1)
+        sl1[b] = slice(1, None)
+        g = 0.5 * (g[tuple(sl0)] + g[tuple(sl1)])
+    return g
+
+
+def _adjoint_accumulate(w: np.ndarray, h: float, axis: int, out: np.ndarray):
+    """Adjoint of cell_gradient: scatter cell weights w back to nodes."""
+    t = w
+    n = out.ndim
+    for b in reversed(range(n)):
+        if b == axis:
+            continue
+        shape = list(t.shape)
+        shape[b] += 1
+        r = np.zeros(shape)
+        sl0 = [slice(None)] * n
+        sl1 = [slice(None)] * n
+        sl0[b] = slice(None, -1)
+        sl1[b] = slice(1, None)
+        r[tuple(sl0)] += 0.5 * t
+        r[tuple(sl1)] += 0.5 * t
+        t = r
+    sl0 = [slice(None)] * n
+    sl1 = [slice(None)] * n
+    sl0[axis] = slice(None, -1)
+    sl1[axis] = slice(1, None)
+    out[tuple(sl1)] += t / h
+    out[tuple(sl0)] -= t / h
+
+
+def _reference_energy_and_grad(problem, u):
+    """The energy and node gradient in cell shape, one temporary per
+    operation."""
+    grid, p = problem.grid, problem.p
+    n = grid.dim
+    hn = grid.cell_volume
+    grads = [cell_gradient(u, grid.h, a) for a in range(n)]
+    g2 = reduce(np.add, (d * d for d in grads))
+    if problem.eps > 0.0:
+        g2 = g2 + problem.eps ** 2
+    gp = g2 ** (p / 2.0)
+    energy = problem.coef * hn * float(gp.sum())
+    with np.errstate(divide="ignore"):
+        gpm2 = np.where(g2 > 0.0, g2 ** ((p - 2.0) / 2.0), 0.0)
+    node_grad = np.zeros_like(u)
+    for a in range(n):
+        _adjoint_accumulate(problem.coef * p * hn * gpm2 * grads[a],
+                            grid.h, a, node_grad)
+    if problem.load is not None:
+        energy -= float((problem.load * u).sum())
+        node_grad = node_grad - problem.load
+    return energy, node_grad
+
+
+def _random_problem(cells, p, eps=0.0, load=False, seed=5):
+    n = len(cells)
+    grid = EvaluationGrid.from_box((0.0,) * n, tuple(0.1 * c for c in cells),
+                                   0.1)
+    rng = np.random.default_rng(seed)
+    return PEnergyProblem(grid, p, grid.boundary_node_mask(),
+                          rng.normal(size=grid.node_shape),
+                          load=(rng.normal(size=grid.node_shape) if load
+                                else None),
+                          capacity_mode=not load, eps=eps)
+
+
+@pytest.mark.parametrize("cells", [(5, 7), (1, 6), (4, 1, 6), (3, 5, 4),
+                                   (3, 2, 4, 3), (2, 1, 2, 1)])
+@pytest.mark.parametrize("p", [1.5, 2.0, 2.5, 3.0])
+def test_energy_and_grad_equals_cell_shaped_reference(cells, p):
+    # the same float operations in the same order: equal to the bit,
+    # with nan where the reference has nan
+    rng = np.random.default_rng(len(cells) + int(4 * p))
+    for eps, load in [(0.0, False), (1e-3, False), (0.0, True),
+                      (1e-3, True)]:
+        problem = _random_problem(cells, p, eps, load)
+        shape = problem.grid.node_shape
+        spiked = rng.normal(size=shape)
+        spiked[tuple(s // 2 for s in shape)] = np.inf
+        for u in (rng.normal(size=shape), np.zeros(shape),
+                  np.round(rng.normal(size=shape)), spiked):
+            with np.errstate(all="ignore"):
+                energy, grad = problem.energy_and_grad(u)
+                ref_energy, ref_grad = _reference_energy_and_grad(problem, u)
+            assert np.array_equal(energy, ref_energy, equal_nan=True)
+            assert grad.shape == shape
+            assert np.array_equal(grad, ref_grad, equal_nan=True)
+
+
+def test_energy_and_grad_returns_fresh_arrays():
+    problem = _random_problem((4, 3, 5), 2.5, load=True)
+    rng = np.random.default_rng(1)
+    u1 = rng.normal(size=problem.grid.node_shape)
+    _, g1 = problem.energy_and_grad(u1)
+    kept = g1.copy()
+    _, g2 = problem.energy_and_grad(2.0 * u1)
+    assert not np.shares_memory(g1, g2)
+    assert np.array_equal(g1, kept)
+    assert not np.array_equal(g1, g2)
+
+
+def test_replaced_problem_builds_its_own_kernel():
+    problem = _random_problem((4, 3, 5), 1.5, eps=1e-3)
+    u = np.random.default_rng(2).normal(size=problem.grid.node_shape)
+    problem.energy_and_grad(u)
+    copy = replace(problem, eps=0.0)
+    assert copy._kernel is None
+    assert np.array_equal(copy.energy_and_grad(u)[1],
+                          _reference_energy_and_grad(copy, u)[1])
+    assert copy._kernel is not problem._kernel
+    # the kernel is neither shown nor compared
+    assert "_kernel" not in repr(copy) and copy == replace(copy)
+    assert np.array_equal(problem.energy_and_grad(u)[1],
+                          _reference_energy_and_grad(problem, u)[1])
 
 
 def _grad_operator(grid, axis):
