@@ -11,7 +11,10 @@ value, so the pair certifies the discretized program.
 
 The variational p-capacity of a compact K inside Omega is the minimum
 of sum over cells |grad u|^p h^n over grid functions with u = 1 on the
-nodes of cells meeting K and u = 0 outside Omega.
+nodes of cells meeting K and u = 0 outside Omega.  The solve runs on the
+smallest piece of the grid that its pinned data determine: it halves
+each axis along which the pinned nodes and values are mirror-symmetric,
+and the minimum over the piece, counted 2^k times, is the full one.
 """
 
 from __future__ import annotations
@@ -294,64 +297,68 @@ def p_capacity(K: ParametricSet, omega, p: float, h: float, *,
     starting keeps the fine-level iteration count low; it never changes
     the minimizer, only the path to it.
 
-    ``fold_center``: when K and Omega are mirror-symmetric about each
-    coordinate plane through this point, the solve runs on one orthant
-    only, with free nodes on the symmetry planes, and reports 2^n times
-    the orthant energy.  The full grid's unique minimizer is symmetric,
-    and its restriction satisfies exactly the orthant problem's
-    stationarity conditions, so the folded value equals the full one.
-    The caller is responsible for the symmetry.
+    The solve folds every mirror plane of its pinned data: each axis with
+    an even cell count whose fine-grid pinned mask and values equal their
+    flip along it.  Every cascade level keeps only the upper half of each
+    folded axis, with free nodes on the middle plane unless they are
+    pinned, and the energy counts 2^k copies of it.  The energy is convex
+    and invariant under the reflections, so a symmetric minimizer exists
+    and the folded minimum equals the full one.
+
+    ``fold_center``: a claim that K and Omega are mirror-symmetric about
+    each coordinate plane through this point; raises HypothesisViolation
+    when the point is not the middle of the domain box or an axis does
+    not fold.
     """
     if p <= 1.0:
         raise HypothesisViolation(f"p must exceed 1, got {p}")
     dom = _as_domain(omega)
-    factor = 1.0
-    fold = None
-    if fold_center is not None:
-        fold = _as_vec(fold_center, K.dim)
-        lo, hi = dom.box
-        if not np.allclose(fold - lo, hi - fold, rtol=1e-9, atol=1e-12):
-            raise HypothesisViolation(
-                "fold center must be the middle of the domain box")
-        factor = float(2 ** K.dim)
+    n = K.dim
 
-    def build(hh: float) -> PEnergyProblem:
-        if fold is None:
-            grid = dom.grid(hh)
-            zero = dom.zero_mask(grid)
-        else:
-            _lo, hi = dom.box
-            grid = EvaluationGrid.from_box(fold, hi, hh)
-            if isinstance(dom, BoxDomain):
-                # only the outer faces are Dirichlet; the faces through
-                # the fold center are symmetry planes and stay free
-                zero = np.zeros(grid.node_shape, bool)
-                for a in range(grid.dim):
-                    sl = [slice(None)] * grid.dim
-                    sl[a] = -1
-                    zero[tuple(sl)] = True
-            else:
-                zero = dom.zero_mask(grid)
+    def pinned(hh: float):
+        grid = dom.grid(hh)
         meets = K.meets_cells(grid)
         ones = scatter_cells_to_nodes(meets.astype(float), grid) > 0
-        fixed = zero | ones
-        vals = np.where(ones, 1.0, 0.0)
-        return PEnergyProblem(grid, p, fixed, vals, capacity_mode=True)
+        return grid, dom.zero_mask(grid) | ones, ones
+
+    fine = pinned(h)
+    axes = [a for a in range(n) if fine[0].cells[a] % 2 == 0
+            and all(np.array_equal(x, np.flip(x, a)) for x in fine[1:])]
+    if fold_center is not None:
+        lo, hi = dom.box
+        mid = _as_vec(fold_center, n)
+        if (not np.allclose(mid - lo, hi - mid, rtol=1e-9, atol=1e-12)
+                or len(axes) < n):
+            raise HypothesisViolation(
+                "K and Omega are not mirror-symmetric about fold_center "
+                "at this pitch")
+
+    def folded(grid, fixed, ones) -> PEnergyProblem:
+        cut = [grid.cells[a] // 2 if a in axes else 0 for a in range(n)]
+        sl = tuple(slice(c, None) for c in cut)
+        lo = tuple(v + grid.h * c for v, c in zip(grid.lo, cut))
+        half = EvaluationGrid(lo, grid.hi, tuple(
+            c - k for c, k in zip(grid.cells, cut)), grid.h)
+        prob = PEnergyProblem(half, p, fixed[sl],
+                              np.where(ones[sl], 1.0, 0.0), capacity_mode=True)
+        prob._mult = float(2 ** len(axes))
+        return prob
 
     # cascade levels, finest first: each coarse level halves the cell
     # counts of the one before it and still has free nodes
-    problems = [build(h)]
+    grid = fine[0]
+    problems = [folded(*fine)]
     while len(problems) < 4:
         try:
-            coarse = build(problems[-1].grid.h * 2)
+            coarse = pinned(grid.h * 2)
         except ValueError:
             break
-        cells = np.asarray(coarse.grid.cells)
-        if (coarse.grid.n_nodes < 5 ** coarse.grid.dim or np.any(cells % 2)
-                or not np.any(~coarse.fixed_mask)
-                or np.any(cells * 2 != np.asarray(problems[-1].grid.cells))):
+        cells = np.asarray(coarse[0].cells)
+        if (coarse[0].n_nodes < 5 ** n or np.any(cells % 2)
+                or np.all(coarse[1]) or np.any(cells * 2 != grid.cells)):
             break
-        problems.append(coarse)
+        grid = coarse[0]
+        problems.append(folded(*coarse))
     u = None
     info = None
     for prob in reversed(problems):
@@ -361,12 +368,11 @@ def p_capacity(K: ParametricSet, omega, p: float, h: float, *,
             u0 = np.clip(u0, 0.0, 1.0)
             u0[prob.fixed_mask] = prob.fixed_values[prob.fixed_mask]
         u, info = minimize_p_energy(prob, u0=u0)
-    value = factor * max(info.energy, 0.0)
-    return CapacityEstimate(value, "grid-variational", h,
+    return CapacityEstimate(max(info.energy, 0.0), "grid-variational", h,
                             iterations=info.iterations,
                             extras={"grad_norm": info.grad_norm,
                                     "levels": len(problems),
-                                    "folded": fold is not None})
+                                    "folded": len(axes)})
 
 
 def condenser_capacity(r: float, R: float, n: int, p: float) -> float:

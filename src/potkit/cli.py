@@ -190,6 +190,9 @@ def _run_riesz(args, outdir: str) -> int:
 
 
 def _run_capacity(args, outdir: str) -> int:
+    """The p task's optional ``fold_center`` is a checked claim: p_capacity
+    folds every mirror plane it finds and raises when the set and domain
+    are not mirror-symmetric about that point."""
     scene = _load(args)
     task = scene.task
     E = scene.set(_need(task, "set"))
@@ -199,9 +202,8 @@ def _run_capacity(args, outdir: str) -> int:
     if kind == "riesz":
         est = riesz_capacity(E, omega, float(_need(task, "alpha")), h)
     elif kind == "p":
-        fold = task.get("fold_center")
         est = p_capacity(E, omega, float(_need(task, "p")), h,
-                         fold_center=None if fold is None else fold)
+                         fold_center=task.get("fold_center"))
     else:
         raise SceneError(f"task/kind: expected 'riesz' or 'p', got {kind!r}")
     files = {"report.json": json_text({

@@ -118,6 +118,9 @@ class PEnergyProblem:
     eps: float = 0.0
     _kernel: _CellKernel | None = field(default=None, init=False,
                                         repr=False, compare=False)
+    # mirror copies of this grid that the energy counts: p_capacity sets 2^k
+    # when it folds k axes, so L-BFGS stops on the whole grid's energy
+    _mult: float = field(default=1.0, init=False, repr=False)
 
     def __post_init__(self):
         if self.p <= 1.0:
@@ -132,7 +135,7 @@ class PEnergyProblem:
 
     @property
     def coef(self) -> float:
-        return 1.0 if self.capacity_mode else 1.0 / self.p
+        return self._mult * (1.0 if self.capacity_mode else 1.0 / self.p)
 
     def full(self, free_values: np.ndarray) -> np.ndarray:
         u = self.fixed_values.copy()

@@ -7,7 +7,10 @@ to each primitive's own bounding box, so scaled copies of a set yield
 exactly scaled clouds), reports which grid cells it meets, and supports
 segment-intersection queries.  Segment and cell tests are exact for
 balls, boxes and spheres; the cusp kind falls back to dense sampling
-and says so in its docstring.
+and says so in its docstring.  A cell that touches a ball or a sphere
+meets it: cell tests compare squared radii with a relative slack of
+1e-12, so round-off in the cell corners lo + h i never decides a tie
+and the marks of a mirror-symmetric set are mirror-symmetric.
 """
 
 from __future__ import annotations
@@ -188,7 +191,7 @@ class BallUnion(ParametricSet):
                 sh = [1] * self.dim
                 sh[a] = term.size
                 d2 = d2 + term.reshape(sh)
-            sub = d2 <= r * r
+            sub = d2 <= r * r * (1.0 + 1e-12)
             mask[tuple(np.ix_(*axes))] |= sub
         return mask
 
@@ -353,7 +356,7 @@ class Sphere(ParametricSet):
     def meets_cells(self, grid: EvaluationGrid) -> np.ndarray:
         d2min, d2max = _cell_dist2_range(grid, self.center)
         r2 = self.radius ** 2
-        return (d2min <= r2) & (d2max >= r2)
+        return (d2min <= r2 * (1.0 + 1e-12)) & (d2max >= r2 * (1.0 - 1e-12))
 
     def scaled(self, lam: float) -> "Sphere":
         return Sphere(self.center * lam, self.radius * lam)
@@ -501,7 +504,8 @@ class RestrictedSet(ParametricSet):
     def meets_cells(self, grid: EvaluationGrid) -> np.ndarray:
         mask = self.base.meets_cells(grid)
         d2min, d2max = _cell_dist2_range(grid, self.center)
-        return mask & (d2min <= self.r_out ** 2) & (d2max >= self.r_in ** 2)
+        return (mask & (d2min <= self.r_out ** 2 * (1.0 + 1e-12))
+                & (d2max >= self.r_in ** 2 * (1.0 - 1e-12)))
 
 
 def cantor_dust(depth: int, dim: int = 3, axis: int = 0) -> BoxUnion:

@@ -192,8 +192,7 @@ def _check_condenser(profile: str, seed: int) -> CheckResult:
     h = 1.0 / 96.0 if profile == "full" else 1.0 / 48.0
     tol = 0.05 if profile == "full" else 0.15
     est = p_capacity(BallUnion([np.zeros(n)], [r]),
-                     BallDomain((0.0,) * n, R), p, h,
-                     fold_center=np.zeros(n))
+                     BallDomain((0.0,) * n, R), p, h)
     exact = condenser_capacity(r, R, n, p)
     return _finish(
         "condenser",

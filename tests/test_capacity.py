@@ -1,13 +1,19 @@
 """Closed-form capacity of the spherical condenser, and the exact
 scaling of the discrete p- and Riesz capacities."""
 
+import functools
 import math
 
 import numpy as np
 import pytest
 
-from potkit.capacity import (BallDomain, BoxDomain, _riesz_kernel_matrix,
-                             condenser_capacity, p_capacity, riesz_capacity)
+from potkit import capacity
+from potkit.capacity import (BallDomain, BoxDomain, ShellDomain,
+                             _riesz_kernel_matrix, condenser_capacity,
+                             p_capacity, riesz_capacity)
+from potkit.errors import HypothesisViolation
+from potkit.penergy import (PEnergyProblem, minimize_p_energy,
+                            scatter_cells_to_nodes)
 from potkit.riesz import _ball_average, _kernel
 from potkit.sets import BallUnion, BoxUnion, Sphere, segment_set
 
@@ -51,6 +57,49 @@ def test_p_capacity_scales_by_lambda_to_n_minus_p(K, omega, p, h):
     for lam in LAMBDAS:
         got = p_capacity(K.scaled(lam), omega.scaled(lam), p, lam * h).value
         assert got == pytest.approx(lam ** (K.dim - p) * base, rel=1e-9)
+
+
+def _unfolded_capacity(K, omega, p, h):
+    """The whole grid's minimum energy, Newton-polished, without a fold."""
+    grid = omega.grid(h)
+    ones = scatter_cells_to_nodes(K.meets_cells(grid).astype(float), grid) > 0
+    problem = PEnergyProblem(grid, p, omega.zero_mask(grid) | ones,
+                             np.where(ones, 1.0, 0.0), capacity_mode=True)
+    return minimize_p_energy(problem, polish="newton")[1].energy
+
+
+# a ball on e_1 in a shell folds y and z; in a box the fold keeps the
+# symmetry plane free, since only the outer faces are pinned
+@pytest.mark.parametrize("K, omega, p, h, axes", [
+    (BallUnion([[1.0, 0.0, 0.0]], [0.25]), ShellDomain((0.0,) * 3, 0.5, 2.0),
+     2.5, 1 / 4, 2),
+    (BallUnion([[0.3, 0.0]], [0.25]), BoxDomain((-1.0, -1.0), (1.0, 1.0)),
+     1.5, 1 / 16, 1),
+    (BallUnion([[0.3, 0.2]], [0.25]), BallDomain((0.0, 0.0), 1.0), 2.0,
+     1 / 16, 0),
+    (BallUnion([np.zeros(3)], [0.25]), BallDomain((0.0,) * 3, 1.0), 2.5,
+     1 / 8, 3),
+], ids=["shell-e1", "box-partial", "asymmetric", "condenser"])
+def test_folded_capacity_equals_unfolded(monkeypatch, K, omega, p, h, axes):
+    monkeypatch.setattr(capacity, "minimize_p_energy",
+                        functools.partial(minimize_p_energy, polish="newton"))
+    est = p_capacity(K, omega, p, h)
+    assert est.extras["folded"] == axes
+    assert est.value == pytest.approx(_unfolded_capacity(K, omega, p, h),
+                                      rel=1e-12)
+
+
+def test_fold_center_is_a_checked_claim():
+    ball = BallDomain((0.0,) * 3, 1.0)
+    off = BallUnion([[0.3, 0.0, 0.0]], [0.2])
+    # folding x as well gave 9.766 here, against 5.939 unfolded
+    with pytest.raises(HypothesisViolation):
+        p_capacity(off, ball, 2.5, 1 / 16, fold_center=np.zeros(3))
+    centred = BallUnion([np.zeros(3)], [0.25])
+    with pytest.raises(HypothesisViolation):
+        p_capacity(centred, ball, 2.5, 1 / 8, fold_center=[0.25, 0.0, 0.0])
+    claimed = p_capacity(centred, ball, 2.5, 1 / 8, fold_center=np.zeros(3))
+    assert claimed.value == p_capacity(centred, ball, 2.5, 1 / 8).value
 
 
 @pytest.mark.parametrize("K, alpha, h", [

@@ -285,8 +285,7 @@ def test_iteration_cap_raises(monkeypatch):
     assert info.grad_norm < 1e-12
     with pytest.raises(ResolutionError):
         p_capacity(BallUnion([np.zeros(3)], [0.25]),
-                   BallDomain((0.0,) * 3, 1.0), 2.5, 1.0 / 12.0,
-                   fold_center=np.zeros(3))
+                   BallDomain((0.0,) * 3, 1.0), 2.5, 1.0 / 12.0)
 
 
 def _pole_data(pts):

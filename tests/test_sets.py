@@ -52,6 +52,22 @@ def test_meets_cells_symmetric_for_centered_ball():
     assert np.array_equal(mask, mask.T)
 
 
+# every radius is a whole number of cells, so cells touch the spheres
+# exactly; touching counts as meeting whatever the round-off in lo + h i
+@pytest.mark.parametrize("E", [
+    BallUnion([np.zeros(3)], [0.25]),
+    BallUnion([np.zeros(3)], [0.75]),
+    Sphere(np.zeros(3), 0.25),
+    Sphere(np.zeros(3), 0.5),
+    RestrictedSet(BallUnion([np.zeros(3)], [0.75]), np.zeros(3), 0.25, 0.5),
+], ids=["ball-0.25", "ball-0.75", "sphere-0.25", "sphere-0.5", "restricted"])
+def test_cell_marks_of_touching_sets_equal_their_flips(E):
+    grid = EvaluationGrid.from_box((-1.0,) * 3, (1.0,) * 3, 1.0 / 12.0)
+    mask = E.meets_cells(grid)
+    for axis in range(3):
+        assert np.array_equal(mask, np.flip(mask, axis))
+
+
 def test_segment_hits_ball():
     E = BallUnion([[1.0, 0.0, 0.0]], [0.25])
     assert E.segment_hits(np.zeros(3), np.array([2.0, 0.0, 0.0]))
