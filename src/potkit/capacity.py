@@ -31,7 +31,7 @@ from .grid import EvaluationGrid, _as_vec
 from .penergy import (PEnergyProblem, minimize_p_energy, refine_nodes,
                       scatter_cells_to_nodes)
 from .riesz import _ball_average, _kernel
-from .sets import ParametricSet, RestrictedSet, Sphere
+from .sets import TIE_REL_TOL, ParametricSet, RestrictedSet, Sphere
 
 
 # ---------------------------------------------------------------------------
@@ -102,7 +102,7 @@ class BallDomain(Domain):
 
     def zero_mask(self, grid: EvaluationGrid) -> np.ndarray:
         d2 = grid.node_dist2(np.asarray(self.center))
-        return d2 >= self.radius ** 2 * (1.0 - 1e-12)
+        return d2 >= self.radius ** 2 * (1.0 - TIE_REL_TOL)
 
     @property
     def box(self):
@@ -130,8 +130,8 @@ class ShellDomain(Domain):
 
     def zero_mask(self, grid: EvaluationGrid) -> np.ndarray:
         d2 = grid.node_dist2(np.asarray(self.center))
-        outside = d2 >= self.r_out ** 2 * (1.0 - 1e-12)
-        inside = d2 <= self.r_in ** 2 * (1.0 + 1e-12)
+        outside = d2 >= self.r_out ** 2 * (1.0 - TIE_REL_TOL)
+        inside = d2 <= self.r_in ** 2 * (1.0 + TIE_REL_TOL)
         return outside | inside
 
     @property
@@ -339,10 +339,9 @@ def p_capacity(K: ParametricSet, omega, p: float, h: float, *,
         lo = tuple(v + grid.h * c for v, c in zip(grid.lo, cut))
         half = EvaluationGrid(lo, grid.hi, tuple(
             c - k for c, k in zip(grid.cells, cut)), grid.h)
-        prob = PEnergyProblem(half, p, fixed[sl],
-                              np.where(ones[sl], 1.0, 0.0), capacity_mode=True)
-        prob._mult = float(2 ** len(axes))
-        return prob
+        return PEnergyProblem(half, p, fixed[sl],
+                              np.where(ones[sl], 1.0, 0.0), capacity_mode=True,
+                              _mult=float(2 ** len(axes)))
 
     # cascade levels, finest first: each coarse level halves the cell
     # counts of the one before it and still has free nodes

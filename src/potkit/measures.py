@@ -216,15 +216,6 @@ class AtomicMeasure(Measure):
         self._loc = locations
         self._mass = masses
 
-    @classmethod
-    def _distinct(cls, locations, masses) -> "AtomicMeasure":
-        """The measure of finite, pairwise distinct (k, n) locations and
-        finite nonnegative masses, taken as given: for callers that hold
-        all of this by construction, without the sort that checks it."""
-        mu = cls.__new__(cls)
-        mu._loc, mu._mass = locations, masses
-        return mu
-
     @property
     def dim(self) -> int:
         return self._loc.shape[1]
@@ -411,8 +402,8 @@ class GridMeasure(Measure):
         self._grid = grid
         self._density = density
         loaded = density > 0
-        self._centers = AtomicMeasure._distinct(
-            grid.cell_center_points(loaded), density[loaded] * grid.cell_volume)
+        self._centers = AtomicMeasure(grid.cell_center_points(loaded),
+                                      density[loaded] * grid.cell_volume)
 
     @property
     def dim(self) -> int:

@@ -118,9 +118,10 @@ class PEnergyProblem:
     eps: float = 0.0
     _kernel: _CellKernel | None = field(default=None, init=False,
                                         repr=False, compare=False)
-    # mirror copies of this grid that the energy counts: p_capacity sets 2^k
-    # when it folds k axes, so L-BFGS stops on the whole grid's energy
-    _mult: float = field(default=1.0, init=False, repr=False)
+    # mirror copies of this grid that the energy counts: p_capacity passes
+    # 2^k when it folds k axes, so L-BFGS stops on the whole grid's energy;
+    # an init field, so dataclasses.replace keeps it
+    _mult: float = field(default=1.0, repr=False)
 
     def __post_init__(self):
         if self.p <= 1.0:

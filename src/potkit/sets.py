@@ -8,9 +8,10 @@ exactly scaled clouds), reports which grid cells it meets, and supports
 segment-intersection queries.  Segment and cell tests are exact for
 balls, boxes and spheres; the cusp kind falls back to dense sampling
 and says so in its docstring.  A cell that touches a ball or a sphere
-meets it: cell tests compare squared radii with a relative slack of
-1e-12, so round-off in the cell corners lo + h i never decides a tie
-and the marks of a mirror-symmetric set are mirror-symmetric.
+meets it: cell tests compare squared radii with the relative slack
+``TIE_REL_TOL``, so round-off in the cell corners lo + h i never
+decides a tie and the marks of a mirror-symmetric set are
+mirror-symmetric.
 """
 
 from __future__ import annotations
@@ -25,6 +26,9 @@ from .geometry import dist2, sphere_area
 from .grid import EvaluationGrid, _as_vec
 
 _SEGMENT_SAMPLES = 2048
+# relative slack of every ball and sphere tie: cell marks here and the
+# domain masks of ``capacity``
+TIE_REL_TOL = 1e-12
 
 
 def _as_points(pts, n):
@@ -191,7 +195,7 @@ class BallUnion(ParametricSet):
                 sh = [1] * self.dim
                 sh[a] = term.size
                 d2 = d2 + term.reshape(sh)
-            sub = d2 <= r * r * (1.0 + 1e-12)
+            sub = d2 <= r * r * (1.0 + TIE_REL_TOL)
             mask[tuple(np.ix_(*axes))] |= sub
         return mask
 
@@ -313,7 +317,7 @@ def sphere_directions(dim: int, count: int) -> np.ndarray:
 
 class Sphere(ParametricSet):
     """Sphere |x - center| = radius, with a relative thickness band of
-    1e-12 for containment queries."""
+    ``TIE_REL_TOL`` for containment queries."""
 
     def __init__(self, center, radius):
         self.center = _as_vec(center)
@@ -333,7 +337,7 @@ class Sphere(ParametricSet):
     def contains(self, points) -> np.ndarray:
         pts = _as_points(points, self.dim)
         d = np.sqrt(dist2(pts, self.center))
-        return np.abs(d - self.radius) <= 1e-12 * self.radius
+        return np.abs(d - self.radius) <= TIE_REL_TOL * self.radius
 
     def sample_points(self, pitch: float) -> np.ndarray:
         area = sphere_area(self.dim) * self.radius ** (self.dim - 1)
@@ -351,12 +355,13 @@ class Sphere(ParametricSet):
         f = [float(a @ a) - r2, float(b @ b) - r2,
              float((a + t_star * d) @ (a + t_star * d)) - r2]
         fmin, fmax = min(f), max(f)
-        return fmin <= 1e-12 * r2 and fmax >= -1e-12 * r2
+        return fmin <= TIE_REL_TOL * r2 and fmax >= -TIE_REL_TOL * r2
 
     def meets_cells(self, grid: EvaluationGrid) -> np.ndarray:
         d2min, d2max = _cell_dist2_range(grid, self.center)
         r2 = self.radius ** 2
-        return (d2min <= r2 * (1.0 + 1e-12)) & (d2max >= r2 * (1.0 - 1e-12))
+        return ((d2min <= r2 * (1.0 + TIE_REL_TOL))
+                & (d2max >= r2 * (1.0 - TIE_REL_TOL)))
 
     def scaled(self, lam: float) -> "Sphere":
         return Sphere(self.center * lam, self.radius * lam)
@@ -504,8 +509,8 @@ class RestrictedSet(ParametricSet):
     def meets_cells(self, grid: EvaluationGrid) -> np.ndarray:
         mask = self.base.meets_cells(grid)
         d2min, d2max = _cell_dist2_range(grid, self.center)
-        return (mask & (d2min <= self.r_out ** 2 * (1.0 + 1e-12))
-                & (d2max >= self.r_in ** 2 * (1.0 - 1e-12)))
+        return (mask & (d2min <= self.r_out ** 2 * (1.0 + TIE_REL_TOL))
+                & (d2max >= self.r_in ** 2 * (1.0 - TIE_REL_TOL)))
 
 
 def cantor_dust(depth: int, dim: int = 3, axis: int = 0) -> BoxUnion:

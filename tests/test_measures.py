@@ -57,18 +57,6 @@ def test_atoms_must_be_distinct():
         AtomicMeasure([[0.0, 0.0], [1.0, 0.5], [0.0, 0.0]], [1.0, 2.0, 3.0])
 
 
-def test_grid_centres_are_the_checked_atomic_measure():
-    grid = EvaluationGrid.from_box((0.0, 0.0, 0.0), (1.0, 1.0, 1.0), 0.25)
-    density = np.random.default_rng(3).random(grid.cell_shape)
-    density[1, 2, 3] = 0.0
-    loaded = density > 0
-    checked = AtomicMeasure(grid.cell_center_points(loaded),
-                            density[loaded] * grid.cell_volume)
-    centres = GridMeasure(grid, density)._centers
-    assert np.array_equal(centres.locations, checked.locations)
-    assert np.array_equal(centres.masses, checked.masses)
-
-
 def test_total_mass_uniform_grid_density():
     grid = EvaluationGrid.from_box((0.0, 0.0), (1.0, 1.0), 0.1)
     mu = GridMeasure(grid, np.ones(grid.cell_shape))

@@ -148,6 +148,19 @@ def test_replaced_problem_builds_its_own_kernel():
                           _reference_energy_and_grad(problem, u)[1])
 
 
+def test_replace_keeps_the_mirror_multiplicity():
+    # a folded capacity problem counts 2^k mirror copies of its grid;
+    # a replaced copy must count them too, to the bit
+    unit = _random_problem((4, 3, 5), 1.5, eps=1e-3)
+    folded = replace(unit, _mult=4.0)
+    copy = replace(folded, eps=0.0)
+    assert copy._mult == 4.0 and copy.coef == 4.0 * unit.coef
+    u = np.random.default_rng(2).normal(size=unit.grid.node_shape)
+    e1, g1 = replace(unit, eps=0.0).energy_and_grad(u)
+    e4, g4 = copy.energy_and_grad(u)
+    assert e4 == 4.0 * e1 and np.array_equal(g4, 4.0 * g1)
+
+
 def _grad_operator(grid, axis):
     """Sparse cell-gradient operator along one axis (matches
     cell_gradient): difference / h along axis, mean over the others."""
