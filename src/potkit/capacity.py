@@ -28,7 +28,7 @@ from .errors import HypothesisViolation, ResolutionError
 from .fitting import loglog_slope
 from .geometry import dist2, kappa_exponent, sphere_area
 from .grid import EvaluationGrid, _as_vec
-from .penergy import (PEnergyProblem, minimize_p_energy, refine_nodes,
+from .penergy import (PEnergyProblem, minimize_p_energy,
                       scatter_cells_to_nodes)
 from .riesz import _ball_average, _kernel
 from .sets import TIE_REL_TOL, ParametricSet, RestrictedSet, Sphere
@@ -144,14 +144,6 @@ class ShellDomain(Domain):
                            lam * self.r_in, lam * self.r_out)
 
 
-def _as_domain(omega) -> Domain:
-    if isinstance(omega, Domain):
-        return omega
-    lo, hi = omega
-    return BoxDomain(tuple(np.atleast_1d(np.asarray(lo, float))),
-                     tuple(np.atleast_1d(np.asarray(hi, float))))
-
-
 # ---------------------------------------------------------------------------
 # estimates
 
@@ -218,7 +210,7 @@ def _decimate_sites(points: np.ndarray, cap: int) -> np.ndarray:
     return pts
 
 
-def riesz_capacity(E: ParametricSet, omega, alpha: float,
+def riesz_capacity(E: ParametricSet, omega: Domain, alpha: float,
                    h: float) -> CapacityEstimate:
     """Discretized Riesz capacity of E in Omega with certificates.
 
@@ -230,39 +222,32 @@ def riesz_capacity(E: ParametricSet, omega, alpha: float,
     ``EQ_TOL`` of 1; the fixed point has potential 1 on every charged
     site.
     """
-    dom = _as_domain(omega)
     n = E.dim
     if not 1.0 < alpha <= n:
         raise HypothesisViolation(f"alpha must lie in (1, n], got {alpha}")
-    lo, hi = dom.box
+    lo, hi = omega.box
     elo, ehi = E.bounding_box()
     if np.any(elo < lo - 1e-9) or np.any(ehi > hi + 1e-9):
         raise HypothesisViolation("E must be contained in Omega")
-    diam = dom.diameter
+    diam = omega.diameter
     sites = E.sample_points(h)
     if len(sites) == 0:
         return CapacityEstimate(0.0, "LP-discrete", h, lower=0.0, upper=0.0)
     sites = _decimate_sites(sites, _SITE_CAP)
-    fine = E.sample_points(h / 2.0)
-    if len(fine) > 12 * _SITE_CAP:
-        fine = _decimate_sites(fine, 12 * _SITE_CAP)
+    fine = _decimate_sites(E.sample_points(h / 2.0), 12 * _SITE_CAP)
     r_moll = 0.5 * h
     K = _riesz_kernel_matrix(sites, sites, alpha, n, diam, r_moll)
     m = np.full(len(sites), 1.0 / max(K.sum(axis=1).max(), 1e-300))
-    converged = False
-    it = 0
     for it in range(1, EQ_MAX_ITER + 1):
         pot = K @ m
         if np.max(np.abs(pot - 1.0)) <= EQ_TOL:
-            converged = True
             break
         m = m / np.maximum(pot, 1e-300)
-    if not converged:
-        pot = K @ m
-        if np.max(np.abs(pot - 1.0)) > 100 * EQ_TOL:
-            raise ResolutionError(
-                "equilibrium iteration did not converge; the resolution "
-                "is too coarse for this set")
+    site_pot = K @ m
+    if np.max(np.abs(site_pot - 1.0)) > 100 * EQ_TOL:
+        raise ResolutionError(
+            "equilibrium iteration did not converge; the resolution "
+            "is too coarse for this set")
     # fine-sample potentials in row blocks; the full kernel block would
     # not fit in memory at production site counts
     fine_lo, fine_hi = math.inf, -math.inf
@@ -271,7 +256,6 @@ def riesz_capacity(E: ParametricSet, omega, alpha: float,
                                      alpha, n, diam, r_moll) @ m
         fine_lo = min(fine_lo, float(block.min()))
         fine_hi = max(fine_hi, float(block.max()))
-    site_pot = K @ m
     min_pot = float(min(fine_lo, site_pot.min()))
     if min_pot <= 0:
         raise ResolutionError("potential vanished on a constraint point")
@@ -288,13 +272,16 @@ def riesz_capacity(E: ParametricSet, omega, alpha: float,
 # variational p-capacity
 
 
-def p_capacity(K: ParametricSet, omega, p: float, h: float, *,
+def p_capacity(K: ParametricSet, omega: Domain, p: float, h: float, *,
                fold_center=None) -> CapacityEstimate:
     """Variational p-capacity of K in Omega at grid pitch h.
 
     Minimizes the cell p-energy with u pinned to 1 on nodes of cells
-    meeting K and to 0 outside the open region.  Coarse-to-fine warm
-    starting keeps the fine-level iteration count low; it never changes
+    meeting K and to 0 outside the open region.  Up to three coarser
+    levels (pitch 2h, 4h, 8h, while each has an even cell count on every
+    axis, at least 5^n nodes and a free node) warm-start the fine level
+    through :func:`~potkit.penergy.minimize_p_energy`'s cascade, which
+    starts every finer level inside [0, 1]; the warm start never changes
     the minimizer, only the path to it.
 
     The solve folds every mirror plane of its pinned data: each axis with
@@ -312,20 +299,19 @@ def p_capacity(K: ParametricSet, omega, p: float, h: float, *,
     """
     if p <= 1.0:
         raise HypothesisViolation(f"p must exceed 1, got {p}")
-    dom = _as_domain(omega)
     n = K.dim
 
     def pinned(hh: float):
-        grid = dom.grid(hh)
+        grid = omega.grid(hh)
         meets = K.meets_cells(grid)
         ones = scatter_cells_to_nodes(meets.astype(float), grid) > 0
-        return grid, dom.zero_mask(grid) | ones, ones
+        return grid, omega.zero_mask(grid) | ones, ones
 
     fine = pinned(h)
     axes = [a for a in range(n) if fine[0].cells[a] % 2 == 0
             and all(np.array_equal(x, np.flip(x, a)) for x in fine[1:])]
     if fold_center is not None:
-        lo, hi = dom.box
+        lo, hi = omega.box
         mid = _as_vec(fold_center, n)
         if (not np.allclose(mid - lo, hi - mid, rtol=1e-9, atol=1e-12)
                 or len(axes) < n):
@@ -340,37 +326,27 @@ def p_capacity(K: ParametricSet, omega, p: float, h: float, *,
         half = EvaluationGrid(lo, grid.hi, tuple(
             c - k for c, k in zip(grid.cells, cut)), grid.h)
         return PEnergyProblem(half, p, fixed[sl],
-                              np.where(ones[sl], 1.0, 0.0), capacity_mode=True,
-                              _mult=float(2 ** len(axes)))
+                              np.where(ones[sl], 1.0, 0.0),
+                              coef=float(2 ** len(axes)))
 
-    # cascade levels, finest first: each coarse level halves the cell
-    # counts of the one before it and still has free nodes
-    grid = fine[0]
-    problems = [folded(*fine)]
-    while len(problems) < 4:
+    # coarse levels, coarsest first: each halves the cell counts of the
+    # level above it (from_box raises when 2h does not divide the box)
+    coarse = []
+    while len(coarse) < 3:
         try:
-            coarse = pinned(grid.h * 2)
+            level = pinned(h * 2 ** (len(coarse) + 1))
         except ValueError:
             break
-        cells = np.asarray(coarse[0].cells)
-        if (coarse[0].n_nodes < 5 ** n or np.any(cells % 2)
-                or np.all(coarse[1]) or np.any(cells * 2 != grid.cells)):
+        grid, fixed, _ = level
+        if (grid.n_nodes < 5 ** n or np.any(np.asarray(grid.cells) % 2)
+                or np.all(fixed)):
             break
-        grid = coarse[0]
-        problems.append(folded(*coarse))
-    u = None
-    info = None
-    for prob in reversed(problems):
-        u0 = None
-        if u is not None:
-            u0 = refine_nodes(u)
-            u0 = np.clip(u0, 0.0, 1.0)
-            u0[prob.fixed_mask] = prob.fixed_values[prob.fixed_mask]
-        u, info = minimize_p_energy(prob, u0=u0)
+        coarse.insert(0, folded(*level))
+    _, info = minimize_p_energy(folded(*fine), coarse=coarse)
     return CapacityEstimate(max(info.energy, 0.0), "grid-variational", h,
                             iterations=info.iterations,
                             extras={"grad_norm": info.grad_norm,
-                                    "levels": len(problems),
+                                    "levels": len(coarse) + 1,
                                     "folded": len(axes)})
 
 

@@ -6,13 +6,21 @@ parallel to a.  The energy is
 
     E(u) = coef * sum over cells of |grad u|^p h^n  -  sum over nodes of w u,
 
-with coef = 1/p for measure-driven solves and coef = 1 (and w = 0) for
-capacity problems.  E is convex for every p > 1, so any descent to
-first-order stationarity finds the global minimizer subject to the
-pinned nodes.  Minimization is limited-memory quasi-Newton descent with
-an optional Newton polish: on grids small enough for a sparse direct
-solve, damped Newton steps with the exact Hessian (nested-dissection
-order, pattern built once per call) push the gradient to machine level.
+with coef = 1/p for measure-driven solves and, for a capacity problem
+(w = 0), the number of mirror copies of the grid that the energy stands
+for.  E is convex for every p > 1, so any descent to first-order
+stationarity finds the global minimizer subject to the pinned nodes.
+Minimization is limited-memory quasi-Newton descent with an optional
+Newton polish: on grids small enough for a sparse direct solve, damped
+Newton steps with the exact Hessian (nested-dissection order, pattern
+built once per call) push the gradient to machine level.
+
+One coarse-to-fine cascade serves every caller: ``minimize_p_energy``
+solves the coarser levels of a problem coarsest first and starts the
+free nodes of each finer level from the prolonged minimizer below it.
+Without a load that start is clipped to the range of the pinned values,
+which the continuum minimizer never leaves (the maximum principle) but
+a coarse grid minimizer can.
 
 Every solve runs at one setting: the descent stops at relative energy
 change ``REL_ENERGY_TOL`` within ``LBFGS_MAXITER`` iterations, and the
@@ -103,25 +111,22 @@ class _CellKernel:
 class PEnergyProblem:
     """Pinned-node p-energy problem on a grid.
 
-    ``fixed_mask``/``fixed_values`` pin Dirichlet nodes; ``load`` is the
-    per-node pairing weight (cell masses already distributed to nodes);
-    ``capacity_mode`` drops the 1/p factor and the load term.  ``eps``
-    regularizes the gradient magnitude for p < 2.
+    ``fixed_mask``/``fixed_values`` pin Dirichlet nodes; ``coef`` scales
+    the gradient term, 1/p or a capacity problem's mirror count;
+    ``load`` is the per-node pairing weight (cell masses already
+    distributed to nodes).  ``eps`` regularizes the gradient magnitude
+    for p < 2.
     """
 
     grid: EvaluationGrid
     p: float
     fixed_mask: np.ndarray
     fixed_values: np.ndarray
+    coef: float
     load: np.ndarray | None = None
-    capacity_mode: bool = False
     eps: float = 0.0
     _kernel: _CellKernel | None = field(default=None, init=False,
                                         repr=False, compare=False)
-    # mirror copies of this grid that the energy counts: p_capacity passes
-    # 2^k when it folds k axes, so L-BFGS stops on the whole grid's energy;
-    # an init field, so dataclasses.replace keeps it
-    _mult: float = field(default=1.0, repr=False)
 
     def __post_init__(self):
         if self.p <= 1.0:
@@ -133,10 +138,6 @@ class PEnergyProblem:
             raise ValueError("load must be in node shape")
         if not np.any(self.fixed_mask):
             raise ValueError("at least one node must be pinned")
-
-    @property
-    def coef(self) -> float:
-        return self._mult * (1.0 if self.capacity_mode else 1.0 / self.p)
 
     def full(self, free_values: np.ndarray) -> np.ndarray:
         u = self.fixed_values.copy()
@@ -183,8 +184,15 @@ class PEnergyInfo:
 
 
 def minimize_p_energy(problem: PEnergyProblem, u0: np.ndarray | None = None,
-                      *, polish: str | None = None):
+                      *, coarse=(), polish: str | None = None):
     """Minimize the pinned p-energy; returns (u, PEnergyInfo).
+
+    ``coarse`` lists coarser levels on the same box, coarsest first, each
+    at twice the pitch of the next; ``u0`` starts the coarsest (default:
+    the mean of its pinned values), and each minimizer, prolonged by
+    :func:`refine_nodes` and clipped as the module describes, starts the
+    next.  Every level is one call of this function; the info returned
+    and ``polish`` are the finest level's.
 
     ``polish="newton"`` follows the descent with :func:`newton_polish`
     (sparse assembled Hessian, quadratic convergence, for grids small
@@ -194,6 +202,14 @@ def minimize_p_energy(problem: PEnergyProblem, u0: np.ndarray | None = None,
     relative-energy-change criterion, including when it runs out of
     iterations.
     """
+    if polish not in (None, "newton"):
+        raise ValueError("polish must be 'newton' or None")
+    if coarse:
+        below, _ = minimize_p_energy(coarse[-1], u0, coarse=coarse[:-1])
+        u0 = refine_nodes(below)
+        if problem.load is None:
+            pinned = problem.fixed_values[problem.fixed_mask]
+            u0 = np.clip(u0, pinned.min(), pinned.max())
     free = ~problem.fixed_mask
     if not np.any(free):
         u = problem.fixed_values.copy()
@@ -201,8 +217,7 @@ def minimize_p_energy(problem: PEnergyProblem, u0: np.ndarray | None = None,
         return u, PEnergyInfo(float(energy), 0, 0.0, "pinned")
     if u0 is None:
         u0 = problem.fixed_values.copy()
-        if np.any(problem.fixed_mask):
-            u0[free] = float(problem.fixed_values[problem.fixed_mask].mean())
+        u0[free] = float(problem.fixed_values[problem.fixed_mask].mean())
     x0 = np.ascontiguousarray(u0[free], dtype=float)
 
     def fg(x):
@@ -219,8 +234,6 @@ def minimize_p_energy(problem: PEnergyProblem, u0: np.ndarray | None = None,
         u, newton = newton_polish(problem, u)
         return u, PEnergyInfo(newton.energy, int(res.nit), newton.grad_norm,
                               "lbfgs+newton", newton.iterations)
-    if polish is not None:
-        raise ValueError("polish must be 'newton' or None")
     if not res.success:
         raise ResolutionError(
             f"p-energy descent did not converge ({res.message}); "

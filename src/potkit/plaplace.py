@@ -27,7 +27,7 @@ from .geometry import dist2, kappa_exponent, sphere_area
 from .grid import EvaluationGrid, _as_vec
 from .measures import Measure
 from .penergy import (PEnergyProblem, affine_fill, minimize_p_energy,
-                      refine_nodes, scatter_cells_to_nodes)
+                      scatter_cells_to_nodes)
 from .sets import sphere_directions
 from .wolff import WolffParams, wolff_potential
 
@@ -89,18 +89,6 @@ class FundamentalSolution:
         out = self.radial(d)
         return out if np.asarray(points).ndim > 1 else float(out[0])
 
-    def gradient(self, points):
-        """Exact gradient; infinite at the pole."""
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        rel = pts - np.asarray(self.x0)
-        d = np.sqrt((rel ** 2).sum(axis=1, keepdims=True))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            if self.p < self.n:
-                mag = -self.m * self.kappa * d ** (-self.kappa - 2.0)
-            else:
-                mag = -self.m / (d * d)
-        return mag * rel
-
 
 # ---------------------------------------------------------------------------
 # solutions
@@ -151,20 +139,20 @@ def solve_p_dirichlet(grid: EvaluationGrid, mu: Measure | None, p: float,
     """Minimize the discrete measure-data functional with Dirichlet data.
 
     Any p > 1 is accepted without a measure; with one, p must lie in
-    (1, n].  A coarse-to-fine cascade (pitch 4h, 2h, h where the cell
-    counts allow) warm-starts the fine descent, the monotone convex
-    stage.  The sparse Newton refinement follows it whenever the grid is
-    small enough to factor directly; the fill-in of the sparse
-    factorization caps this at ~1.6e5 nodes in 2-D but ~4e4 in higher
-    dimensions.  The nested-dissection order of
+    (1, n].  Coarse levels at pitch 2h and 4h, where the cell counts
+    allow, warm-start the fine descent, the monotone convex stage, in
+    :func:`~potkit.penergy.minimize_p_energy`'s cascade from the affine
+    fit to the coarsest boundary values.  The sparse Newton refinement
+    follows it whenever the grid is small enough to factor directly; the
+    fill-in of the sparse factorization caps this at ~1.6e5 nodes in 2-D
+    but ~4e4 in higher dimensions.  The nested-dissection order of
     :func:`~potkit.penergy.newton_polish` leaves these caps unchanged.
     For p < 2 the energy is regularized by eps = 1e-12 in the gradient
     magnitude; the reported residual is that of the unregularized
     energy.  Array boundary data is given on the fine grid's nodes; the
-    coarse levels of the cascade read it at their own nodes (stride 2,
-    4).
-    Atoms are rejected when their containing cell touches the Dirichlet
-    layer, since the projection would alter the pinned data.
+    coarse levels read it at their own nodes (stride 2, 4).  Atoms are
+    rejected when their containing cell touches the Dirichlet layer,
+    since the projection would alter the pinned data.
     """
     if p <= 1.0 or (mu is not None and p > grid.dim):
         raise HypothesisViolation(
@@ -193,27 +181,20 @@ def solve_p_dirichlet(grid: EvaluationGrid, mu: Measure | None, p: float,
         load = None
         if mu is not None:
             load = scatter_cells_to_nodes(mu.cell_masses(g), g)
-        return PEnergyProblem(g, p, bmask, bvals, load=load,
+        return PEnergyProblem(g, p, bmask, bvals, coef=1.0 / p, load=load,
                               eps=(1e-12 if p < 2 else 0.0))
 
-    grids = [grid]
+    # levels, finest first: each coarse grid halves the cell counts
+    problems = [build(grid, 0)]
     g = grid
     while (not np.any(np.asarray(g.cells) % 2)
-           and min(g.cells) >= 8 and len(grids) < 3):
+           and min(g.cells) >= 8 and len(problems) < 3):
         g = EvaluationGrid.from_box(g.lo, g.hi, g.h * 2)
-        grids.append(g)
-    u = None
-    info = None
-    for level in reversed(range(len(grids))):
-        g = grids[level]
-        prob = build(g, level)
-        if u is None:
-            u0 = affine_fill(g, prob.fixed_values, prob.fixed_mask)
-        else:
-            u0 = refine_nodes(u)
-            u0[prob.fixed_mask] = prob.fixed_values[prob.fixed_mask]
-        u, info = minimize_p_energy(prob, u0=u0,
-                                    polish=polish if level == 0 else None)
+        problems.append(build(g, len(problems)))
+    prob, top = problems[0], problems[-1]
+    u, info = minimize_p_energy(
+        prob, affine_fill(top.grid, top.fixed_values, top.fixed_mask),
+        coarse=problems[:0:-1], polish=polish)
     residual = info.grad_norm
     if prob.eps > 0.0:
         _, grad = replace(prob, eps=0.0).energy_and_grad(u)

@@ -64,7 +64,7 @@ def _unfolded_capacity(K, omega, p, h):
     grid = omega.grid(h)
     ones = scatter_cells_to_nodes(K.meets_cells(grid).astype(float), grid) > 0
     problem = PEnergyProblem(grid, p, omega.zero_mask(grid) | ones,
-                             np.where(ones, 1.0, 0.0), capacity_mode=True)
+                             np.where(ones, 1.0, 0.0), coef=1.0)
     return minimize_p_energy(problem, polish="newton")[1].energy
 
 

@@ -1,7 +1,7 @@
 """p-energy minimization: the flat-array energy kernel against the
 cell-shaped reference, the frozen-pattern Newton Hessian against a
-reference assembly, the Newton polish, the iteration cap, and the
-boundary data of the Dirichlet cascade."""
+reference assembly, the Newton polish, the iteration cap, the
+coarse-to-fine cascade and the boundary data of the Dirichlet solve."""
 
 import math
 import warnings
@@ -18,7 +18,8 @@ from potkit.capacity import BallDomain, p_capacity
 from potkit.errors import ResolutionError
 from potkit.grid import EvaluationGrid
 from potkit.penergy import (PEnergyProblem, _FrozenHessian, affine_fill,
-                            minimize_p_energy, newton_polish)
+                            minimize_p_energy, newton_polish, refine_nodes,
+                            scatter_cells_to_nodes)
 from potkit.plaplace import solve_p_dirichlet
 from potkit.sets import BallUnion
 
@@ -95,7 +96,7 @@ def _random_problem(cells, p, eps=0.0, load=False, seed=5):
                           rng.normal(size=grid.node_shape),
                           load=(rng.normal(size=grid.node_shape) if load
                                 else None),
-                          capacity_mode=not load, eps=eps)
+                          coef=(1.0 / p if load else 1.0), eps=eps)
 
 
 @pytest.mark.parametrize("cells", [(5, 7), (1, 6), (4, 1, 6), (3, 5, 4),
@@ -152,9 +153,9 @@ def test_replace_keeps_the_mirror_multiplicity():
     # a folded capacity problem counts 2^k mirror copies of its grid;
     # a replaced copy must count them too, to the bit
     unit = _random_problem((4, 3, 5), 1.5, eps=1e-3)
-    folded = replace(unit, _mult=4.0)
+    folded = replace(unit, coef=4.0 * unit.coef)
     copy = replace(folded, eps=0.0)
-    assert copy._mult == 4.0 and copy.coef == 4.0 * unit.coef
+    assert copy.coef == 4.0 * unit.coef
     u = np.random.default_rng(2).normal(size=unit.grid.node_shape)
     e1, g1 = replace(unit, eps=0.0).energy_and_grad(u)
     e4, g4 = copy.energy_and_grad(u)
@@ -211,7 +212,7 @@ def test_frozen_hessian_matches_reference_assembly(cells, p, eps, pins):
     mask = grid.boundary_node_mask() if pins is None else pins(grid)
     rng = np.random.default_rng(3)
     problem = PEnergyProblem(grid, p, mask, rng.normal(size=grid.node_shape),
-                             capacity_mode=(n == 3), eps=eps)
+                             coef=(1.0 if n == 3 else 1.0 / p), eps=eps)
     u = rng.normal(size=grid.node_shape)
     hess = _FrozenHessian(grid, mask)
     free_nodes = np.flatnonzero(~mask.ravel())
@@ -231,7 +232,8 @@ def test_flat_cells_assemble_without_warnings():
     # cells unless it is taken only where g > 0
     grid = EvaluationGrid.from_box((0.0, 0.0), (1.0, 1.0), 1.0 / 8.0)
     mask = grid.boundary_node_mask()
-    problem = PEnergyProblem(grid, 2.0, mask, np.zeros(grid.node_shape))
+    problem = PEnergyProblem(grid, 2.0, mask, np.zeros(grid.node_shape),
+                             coef=1.0 / 2.0)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         H = _FrozenHessian(grid, mask).assemble(problem,
@@ -244,7 +246,8 @@ def test_p2_hessian_does_not_depend_on_u():
     # and the Hessian at u = 0 equals the one at u = x
     grid = EvaluationGrid.from_box((0.0, 0.0), (1.0, 1.0), 1.0 / 8.0)
     mask = grid.boundary_node_mask()
-    problem = PEnergyProblem(grid, 2.0, mask, np.zeros(grid.node_shape))
+    problem = PEnergyProblem(grid, 2.0, mask, np.zeros(grid.node_shape),
+                             coef=1.0 / 2.0)
     hess = _FrozenHessian(grid, mask)
     X, _ = np.meshgrid(*grid.node_axes(), indexing="ij")
     at_zero = hess.assemble(problem, np.zeros(grid.node_shape)).toarray()
@@ -274,7 +277,7 @@ def test_newton_reaches_round_off_on_comparison_pair(monkeypatch):
     grid = EvaluationGrid.from_box((0.0, 0.0), (1.0, 1.0), 1.0 / 64.0)
     bmask = grid.boundary_node_mask()
     fixed = np.where(bmask, _comparison_pair_data(grid, 2, 7), 0.0)
-    problem = PEnergyProblem(grid, 3.0, bmask, fixed)
+    problem = PEnergyProblem(grid, 3.0, bmask, fixed, coef=1.0 / 3.0)
     monkeypatch.setattr(penergy, "REL_ENERGY_TOL", 1e-10)
     u, _ = minimize_p_energy(problem, u0=affine_fill(grid, fixed, bmask))
     monkeypatch.setattr(penergy, "NEWTON_ITERS", 10)
@@ -288,7 +291,7 @@ def test_iteration_cap_raises(monkeypatch):
     bmask = grid.boundary_node_mask()
     X, _ = np.meshgrid(*grid.node_axes(), indexing="ij")
     fixed = np.where(bmask, X * X, 0.0)
-    problem = PEnergyProblem(grid, 3.0, bmask, fixed)
+    problem = PEnergyProblem(grid, 3.0, bmask, fixed, coef=1.0 / 3.0)
     u0 = affine_fill(grid, fixed, bmask)
     monkeypatch.setattr(penergy, "LBFGS_MAXITER", 3)
     with pytest.raises(ResolutionError):
@@ -353,7 +356,8 @@ def test_flat_start_factors_no_singular_matrix(monkeypatch):
     grid = EvaluationGrid.from_box((0.0, 0.0), (1.0, 1.0), 1.0 / 16.0)
     bmask = grid.boundary_node_mask()
     X, _ = np.meshgrid(*grid.node_axes(), indexing="ij")
-    problem = PEnergyProblem(grid, 3.0, bmask, np.where(bmask, X * X, 0.0))
+    problem = PEnergyProblem(grid, 3.0, bmask, np.where(bmask, X * X, 0.0),
+                             coef=1.0 / 3.0)
     monkeypatch.setattr(penergy, "LBFGS_MAXITER", 3)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -372,7 +376,7 @@ def test_newton_steps_are_recorded_and_a_spent_polish_raises(monkeypatch):
     bmask = grid.boundary_node_mask()
     X, _ = np.meshgrid(*grid.node_axes(), indexing="ij")
     fixed = np.where(bmask, X * X, 0.0)
-    problem = PEnergyProblem(grid, 3.0, bmask, fixed)
+    problem = PEnergyProblem(grid, 3.0, bmask, fixed, coef=1.0 / 3.0)
     u0 = affine_fill(grid, fixed, bmask)
     _, info = minimize_p_energy(problem, u0=u0, polish="newton")
     assert info.newton_steps >= 1
@@ -393,3 +397,114 @@ def test_polish_without_descent_direction_raises(monkeypatch):
     grid = EvaluationGrid.from_box((0.0, 0.0), (1.0, 1.0), 1.0 / 16.0)
     with pytest.raises(ResolutionError):
         solve_p_dirichlet(grid, None, 2.0, _pole_data)
+
+
+def _hand_cascade(levels, u0, polish=None):
+    """Reference cascade written out level by level, coarsest first: each
+    level starts from the prolonged minimizer below it, clipped to its
+    pinned range when it has no load, with its pinned nodes reset (which
+    the solver ignores: it reads only the free nodes of a start)."""
+    u = info = None
+    for k, prob in enumerate(levels):
+        if u is not None:
+            pinned = prob.fixed_values[prob.fixed_mask]
+            u0 = refine_nodes(u)
+            if prob.load is None:
+                u0 = np.clip(u0, pinned.min(), pinned.max())
+            u0[prob.fixed_mask] = pinned
+        u, info = minimize_p_energy(
+            prob, u0, polish=polish if k == len(levels) - 1 else None)
+    return u, info
+
+
+def _capacity_level(h, p=1.5):
+    """The ball of radius 0.3 in the unit ball of R^3 at pitch h."""
+    omega = BallDomain((0.0,) * 3, 1.0)
+    grid = omega.grid(h)
+    meets = BallUnion([np.zeros(3)], [0.3]).meets_cells(grid)
+    ones = scatter_cells_to_nodes(meets.astype(float), grid) > 0
+    return PEnergyProblem(grid, p, omega.zero_mask(grid) | ones,
+                          np.where(ones, 1.0, 0.0), coef=1.0)
+
+
+def _dirichlet_level(data, stride):
+    """Array boundary data on the unit square, read at every stride-th
+    node, with the solver's p < 2 regularization."""
+    grid = EvaluationGrid.from_box((0.0, 0.0), (1.0, 1.0),
+                                   stride / (data.shape[0] - 1))
+    bmask = grid.boundary_node_mask()
+    vals = np.where(bmask, data[::stride, ::stride], 0.0)
+    return PEnergyProblem(grid, 1.5, bmask, vals, coef=1.0 / 1.5, eps=1e-12)
+
+
+@pytest.mark.parametrize("kind", ["capacity", "dirichlet"])
+def test_cascade_equals_the_hand_written_loop(kind):
+    if kind == "capacity":
+        levels = [_capacity_level(h) for h in (0.4, 0.2, 0.1)]
+        u0, polish = None, None
+    else:
+        fine = EvaluationGrid.from_box((0.0, 0.0), (1.0, 1.0), 1.0 / 32.0)
+        data = _pole_data(fine.node_points()).reshape(fine.node_shape)
+        levels = [_dirichlet_level(data, s) for s in (4, 2, 1)]
+        top = levels[0]
+        u0 = affine_fill(top.grid, top.fixed_values, top.fixed_mask)
+        polish = "newton"
+    u, info = minimize_p_energy(levels[-1], u0, coarse=levels[:-1],
+                                polish=polish)
+    ref_u, ref_info = _hand_cascade(levels, u0, polish)
+    assert np.array_equal(u, ref_u)
+    assert info == ref_info
+
+
+def _recording_descent(monkeypatch):
+    """Record (start, minimizer) of the free nodes of every descent."""
+    runs = []
+    original = penergy.scipy_minimize
+
+    def recording(fun, x0, **kwargs):
+        res = original(fun, x0, **kwargs)
+        runs.append((x0.copy(), res.x.copy()))
+        return res
+
+    monkeypatch.setattr(penergy, "scipy_minimize", recording)
+    return runs
+
+
+def test_capacity_cascade_starts_inside_the_unit_interval(monkeypatch):
+    # the cell-averaged gradient lets the coarse minimizer leave [0, 1]
+    # (here it dips to -0.05); the maximum principle puts the finer
+    # level's start back inside
+    runs = _recording_descent(monkeypatch)
+    est = p_capacity(BallUnion([np.zeros(3)], [0.3]),
+                     BallDomain((0.0,) * 3, 1.0), 1.5, 0.1)
+    assert est.extras["levels"] == len(runs) == 2
+    (_, coarse_min), (fine_start, _) = runs
+    assert coarse_min.min() < -0.01
+    assert 0.0 <= fine_start.min() and fine_start.max() <= 1.0
+
+
+def test_an_unknown_polish_raises_before_any_descent(monkeypatch):
+    runs = _recording_descent(monkeypatch)
+    levels = [_capacity_level(h) for h in (0.4, 0.2)]
+    with pytest.raises(ValueError, match="polish"):
+        minimize_p_energy(levels[1], coarse=levels[:1], polish="Newton")
+    assert runs == []
+
+
+def test_a_level_with_a_load_is_not_clipped(monkeypatch):
+    # zero boundary data pins the range [0, 0]; the load lifts the
+    # minimizer above it, and the finer start keeps that lift
+    def level(h):
+        grid = EvaluationGrid.from_box((0.0, 0.0), (1.0, 1.0), h)
+        bmask = grid.boundary_node_mask()
+        load = scatter_cells_to_nodes(np.full(grid.cells, h * h), grid)
+        return PEnergyProblem(grid, 2.0, bmask, np.zeros(grid.node_shape),
+                              coef=0.5, load=load)
+
+    coarse, fine = level(1.0 / 8.0), level(1.0 / 16.0)
+    u_coarse, _ = minimize_p_energy(coarse)
+    runs = _recording_descent(monkeypatch)
+    minimize_p_energy(fine, coarse=[coarse])
+    start = runs[1][0]
+    assert start.max() > 0.01
+    assert np.array_equal(start, refine_nodes(u_coarse)[~fine.fixed_mask])

@@ -46,7 +46,8 @@ def test_residual_is_the_unregularized_defect():
     exact = _radial_p_harmonic(1.5)
     sol = solve_p_dirichlet(grid, None, 1.5, lambda pts: 1e-9 * exact(pts))
     mask = grid.boundary_node_mask()
-    problem = PEnergyProblem(grid, 1.5, mask, np.where(mask, sol.values, 0.0))
+    problem = PEnergyProblem(grid, 1.5, mask, np.where(mask, sol.values, 0.0),
+                             coef=1.0 / 1.5)
     _, grad = problem.energy_and_grad(sol.values)
     assert sol.residual == float(np.max(np.abs(grad[~mask])))
     _, reg = replace(problem, eps=1e-12).energy_and_grad(sol.values)
