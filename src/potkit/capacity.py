@@ -1,13 +1,12 @@
-"""Riesz capacity (discretized linear program) and variational p-capacity
-(grid energy minimization), with annulus ratio terms for thinness tests.
+"""Riesz capacity (discrete equilibrium) and variational p-capacity (grid
+energy minimization), with annulus ratio terms for thinness tests.
 
 The Riesz capacity of E inside a region Omega is the least total mass m
 whose potential integral k_alpha * m is >= 1 everywhere on E, with
 kernel k_alpha(x,y) = |x-y|^(alpha-n) for alpha < n and log(D/|x-y|)
 for alpha = n (D = diameter of Omega).  The discretization places mass
-sites on E itself, enforces the constraint on a finer sample of E, and
-reports a dual-feasible lower bound along with the primal-feasible
-value, so the pair certifies the discretized program.
+sites on E itself, solves their equilibrium exactly by block principal
+pivoting, and scales it to meet the constraint on a finer sample of E.
 
 The variational p-capacity of a compact K inside Omega is the minimum
 of sum over cells |grad u|^p h^n over grid functions with u = 1 on the
@@ -23,6 +22,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg import cho_factor, cho_solve
 
 from .errors import HypothesisViolation, ResolutionError
 from .fitting import loglog_slope
@@ -150,11 +150,11 @@ class ShellDomain(Domain):
 
 @dataclass
 class CapacityEstimate:
-    """Capacity value with optional certificates bracketing it.
+    """Capacity value with optional estimates bracketing it.
 
-    ``lower`` is dual-feasible (a true lower bound for the discretized
-    program) and ``upper`` primal-feasible; ``value`` always sits in
-    between when both are present.
+    ``value`` always sits between ``lower`` and ``upper`` when both are
+    present.  ``iterations`` counts the solver's steps: the block pivots
+    of the Riesz equilibrium, the minimizer iterations of the p-energy.
     """
 
     value: float
@@ -175,12 +175,11 @@ class CapacityEstimate:
 
 
 # ---------------------------------------------------------------------------
-# Riesz capacity LP
+# Riesz capacity
 
 
 _SITE_CAP = 3500
-EQ_MAX_ITER = 6000
-EQ_TOL = 1e-7
+_PITCH_GROWTH = 1.1
 
 
 def _riesz_kernel_matrix(x, y, alpha, n, diam, r_moll):
@@ -193,35 +192,55 @@ def _riesz_kernel_matrix(x, y, alpha, n, diam, r_moll):
     return k
 
 
-def _decimate_sites(points: np.ndarray, cap: int) -> np.ndarray:
-    """Deterministic thinning: bucket onto coarser lattices until the
-    count fits.  Keeps one representative per occupied bucket."""
-    if len(points) <= cap:
-        return points
-    lo = points.min(axis=0)
-    span = float(np.max(points.max(axis=0) - lo)) or 1.0
-    pitch = span / max(2, int(round(len(points) ** (1.0 / points.shape[1]))))
-    pts = points
-    while len(pts) > cap:
-        keys = np.floor((points - lo) / pitch + 1e-9).astype(np.int64)
-        _, idx = np.unique(keys, axis=0, return_index=True)
-        pts = points[np.sort(idx)]
-        pitch *= 1.3
+def _sample(E: ParametricSet, pitch: float, cap: int) -> np.ndarray:
+    """E's own sample (a uniform lattice that scales with E) at the least
+    pitch ``pitch * _PITCH_GROWTH**k`` with at most ``cap`` points; raises
+    ResolutionError once the pitch passes the span of E's bounding box."""
+    lo, hi = E.bounding_box()
+    while len(pts := E.sample_points(pitch)) > cap:
+        if pitch > float(np.max(hi - lo)):
+            raise ResolutionError(f"no sample of the set has <= {cap} points")
+        pitch *= _PITCH_GROWTH
     return pts
+
+
+def _equilibrium(K: np.ndarray) -> tuple[np.ndarray, int]:
+    """The m >= 0 minimizing 1/2 m'Km - sum(m), so Km = 1 where m > 0 and
+    Km >= 1 elsewhere, and its pivot count.  Block principal pivoting
+    (Kim & Park, SIAM J. Sci. Comput. 33, 2011) starts with every site
+    charged; each pivot solves Km = 1 on the charged sites by Cholesky
+    and swaps every infeasible site (m < 0 or Km < 1), or only the last
+    after three swaps that did not shrink their count (Murty's rule).
+    Raises ResolutionError after one pivot per site."""
+    charged = np.ones(len(K), dtype=bool)
+    fewest, backup = len(K) + 1, 3
+    for pivot in range(1, len(K) + 1):
+        c = np.flatnonzero(charged)
+        m = np.zeros(len(K))
+        # symmetric K: the block's transpose is F-ordered, factored in place
+        m[c] = cho_solve(cho_factor(K[np.ix_(c, c)].T, overwrite_a=True),
+                         np.ones(c.size))
+        bad = np.flatnonzero(np.where(charged, m < 0.0, K @ m < 1.0))
+        if bad.size == 0:
+            return m, pivot
+        backup = 3 if bad.size < fewest else backup - 1
+        fewest = min(fewest, bad.size)
+        if backup < 0:
+            bad = bad[-1:]
+        charged[bad] = ~charged[bad]
+    raise ResolutionError(f"no equilibrium after {len(K)} pivots")
 
 
 def riesz_capacity(E: ParametricSet, omega: Domain, alpha: float,
                    h: float) -> CapacityEstimate:
-    """Discretized Riesz capacity of E in Omega with certificates.
+    """Discretized Riesz capacity of E in Omega with a lower estimate.
 
-    Sites carry the candidate masses and sit on E at spacing h; the
-    potential constraint is enforced on a finer sample (spacing h/2,
-    at least four points per grid cell meeting E).  Equilibrium masses
-    come from multiplicative updates m <- m / (K m), at most
-    ``EQ_MAX_ITER`` of them, until the site potentials are within
-    ``EQ_TOL`` of 1; the fixed point has potential 1 on every charged
-    site.
-    """
+    Sites sit on E at spacing h and constraint points at h/2, both E's
+    own samples (``_sample``, capped at ``_SITE_CAP`` and 12 times that).
+    The site masses are the exact equilibrium (``_equilibrium``, whose
+    pivots ``iterations`` counts), scaled so the least potential over
+    sites and constraint points is 1: their total is ``value`` and
+    ``upper``.  ``lower`` scales them so the largest is 1 instead."""
     n = E.dim
     if not 1.0 < alpha <= n:
         raise HypothesisViolation(f"alpha must lie in (1, n], got {alpha}")
@@ -230,40 +249,24 @@ def riesz_capacity(E: ParametricSet, omega: Domain, alpha: float,
     if np.any(elo < lo - 1e-9) or np.any(ehi > hi + 1e-9):
         raise HypothesisViolation("E must be contained in Omega")
     diam = omega.diameter
-    sites = E.sample_points(h)
+    sites = _sample(E, h, _SITE_CAP)
     if len(sites) == 0:
-        return CapacityEstimate(0.0, "LP-discrete", h, lower=0.0, upper=0.0)
-    sites = _decimate_sites(sites, _SITE_CAP)
-    fine = _decimate_sites(E.sample_points(h / 2.0), 12 * _SITE_CAP)
+        return CapacityEstimate(0.0, "equilibrium", h, lower=0.0, upper=0.0)
+    fine = _sample(E, h / 2.0, 12 * _SITE_CAP)
     r_moll = 0.5 * h
     K = _riesz_kernel_matrix(sites, sites, alpha, n, diam, r_moll)
-    m = np.full(len(sites), 1.0 / max(K.sum(axis=1).max(), 1e-300))
-    for it in range(1, EQ_MAX_ITER + 1):
-        pot = K @ m
-        if np.max(np.abs(pot - 1.0)) <= EQ_TOL:
-            break
-        m = m / np.maximum(pot, 1e-300)
-    site_pot = K @ m
-    if np.max(np.abs(site_pot - 1.0)) > 100 * EQ_TOL:
-        raise ResolutionError(
-            "equilibrium iteration did not converge; the resolution "
-            "is too coarse for this set")
-    # fine-sample potentials in row blocks; the full kernel block would
-    # not fit in memory at production site counts
-    fine_lo, fine_hi = math.inf, -math.inf
-    for start in range(0, len(fine), 2048):
-        block = _riesz_kernel_matrix(fine[start:start + 2048], sites,
-                                     alpha, n, diam, r_moll) @ m
-        fine_lo = min(fine_lo, float(block.min()))
-        fine_hi = max(fine_hi, float(block.max()))
-    min_pot = float(min(fine_lo, site_pot.min()))
+    m, pivots = _equilibrium(K)
+    # site potentials, then constraint points in row blocks to save memory
+    pot = np.concatenate([K @ m] + [
+        _riesz_kernel_matrix(fine[i:i + 2048], sites, alpha, n, diam,
+                             r_moll) @ m for i in range(0, len(fine), 2048)])
+    min_pot = float(pot.min())
     if min_pot <= 0:
         raise ResolutionError("potential vanished on a constraint point")
-    m = m / min_pot
-    value = float(m.sum())
-    lower = value * min_pot / max(float(site_pot.max()), fine_hi)
-    return CapacityEstimate(value, "LP-discrete", h, lower=lower,
-                            upper=value, iterations=it,
+    value = float((m / min_pot).sum())
+    return CapacityEstimate(value, "equilibrium", h,
+                            lower=value * min_pot / float(pot.max()),
+                            upper=value, iterations=pivots,
                             extras={"sites": len(sites),
                                     "constraints": len(fine)})
 
@@ -380,12 +383,9 @@ def _denominator_unit(n: int, p_or_alpha: float, mode: str,
     if key in _DENOMINATOR_CACHE:
         return _DENOMINATOR_CACHE[key]
     sphere = Sphere([0.0] * n, 1.0)
-    if mode == "cap":
-        est = p_capacity(sphere, BallDomain((0.0,) * n, 2.0), p_or_alpha,
-                         pitch_rel * 2.0)
-    else:
-        est = riesz_capacity(sphere, BallDomain((0.0,) * n, 2.0),
-                             p_or_alpha, pitch_rel * 2.0)
+    solve = p_capacity if mode == "cap" else riesz_capacity
+    est = solve(sphere, BallDomain((0.0,) * n, 2.0), p_or_alpha,
+                pitch_rel * 2.0)
     _DENOMINATOR_CACHE[key] = est.value
     return est.value
 

@@ -1,21 +1,25 @@
-"""Closed-form capacity of the spherical condenser, and the exact
-scaling of the discrete p- and Riesz capacities."""
+"""Closed-form capacity of the spherical condenser, the exact scaling of
+the discrete p- and Riesz capacities, and the Riesz equilibrium solve."""
 
 import functools
 import math
+import time
 
 import numpy as np
 import pytest
+from scipy.linalg import cholesky, solve_triangular
+from scipy.optimize import nnls
 
 from potkit import capacity
 from potkit.capacity import (BallDomain, BoxDomain, ShellDomain,
-                             _riesz_kernel_matrix, condenser_capacity,
-                             p_capacity, riesz_capacity)
-from potkit.errors import HypothesisViolation
+                             _equilibrium, _riesz_kernel_matrix, _sample,
+                             annulus_term, condenser_capacity, p_capacity,
+                             riesz_capacity)
+from potkit.errors import HypothesisViolation, ResolutionError
 from potkit.penergy import (PEnergyProblem, minimize_p_energy,
                             scatter_cells_to_nodes)
 from potkit.riesz import _ball_average, _kernel
-from potkit.sets import BallUnion, BoxUnion, Sphere, segment_set
+from potkit.sets import BallUnion, BoxUnion, PointList, Sphere, segment_set
 
 LAMBDAS = (0.25, 0.5, 2.0)
 
@@ -143,3 +147,84 @@ def test_riesz_kernel_matrix_equals_broadcast_form(n):
         got = _riesz_kernel_matrix(x, y, alpha, n, 2.0, r_moll)
         assert np.array_equal(
             got, _broadcast_kernel_matrix(x, y, alpha, n, 2.0, r_moll))
+
+
+def _site_kernel(E, alpha, h):
+    """The kernel matrix of riesz_capacity's sites for E in [-1, 1]^n."""
+    sites = _sample(E, h, capacity._SITE_CAP)
+    return _riesz_kernel_matrix(sites, sites, alpha, E.dim,
+                                2.0 * math.sqrt(E.dim), 0.5 * h)
+
+
+def _gram(seed, size):
+    a = np.random.default_rng(seed).normal(size=(size, size))
+    return a @ a.T + 0.01 * np.eye(size)
+
+
+# the sphere charges every site, the solid ball and the disk (alpha = n)
+# only their rims; the random Gram matrices reach the single-swap rule
+@pytest.mark.parametrize("K", [
+    _site_kernel(Sphere(np.zeros(3), 0.5), 1.5, 1 / 8),
+    _site_kernel(BallUnion([np.zeros(3)], [0.3]), 2.0, 0.1),
+    _site_kernel(BallUnion([np.zeros(2)], [0.5]), 2.0, 1 / 32),
+    _gram(229, 23), _gram(362, 30), _gram(643, 22),
+], ids=["sphere", "solid-ball", "disk-alpha-n", "gram-229", "gram-362",
+        "gram-643"])
+def test_equilibrium_is_the_nonnegative_least_squares_minimizer(K):
+    # with K = L L', 1/2 m'Km - sum(m) = 1/2 |L'm - L^-1 1|^2 + const
+    L = cholesky(K, lower=True)
+    want, _ = nnls(L.T, solve_triangular(L, np.ones(len(K)), lower=True))
+    m, _ = _equilibrium(K)
+    pot = K @ m
+    assert np.all(m >= 0.0)
+    assert np.max(np.abs(pot[m > 0] - 1.0)) <= 1e-12
+    assert np.all(pot >= 1.0 - 1e-12)
+    assert np.max(np.abs(m - want)) <= 1e-10 * np.max(want)
+
+
+def test_sphere_equilibrium_charges_every_site_in_one_pivot():
+    m, pivots = _equilibrium(_site_kernel(Sphere(np.zeros(3), 0.5), 1.5,
+                                          1 / 8))
+    assert pivots == 1 and np.all(m > 0.0)
+
+
+def test_solid_ball_riesz_capacity_is_the_same_at_any_centre():
+    omega = BoxDomain((-1.0,) * 3, (1.0,) * 3)
+    got = [riesz_capacity(BallUnion([c], [0.3]), omega, 2.0, 0.1)
+           for c in ([0.0, 0.0, 0.0], [0.1, -0.2, 0.13])]
+    assert got[0].value == pytest.approx(0.306049, abs=5e-7)
+    assert got[1].value == pytest.approx(got[0].value, rel=1e-12)
+    assert got[0].iterations == 3
+    # the continuum value is the radius, 0.3
+    assert got[0].lower <= 0.3 <= got[0].upper
+
+
+def test_capped_sample_is_the_set_sampled_at_a_coarser_pitch():
+    sphere = Sphere(np.zeros(3), 0.5)
+    pitch = 1.0 / 64.0
+    assert len(sphere.sample_points(pitch)) > capacity._SITE_CAP
+    while len(sphere.sample_points(pitch)) > capacity._SITE_CAP:
+        pitch *= capacity._PITCH_GROWTH
+    got = _sample(sphere, 1.0 / 64.0, capacity._SITE_CAP)
+    assert np.array_equal(got, sphere.sample_points(pitch))
+
+
+def test_point_list_above_the_site_cap_raises_at_once():
+    pts = np.random.default_rng(4).uniform(-0.5, 0.5,
+                                           (capacity._SITE_CAP + 1, 3))
+    start = time.perf_counter()
+    with pytest.raises(ResolutionError):
+        riesz_capacity(PointList(pts), BoxDomain((-1.0,) * 3, (1.0,) * 3),
+                       1.5, 1 / 32)
+    assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize("lam", [0.25, 4.0])
+def test_riesz_annulus_quotient_is_scale_free(lam):
+    E = BallUnion([[0.85, 0.1, 0.0]], [0.2])
+    x0 = np.array([0.1, 0.0, 0.0])
+    num, den = annulus_term(E, x0, 1, mode="riesz", index=1.5)
+    got_num, got_den = annulus_term(E.scaled(lam), lam * x0, 1,
+                                    mode="riesz", index=1.5, delta=lam)
+    assert num > 0.0
+    assert got_num / got_den == pytest.approx(num / den, rel=1e-9)

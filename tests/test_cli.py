@@ -3,9 +3,12 @@ outcome through the exit code."""
 
 import json
 
+import numpy as np
 import pytest
 
 from potkit import cli
+from potkit.capacity import BoxDomain, riesz_capacity
+from potkit.sets import Sphere
 
 
 def test_cones_member_writes_report(tmp_path, monkeypatch):
@@ -85,3 +88,23 @@ def test_environment_fallback_only_where_the_flag_is_taken(tmp_path, capsys,
                      str(_wolff_scene(tmp_path)), "--out", str(out)])
     assert code == 1
     assert "bad POTKIT_SEED" in capsys.readouterr().err
+
+
+def test_riesz_capacity_writes_its_report(tmp_path):
+    scene = tmp_path / "scene.json"
+    scene.write_text(json.dumps({
+        "dimension": 3,
+        "domain": {"lo": [-1.0, -1.0, -1.0], "hi": [1.0, 1.0, 1.0]},
+        "sets": [{"name": "s", "kind": "sphere", "center": [0.0, 0.0, 0.0],
+                  "radius": 0.5}],
+        "task": {"kind": "riesz", "set": "s", "alpha": 1.5, "h": 0.125},
+    }))
+    out = tmp_path / "out"
+    code = cli.main(["capacity", "--scene", str(scene), "--out", str(out)])
+    assert code == 0
+    est = riesz_capacity(Sphere(np.zeros(3), 0.5),
+                         BoxDomain((-1.0,) * 3, (1.0,) * 3), 1.5, 0.125)
+    report = json.loads((out / "report.json").read_text())
+    # a sphere charges every site, so its equilibrium takes one pivot
+    assert report == {"value": est.value, "lower": est.lower,
+                      "upper": est.upper, "h": 0.125, "iterations": 1}
