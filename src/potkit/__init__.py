@@ -14,8 +14,8 @@ from .density import (DensityProfile, box_counting_dimension,
 from .errors import (DegenerateConeError, HypothesisViolation, PotkitError,
                      RepresentationError, ResolutionError, SceneError)
 from .fitting import (ApproachPath, DecayReport, LimitFit, LimitReport,
-                      TailFit, blowup_exponent, fit_limit, fit_tail,
-                      loglog_slope)
+                      TailFit, blowup_exponent, fit_limit, fit_log_limit,
+                      fit_tail, loglog_slope)
 from .geometry import ball_volume, kappa_exponent, sphere_area
 from .grid import EvaluationGrid
 from .measures import (AtomicMeasure, AtomPlusPowerProfile, GridMeasure,

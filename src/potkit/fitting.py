@@ -131,6 +131,26 @@ def fit_limit(radii, values, window: int | None = None) -> LimitFit:
     return LimitFit(float(coef[0]), float(coef[1]), float(s), resid, window)
 
 
+def fit_log_limit(radii, values) -> LimitFit:
+    """Extrapolate ``values`` ~ limit + amplitude / log(1/r), sampled at
+    decreasing ``radii`` below 1, to r -> 0.
+
+    Values at a critical exponent, such as W / log(1/r) at p = n, carry
+    a correction of order 1/log(1/r), which a power of r cannot
+    extrapolate; so the fit is linear in z = 1/log(1/r) on the trailing
+    half, at least 4 samples, and ``exponent`` reports its power, 1."""
+    r = np.asarray(radii, dtype=float)
+    v = np.asarray(values, dtype=float)
+    if r.shape != v.shape or r.ndim != 1 or r.size < 4:
+        raise ValueError("need matching 1-D radii and values, at least 4")
+    z = 1.0 / np.log(1.0 / r)
+    w = max(4, math.ceil(z.size / 2))
+    design = np.stack([np.ones(w), z[-w:]], axis=1)
+    coef, *_ = np.linalg.lstsq(design, v[-w:], rcond=None)
+    residual = float(np.max(np.abs(design @ coef - v[-w:])))
+    return LimitFit(float(coef[0]), float(coef[1]), 1.0, residual, w)
+
+
 @dataclass(frozen=True)
 class TailFit:
     """Classification of a nonnegative series tail.

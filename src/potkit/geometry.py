@@ -50,17 +50,6 @@ def _cap_fraction(cos_theta, sin2_theta, n: int):
     return np.where(cos_theta >= 0.0, half, 1.0 - half)
 
 
-def cap_area_fraction(cos_theta, n: int):
-    """Fraction of the unit sphere in R^n with polar angle <= theta.
-
-    Uses the regularized incomplete beta function; for n = 3 this
-    reduces to (1 - cos(theta)) / 2.  Vectorized in ``cos_theta``.
-    """
-    c = np.clip(np.asarray(cos_theta, dtype=float), -1.0, 1.0)
-    frac = _cap_fraction(c, 1.0 - c * c, n)
-    return frac if frac.ndim else float(frac)
-
-
 def ball_intersection_fraction(s, rho: float, t: float, n: int):
     """Fraction of the sphere of radius ``s`` about a center that lies
     inside the ball of radius ``t`` around a point at distance ``rho``

@@ -1,14 +1,30 @@
 """Integrals of the ball mass M(t) = mu(B(x, t)) against powers of t.
 
-Wolff and Riesz potentials are both integrals of M(t) times a power of t
-(Riesz after integrating by parts), so they share the two ways this
-module takes them:
+Wolff and Riesz potentials are both the one integral
 
-* ``power_integral``, the closed form of coef * t^(e-1) over an
-  interval, for a mass that is a sum of powers of t on each interval of
-  a profile;
-* ``ball_mass_integral``, one fixed 31-node double-exponential
-  (tanh-sinh) rule between the breakpoints of M for any other measure.
+    I = integral over t in (lo, hi) of scale (M(t) / t^s)^(1/d) dt/t,
+
+Wolff with (s, d, scale) = (n-p, p-1, 1) and Riesz, after integrating
+by parts, with (n-alpha, 1, n-alpha), or scale 1 at alpha = n.  This
+module owns it, in two forms:
+
+* ``profile_integral`` for a measure that exposes a closed piecewise
+  profile of M at x (``RadialMassFunction``: a constant plus powers of t
+  on each interval).  An interval whose mass is a single term c t^m
+  integrates in closed form by ``power_integral`` as
+  scale c^(1/d) t^(e-1), e = (m - s) / d, and at d = 1 every term of
+  every interval does.  Intervals with several terms at d != 1 go
+  through the tanh-sinh rule; one that reaches t = 0 is cut at 1e-12 of
+  its length, and below the cut its smallest power, a constant counting
+  as power 0, integrates in closed form.
+* ``ball_mass_integral`` for any other measure: the tanh-sinh rule
+  between consecutive breakpoints of M, all nodes in one ``ball_mass``
+  call.
+
+I is +inf when x carries an atom and lo = 0, since then M(t) >= M(0) > 0
+and e = -s/d <= 0 near t = 0.  On a profile this falls out of
+``power_integral``, whose constant term gives +inf on an interval from
+0; ``ball_mass_integral`` returns it from ``atom_mass_at``.
 
 The rule of Takahasi & Mori, Publ. RIMS 9 (1974), substitutes
 y = (1 + tanh((pi/2) sinh u)) / 2 on a unit interval and applies the
@@ -74,11 +90,70 @@ def power_integral(coef, e, a, b) -> np.ndarray:
     return out
 
 
-def ball_mass_integral(mu, x, f, lo: float, hi: float) -> float:
-    """Integral of ``f(M(t), t)`` over (lo, hi) with M(t) = mu(B(x, t)),
-    by the tanh-sinh rule between consecutive breakpoints of M clipped to
-    (lo, hi); M is evaluated at every node in one ``ball_mass`` call."""
+def _kernel(s: float, d: float, scale: float):
+    """The integrand scale (M / t^s)^(1/d) / t as f(M, t); at d = 1 as
+    M scale t^(-s-1)."""
+    if d == 1.0:
+        return lambda mass, t: mass * scale * t ** (-s - 1.0)
+    return lambda mass, t: scale * ((mass / t ** s) ** (1.0 / d) / t)
+
+
+def profile_integral(prof, s: float, d: float, lo: float, hi: float,
+                     scale: float = 1.0) -> float:
+    """The integral I over (lo, hi) of the closed profile ``prof`` of M,
+    its intervals clipped to (lo, hi) and integrated in one array
+    expression per form (see the module docstring)."""
+    bp = prof.breakpoints
+    a = np.maximum(bp, lo)
+    b = np.minimum(np.append(bp[1:], math.inf), hi)
+    live = b > a
+    a, b = a[live], b[live]
+    terms = [(0.0, prof.constant[live])] + [(m, c[live])
+                                           for m, c in prof.powers]
+    if d == 1.0:
+        coef = np.concatenate([scale * c for _, c in terms])
+        e = np.concatenate([np.full(a.size, m - s) for m, _ in terms])
+        return float(power_integral(coef, e, np.tile(a, len(terms)),
+                                    np.tile(b, len(terms))).sum())
+
+    def closed_form(c, m, t0, t1):
+        return power_integral(scale * c ** (1.0 / d), (m - s) / d, t0, t1)
+
+    # the single term of each interval that has at most one
+    coef, expo = terms[0][1], np.zeros(a.size)
+    count = (coef != 0.0).astype(int)
+    for m, c in terms[1:]:
+        nonzero = c != 0.0
+        coef = coef + c
+        expo[nonzero] = m
+        count += nonzero
+    closed = count == 1
+    value = np.zeros(a.size)
+    value[closed] = closed_form(coef[closed], expo[closed], a[closed],
+                                b[closed])
+    multi = count > 1
+    if multi[:1].any() and a[0] == 0.0:
+        m_min, c_min = min((m, c[0]) for m, c in terms if c[0] != 0.0)
+        a[0] = b[0] * 1e-12
+        value[:1] = closed_form(np.array([c_min]), np.array([m_min]),
+                                np.zeros(1), a[:1])
+    if multi.any():
+        f = _kernel(s, d, scale)
+        value[multi] += tanh_sinh(lambda t, _: f(prof.eval(t), t),
+                                  a[multi], b[multi])
+    return float(value.sum())
+
+
+def ball_mass_integral(mu, x, s: float, d: float, lo: float, hi: float,
+                       scale: float = 1.0) -> float:
+    """The integral I over (lo, hi) by the tanh-sinh rule between
+    consecutive breakpoints of M clipped to (lo, hi); M is evaluated at
+    every node in one ``ball_mass`` call.  +inf when x carries an atom
+    and lo = 0."""
+    if lo == 0.0 and mu.atom_mass_at(x) > 0.0:
+        return math.inf
     edges = np.unique(np.clip(np.append(mu.ball_mass_breakpoints(x),
                                         [lo, hi]), lo, hi))
+    f = _kernel(s, d, scale)
     return float(tanh_sinh(lambda t, _: f(mu.ball_mass(x, t), t),
                            edges[:-1], edges[1:]).sum())

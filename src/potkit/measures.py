@@ -303,8 +303,8 @@ def TableProfile(radii, values) -> RadialMassFunction:
 def _is_center(rho: float) -> bool:
     """Whether a point at distance ``rho`` from a radial measure's center
     is the center: exactly 0, as ``AtomicMeasure`` decides that a point
-    carries an atom.  Ball masses, profiles, atoms and Riesz values all
-    use this one test."""
+    carries an atom.  Ball masses, profiles and atoms all use this one
+    test."""
     return rho == 0.0
 
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import HypothesisViolation, ResolutionError
-from .fitting import ApproachPath, LimitReport, fit_limit
+from .fitting import ApproachPath, LimitReport, fit_limit, fit_log_limit
 from .geometry import dist2, kappa_exponent, sphere_area
 from .grid import EvaluationGrid, _as_vec
 from .measures import Measure
@@ -315,7 +315,8 @@ def envelope_band(reports) -> tuple:
 def super_asymptotic_report(u_eval, p: float, x0, path: ApproachPath, *,
                             window: tuple | None = None) -> LimitReport:
     """Fitted limit of u / G_p along the path, with the smallest c0
-    making u >= m_hat G_p - c0 on the sampled window.
+    making u >= m_hat G_p - c0 on the sampled window; at p = n the fit
+    is linear in 1/log(1/r) (``fit_log_limit``).
 
     For grid solutions pass window = (4h, r/4) to stay above the atom
     regularization scale; an empty window raises ResolutionError.
@@ -341,7 +342,7 @@ def super_asymptotic_report(u_eval, p: float, x0, path: ApproachPath, *,
         raise HypothesisViolation(
             "G_p must be positive on the window (p = n needs radii < 1)")
     ratios = u_vals / g_vals
-    fit = fit_limit(radii, ratios)
+    fit = (fit_log_limit if p == n else fit_limit)(radii, ratios)
     m_hat = fit.limit
     c0 = float(np.max(m_hat * g_vals - u_vals))
     return LimitReport(radii, ratios, m_hat, fit.exponent, fit.residual,

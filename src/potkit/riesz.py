@@ -8,15 +8,12 @@ Theory*, 1996):
 
     R(x) = M(T) k(T) + integral over (0, T) of M(t) (-k'(t)) dt,
 
-with -k'(t) = (n-alpha) t^(alpha-n-1), or 1/t at alpha = n.  As for
-Wolff, a piecewise constant/power profile at x (atomic measures, radial
-ones at their center) integrates term by term with
-``integrate.power_integral``, and any other measure by
-``integrate.ball_mass_integral`` between its ``ball_mass_breakpoints``.
-A sum of measures gives the sum of its parts' potentials.  A grid
-measure is a midpoint sum over its loaded cells, the cell that contains
-x replaced by the kernel's average over the equal-volume ball.  The
-value at an atom is +inf; a measure of infinite mass raises.
+the integral being the ``integrate`` module's ball-mass integral with
+(s, d, scale) = (n-alpha, 1, n-alpha), or scale 1 at alpha = n.  A sum
+of measures gives the sum of its parts' potentials.  A grid measure is
+a midpoint sum over its loaded cells, the cell that contains x replaced
+by the kernel's average over the equal-volume ball.  A measure of
+infinite mass raises.
 """
 
 from __future__ import annotations
@@ -28,10 +25,10 @@ import numpy as np
 
 from .errors import HypothesisViolation
 from .fitting import (ApproachPath, DecayReport, LimitReport, blowup_exponent,
-                      fit_limit, loglog_slope)
+                      fit_limit, fit_log_limit, loglog_slope)
 from .geometry import ball_volume
 from .grid import _as_vec
-from .integrate import ball_mass_integral, power_integral
+from .integrate import ball_mass_integral, profile_integral
 from .measures import GridMeasure, Measure, SumMeasure
 
 MIN_PATH_SAMPLES = 8
@@ -104,17 +101,6 @@ def _potential_grid(mu: GridMeasure, params: RieszParams, x) -> float:
     return float(total)
 
 
-def _profile_integral(prof, scale: float, shift: float) -> float:
-    """Integral of M(t) * scale * t^(shift-1) over the profile's finite
-    intervals, every term of every interval in one ``power_integral``."""
-    a, b = prof.breakpoints[:-1], prof.breakpoints[1:]
-    terms = [(0.0, prof.constant)] + list(prof.powers)
-    coef = np.concatenate([scale * c[:-1] for _, c in terms])
-    e = np.concatenate([np.full(a.size, m + shift) for m, _ in terms])
-    return float(power_integral(coef, e, np.tile(a, len(terms)),
-                                np.tile(b, len(terms))).sum())
-
-
 def riesz_potential(mu: Measure, params: RieszParams, x) -> float:
     """Potential value at x; +inf sentinel when x carries an atom.
 
@@ -128,20 +114,18 @@ def riesz_potential(mu: Measure, params: RieszParams, x) -> float:
         return _potential_grid(mu, params, x)
     if math.isinf(mu.total_mass):
         raise HypothesisViolation("Riesz potential of a measure of infinite mass")
-    if mu.atom_mass_at(x) > 0.0:
-        return math.inf
     alpha = params.alpha
-    # -k'(t) = scale * t^(shift-1)
-    scale, shift = (1.0 if params.is_log(n) else n - alpha), alpha - n
+    # -k'(t) = scale * t^(-s-1)
+    s = n - alpha
+    scale = 1.0 if params.is_log(n) else s
     prof = mu.radial_mass_profile(x)
     if prof is not None:
         T, mass = prof.breakpoints[-1], prof.total
-        value = _profile_integral(prof, scale, shift)
+        value = profile_integral(prof, s, 1.0, 0.0, T, scale)
     else:
         T = mu.ball_mass_breakpoints(x)[-1]
         mass = mu.ball_mass(x, T)
-        value = ball_mass_integral(
-            mu, x, lambda m, t: m * scale * t ** (shift - 1.0), 0.0, T)
+        value = ball_mass_integral(mu, x, s, 1.0, 0.0, T, scale)
     if mass > 0.0:
         value += mass * _kernel(T, alpha, n, params.domain_diameter)
     return float(value)
@@ -152,8 +136,9 @@ def riesz_asymptotic_report(mu: Measure, params: RieszParams, p,
     """Ratios R(x_k)/|x_k-p|^(alpha-n) (or /log(1/|x_k-p|) at alpha = n)
     along the path, with the fitted limit estimating mu({p}).
 
-    At alpha = n the report also carries the D-normalized ratios
-    R/log(D/r); the two agree in the limit."""
+    At alpha = n the fit is linear in 1/log(1/r) (``fit_log_limit``),
+    and the report also carries the D-normalized ratios R/log(D/r); the
+    two agree in the limit."""
     n = mu.dim
     params.validate_dim(n)
     p = _as_vec(p, n)
@@ -172,10 +157,11 @@ def riesz_asymptotic_report(mu: Measure, params: RieszParams, p,
         ratios = pot / np.log(1.0 / path.radii)
         extras["ratios_domain_normalized"] = pot / np.log(
             params.domain_diameter / path.radii)
+        fit = fit_log_limit(path.radii, ratios)
     else:
         ratios = pot / path.radii ** (params.alpha - n)
-    fit = fit_limit(path.radii, ratios,
-                    window=max(4, math.ceil(path.radii.size / 3)))
+        fit = fit_limit(path.radii, ratios,
+                        window=max(4, math.ceil(path.radii.size / 3)))
     extras["point_mass_estimate"] = fit.limit
     return LimitReport(path.radii, ratios, fit.limit, fit.exponent,
                        fit.residual, extras=extras)

@@ -33,7 +33,7 @@ from .plaplace import (FundamentalSolution, envelope_band, envelope_check,
 from .riesz import RieszParams, riesz_asymptotic_report
 from .sets import BallUnion, Sphere, sphere_directions
 from .thinness import ball_sequence_terms, classify_thinness
-from .wolff import WolffParams, _integrand, thin_witness_blowup, \
+from .wolff import WolffParams, thin_witness_blowup, \
     wolff_asymptotic_report, wolff_potential
 
 PROFILES = ("full", "quick")
@@ -121,7 +121,7 @@ def _check_wolff_atom_limit(profile: str, seed: int) -> CheckResult:
     for d in (0.3, 0.1, 0.02):
         x = np.array([d, 0.0, 0.0])
         exact = wolff_potential(mu, params, x)
-        approx = ball_mass_integral(mu, x, _integrand(n, p), 0.0, params.r)
+        approx = ball_mass_integral(mu, x, n - p, p - 1.0, 0.0, params.r)
         quad_err = max(quad_err, abs(approx - exact) / exact)
 
     rows = list(zip(path.radii, rep.values, rep.extras["raw"]))

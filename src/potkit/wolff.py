@@ -4,20 +4,8 @@ The central object is
 
     W(x, r) = integral over t in (0, r] of (M(t) / t^(n-p))^(1/(p-1)) dt/t,
 
-with ``M(t) = ball_mass(mu, x, t)`` and 1 < p <= n, integrated interval
-by interval between the breakpoints of M by the two helpers of
-``integrate``.  Where the measure exposes a piecewise constant/power
-ball-mass profile at x (atomic and grid measures, radial profiles at
-their center), every interval whose mass is a single term integrates in
-closed form by ``power_integral``, c^(1/(p-1)) (b^e - a^e) / e, all
-such intervals in one array expression; at p = n constants contribute
-log terms.  Profile intervals whose mass has several terms go through
-the tanh-sinh rule, and measures without a profile at x, such as radial
-ones seen off their center, through ``ball_mass_integral`` between the
-``ball_mass_breakpoints``, all nodes in one ``ball_mass`` call.
-``wolff_potential`` sums the interval values into one number.  The value
-+inf is a first-class sentinel: it is the correct answer whenever the
-evaluation point carries an atom.
+with ``M(t) = ball_mass(mu, x, t)`` and 1 < p <= n: the ``integrate``
+module's ball-mass integral with (s, d, scale) = (n-p, p-1, 1).
 """
 from __future__ import annotations
 
@@ -28,11 +16,11 @@ import numpy as np
 
 from .errors import HypothesisViolation
 from .fitting import (ApproachPath, DecayReport, LimitReport, blowup_exponent,
-                      fit_limit, loglog_slope)
+                      fit_limit, fit_log_limit, loglog_slope)
 from .geometry import kappa_exponent
 from .grid import _as_vec
 from .measures import AtomicMeasure, Measure
-from .integrate import ball_mass_integral, power_integral, tanh_sinh
+from .integrate import ball_mass_integral, profile_integral
 from .sets import BallUnion
 from .thinness import escaping_ray
 
@@ -57,60 +45,6 @@ class WolffParams:
             raise ValueError(f"p = {self.p} exceeds the dimension n = {n}")
 
 
-def _integrand(n: int, p: float):
-    """The Wolff integrand (M / t^(n-p))^(1/(p-1)) / t as f(M, t)."""
-    return lambda mass, t: (mass / t ** (n - p)) ** (1.0 / (p - 1.0)) / t
-
-
-def _integrate_profile(prof, n: int, params: WolffParams,
-                       t_min: float) -> np.ndarray:
-    """Integrals over the profile's intervals clipped to (t_min, r], in
-    increasing t.
-
-    An interval whose mass is a single term, constant or one power
-    c t^m, integrates in closed form by ``power_integral``, all such
-    intervals in one expression: the integrand is c^(1/(p-1)) t^(e-1)
-    with e = (m - (n-p)) / (p-1).  Intervals with several terms go
-    through the tanh-sinh rule; one that reaches t = 0 is cut at 1e-12
-    of its length, and below the cut its smallest power, which dominates
-    there, integrates in closed form."""
-    p, r, bp = params.p, params.r, prof.breakpoints
-    if prof.mass_at_zero > 0.0 and t_min == 0.0:
-        return np.array([math.inf])
-
-    def closed_form(c, m, a, b):
-        return power_integral(c ** (1.0 / (p - 1.0)),
-                              (m - (n - p)) / (p - 1.0), a, b)
-
-    lo = np.maximum(bp, t_min)
-    hi = np.minimum(np.append(bp[1:], math.inf), r)
-    live = hi > lo
-    lo, hi, const = lo[live], hi[live], prof.constant[live]
-    powers = [(m, coefs[live]) for m, coefs in prof.powers]
-    # the single term of each interval that has at most one
-    coef, expo, terms = const, np.zeros(lo.size), (const != 0.0).astype(int)
-    for m, c in powers:
-        nonzero = c != 0.0
-        coef = coef + c
-        expo[nonzero] = m
-        terms += nonzero
-    closed = terms == 1
-    value = np.zeros(lo.size)
-    value[closed] = closed_form(coef[closed], expo[closed], lo[closed],
-                                hi[closed])
-    multi = terms > 1
-    if multi[0] and lo[0] == 0.0:
-        m_min, c_min = min((m, c[0]) for m, c in powers if c[0] != 0.0)
-        lo[0] = hi[0] * 1e-12
-        value[:1] = closed_form(np.array([c_min]), np.array([m_min]),
-                                np.zeros(1), lo[:1])
-    if multi.any():
-        f = _integrand(n, p)
-        value[multi] += tanh_sinh(lambda t, _: f(prof.eval(t), t),
-                                  lo[multi], hi[multi])
-    return value
-
-
 def wolff_potential(mu: Measure, params: WolffParams, x, *,
                     t_min: float = 0.0) -> float:
     """Wolff potential W(x, r); +inf when x carries an atom and
@@ -123,13 +57,11 @@ def wolff_potential(mu: Measure, params: WolffParams, x, *,
     x = _as_vec(x, n)
     if t_min < 0.0 or t_min >= params.r:
         raise ValueError("t_min must lie in [0, r)")
+    s, d = n - params.p, params.p - 1.0
     prof = mu.radial_mass_profile(x)
     if prof is not None:
-        return float(_integrate_profile(prof, n, params, t_min).sum())
-    if mu.atom_mass_at(x) > 0.0 and t_min == 0.0:
-        return math.inf
-    return ball_mass_integral(mu, x, _integrand(n, params.p), t_min,
-                              params.r)
+        return profile_integral(prof, s, d, t_min, params.r)
+    return ball_mass_integral(mu, x, s, d, t_min, params.r)
 
 
 def wolff_asymptotic_report(mu: Measure, params: WolffParams, x0,
@@ -162,16 +94,9 @@ def wolff_asymptotic_report(mu: Measure, params: WolffParams, x0,
         mass = math.copysign(abs(limit * (n - params.p) / (params.p - 1.0))
                              ** (params.p - 1.0), limit)
     else:
-        # the correction to W / log(1/rho) is O(1/log(1/rho)), which a
-        # power fit in rho cannot extrapolate; fit linearly in that
-        # variable instead (exponent then reports its power, 1)
         scaled = raw / np.log(1.0 / path.radii)
-        z = 1.0 / np.log(1.0 / path.radii)
-        w = max(4, math.ceil(z.size / 2))
-        design = np.stack([np.ones(w), z[-w:]], axis=1)
-        coef, *_ = np.linalg.lstsq(design, scaled[-w:], rcond=None)
-        limit, exponent = float(coef[0]), 1.0
-        residual = float(np.max(np.abs(design @ coef - scaled[-w:])))
+        fit = fit_log_limit(path.radii, scaled)
+        limit, exponent, residual = fit.limit, fit.exponent, fit.residual
         mass = math.copysign(abs(limit) ** (n - 1.0), limit)
         # alternative normalization against the integration cap; for a
         # pure atom it is constant in rho

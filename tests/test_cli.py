@@ -108,3 +108,22 @@ def test_riesz_capacity_writes_its_report(tmp_path):
     # a sphere charges every site, so its equilibrium takes one pivot
     assert report == {"value": est.value, "lower": est.lower,
                       "upper": est.upper, "h": 0.125, "iterations": 1}
+
+
+def test_riesz_at_alpha_equal_n_reports_the_atom_mass(tmp_path):
+    scene = tmp_path / "scene.json"
+    scene.write_text(json.dumps({
+        "dimension": 3,
+        "domain": {"lo": [-1.0, -1.0, -1.0], "hi": [1.0, 1.0, 1.0]},
+        "measures": [{"name": "a", "kind": "atoms",
+                      "locations": [[0.0, 0.0, 0.0]], "masses": [2.0]}],
+        "task": {"measure": "a", "alpha": 3.0, "domain_diameter": 4.0,
+                 "anchor": [0.0, 0.0, 0.0],
+                 "path": {"r0": 0.25, "ratio": 0.5, "count": 24}},
+    }))
+    out = tmp_path / "out"
+    code = cli.main(["riesz", "--scene", str(scene), "--out", str(out)])
+    assert code == 0
+    report = json.loads((out / "report.json").read_text())
+    assert report["limit"] == pytest.approx(2.0, abs=1e-12)
+    assert report["correction_exponent"] == 1.0

@@ -7,6 +7,7 @@ from potkit.fitting import (
     ApproachPath,
     blowup_exponent,
     fit_limit,
+    fit_log_limit,
     fit_tail,
     loglog_slope,
 )
@@ -47,6 +48,17 @@ def test_fit_limit_noisy_correction():
     vals = 1.5 + 0.8 * r ** 1.2 * (1.0 + 0.01 * rng.normal(size=r.size))
     fit = fit_limit(r, vals)
     assert fit.limit == pytest.approx(1.5, rel=1e-3)
+
+
+def test_fit_log_limit_exact_on_a_log_correction():
+    r = 2.0 ** -np.arange(2, 26, dtype=float)
+    fit = fit_log_limit(r, 1.3 - 0.8 / np.log(1.0 / r))
+    assert fit.limit == pytest.approx(1.3, abs=1e-12)
+    assert fit.amplitude == pytest.approx(-0.8, abs=1e-10)
+    assert (fit.exponent, fit.window) == (1.0, 12)
+    assert fit.residual < 1e-12
+    with pytest.raises(ValueError):
+        fit_log_limit(r[:3], np.ones(3))
 
 
 def test_fit_tail_geometric_series_summable():

@@ -9,7 +9,6 @@ import pytest
 from potkit.geometry import (
     ball_intersection_fraction,
     ball_volume,
-    cap_area_fraction,
     dist2,
     kappa_exponent,
     sphere_area,
@@ -42,21 +41,6 @@ def test_kappa_exponent_values():
     assert kappa_exponent(3, 2.0) == pytest.approx(1.0)
     assert kappa_exponent(3, 2.5) == pytest.approx(1.0 / 3.0)
     assert kappa_exponent(4, 3.0) == pytest.approx(0.5)
-
-
-def test_cap_area_fraction_limits():
-    # full sphere at cos(theta) = -1, empty at +1, half at 0
-    for n in (2, 3, 4, 6):
-        assert cap_area_fraction(-1.0, n) == pytest.approx(1.0, abs=1e-12)
-        assert cap_area_fraction(1.0, n) == pytest.approx(0.0, abs=1e-12)
-        assert cap_area_fraction(0.0, n) == pytest.approx(0.5, abs=1e-12)
-
-
-def test_cap_area_fraction_n3_closed_form():
-    # on S^2 the cap fraction is (1 - cos(theta)) / 2 exactly
-    for c in np.linspace(-1.0, 1.0, 9):
-        assert cap_area_fraction(c, 3) == pytest.approx((1.0 - c) / 2.0,
-                                                        abs=1e-12)
 
 
 def test_ball_intersection_fraction_monte_carlo():

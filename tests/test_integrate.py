@@ -5,7 +5,13 @@ import math
 import numpy as np
 import pytest
 
-from potkit.integrate import power_integral, tanh_sinh
+from potkit.integrate import (ball_mass_integral, power_integral,
+                              profile_integral, tanh_sinh)
+from potkit.measures import (AtomicMeasure, AtomPlusPowerProfile, Measure,
+                             PowerLawProfile, RadialProfileMeasure,
+                             SumMeasure, normalized_sphere_shell)
+from potkit.riesz import RieszParams, riesz_potential
+from potkit.wolff import WolffParams, wolff_potential
 
 
 def _power(k):
@@ -84,3 +90,95 @@ def test_power_integral_zero_coefficient_adds_nothing():
     b = np.ones(4)
     np.testing.assert_array_equal(power_integral(coef, e, a, b),
                                   [0.0, 0.0, 0.0, 1.0])
+
+
+class _NoProfile(Measure):
+    """An atomic measure that hides its closed profile, so every
+    potential goes through the tanh-sinh rule."""
+
+    def __init__(self, inner):
+        self._inner = inner
+
+    dim = property(lambda self: self._inner.dim)
+    total_mass = property(lambda self: self._inner.total_mass)
+
+    def ball_mass(self, x, t):
+        return self._inner.ball_mass(x, t)
+
+    def ball_mass_breakpoints(self, x):
+        return self._inner.ball_mass_breakpoints(x)
+
+    def atom_mass_at(self, x):
+        return self._inner.atom_mass_at(x)
+
+
+_ATOMS = AtomicMeasure([[0.0, 0.0, 0.0], [0.3, -0.1, 0.2]], [1.0, 0.5])
+
+
+def test_an_atom_at_x_is_infinite_with_or_without_a_profile():
+    centre = RadialProfileMeasure(np.zeros(3),
+                                  AtomPlusPowerProfile(0.5, 1.0, 3.0, rmax=0.4))
+    for mu in (centre, _ATOMS, _NoProfile(_ATOMS)):
+        for p in (2.0, 2.5, 3.0):
+            assert wolff_potential(mu, WolffParams(p, 0.8), np.zeros(3),
+                                   t_min=0.0) == math.inf
+        for params in (RieszParams(2.0), RieszParams(2.5),
+                       RieszParams(3.0, domain_diameter=2.0)):
+            assert riesz_potential(mu, params, np.zeros(3)) == math.inf
+    # cut off above t = 0, the atom is finite again
+    assert math.isfinite(wolff_potential(_NoProfile(_ATOMS),
+                                         WolffParams(2.5, 0.8), np.zeros(3),
+                                         t_min=0.1))
+
+
+def test_the_rule_agrees_with_the_closed_profile_off_the_atoms():
+    x = np.array([0.1, 0.2, -0.1])
+    hidden = _NoProfile(_ATOMS)
+    for p in (2.0, 2.5, 3.0):
+        params = WolffParams(p, 0.8)
+        assert wolff_potential(hidden, params, x) == pytest.approx(
+            wolff_potential(_ATOMS, params, x), rel=1e-10)
+    for params in (RieszParams(2.0), RieszParams(3.0, domain_diameter=2.0)):
+        assert riesz_potential(hidden, params, x) == pytest.approx(
+            riesz_potential(_ATOMS, params, x), rel=1e-10)
+
+
+@pytest.mark.parametrize("s, d, scale", [(0.5, 1.5, 1.0), (1.0, 1.0, 1.0),
+                                         (0.5, 1.0, 0.5), (0.0, 2.0, 1.0),
+                                         (0.0, 1.0, 1.0)])
+@pytest.mark.parametrize("lo", [0.0, 0.05])
+def test_profile_and_rule_forms_agree(s, d, scale, lo):
+    # a power law below a shell, seen from the centre: several terms on
+    # the first interval, a constant beyond the shell
+    mu = SumMeasure([
+        RadialProfileMeasure(np.zeros(3), PowerLawProfile(1.0, 2.0, rmax=0.3)),
+        normalized_sphere_shell(np.zeros(3), 0.5, 0.7)])
+    x = np.zeros(3)
+    closed = profile_integral(mu.radial_mass_profile(x), s, d, lo, 0.9, scale)
+    rule = ball_mass_integral(mu, x, s, d, lo, 0.9, scale)
+    assert closed == pytest.approx(rule, rel=1e-10)
+
+
+_NEWTON_CASES = {
+    "atomic": (AtomicMeasure([[0.1, 0.0, 0.0], [-0.2, 0.1, 0.3]], [1.0, 0.7]),
+               [0.0, 0.05, -0.1]),
+    "radial at its centre": (RadialProfileMeasure(
+        np.zeros(3), PowerLawProfile(1.0, 3.0, rmax=0.4)), [0.0, 0.0, 0.0]),
+    "radial off its centre": (RadialProfileMeasure(
+        np.zeros(3), AtomPlusPowerProfile(0.5, 1.0, 3.0, rmax=0.4)),
+        [0.15, 0.1, 0.0]),
+    "sphere shell": (normalized_sphere_shell(np.zeros(3), 0.3, 1.5),
+                     [0.1, 0.05, 0.0]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_NEWTON_CASES))
+def test_newtonian_riesz_is_wolff_at_p_2_plus_the_outer_mass(case):
+    # at p = alpha = 2 both integrate M(t) t^(1-n); with B(x, r) covering
+    # the support, R(x) = (n-2) W(x, r) + mu(R^n) r^(2-n)
+    mu, x = _NEWTON_CASES[case]
+    n, r = 3, 2.0
+    want = ((n - 2) * wolff_potential(mu, WolffParams(2.0, r), x)
+            + mu.total_mass * r ** (2 - n))
+    assert riesz_potential(mu, RieszParams(2.0), x) == pytest.approx(
+        want, rel=1e-13)

@@ -54,6 +54,18 @@ def test_residual_is_the_unregularized_defect():
     assert sol.residual > 1e3 * float(np.max(np.abs(reg[~mask])))
 
 
+def test_super_asymptotic_limit_at_p_equal_n():
+    # G_n = log(1/r): u / G_n = 1.7 + 0.9 / log(1/r) tends to 1.7 with a
+    # correction of order 1/log(1/r)
+    path = ApproachPath.geometric(np.zeros(3), [1.0, 0.0, 0.0],
+                                  r0=0.25, ratio=0.5, count=24)
+    rep = super_asymptotic_report(
+        lambda pts: 1.7 * np.log(1.0 / np.linalg.norm(pts, axis=1)) + 0.9,
+        3.0, np.zeros(3), path)
+    assert rep.limit == pytest.approx(1.7, abs=1e-12)
+    assert rep.correction_exponent == 1.0
+
+
 @pytest.mark.parametrize("shift", [0.0, 0.7])
 def test_super_asymptotic_limit_of_a_multiple_of_g_p(shift):
     # u = 2 G_p + shift: u / G_p = 2 + shift r^kappa tends to 2, and

@@ -187,6 +187,21 @@ def test_atom_plus_uniform_limit_is_atom_mass():
     assert rep.limit == pytest.approx(2.0, rel=0.01)
 
 
+@pytest.mark.parametrize("D", [1.5, 4.0])
+def test_log_kernel_limit_is_the_atom_mass(D):
+    # R = 2 log(D/r), so R / log(1/r) = 2 + 2 log(D) / log(1/r): linear
+    # in 1/log(1/r), which a power of r cannot extrapolate
+    mu = AtomicMeasure([np.zeros(3)], [2.0])
+    path = ApproachPath.geometric(np.zeros(3), [1.0, 0.0, 0.0],
+                                  r0=0.25, ratio=0.5, count=24)
+    rep = riesz_asymptotic_report(mu, RieszParams(3.0, domain_diameter=D),
+                                  np.zeros(3), path)
+    assert rep.limit == pytest.approx(2.0, abs=1e-12)
+    assert rep.extras["point_mass_estimate"] == rep.limit
+    assert np.allclose(rep.extras["ratios_domain_normalized"], 2.0,
+                       rtol=1e-13)
+
+
 def test_diffuse_only_limit_is_zero():
     mu = RadialProfileMeasure(np.zeros(3), PowerLawProfile(1.0, 3.0, rmax=1.0))
     path = ApproachPath.geometric(np.zeros(3), [1.0, 0.0, 0.0],

@@ -23,7 +23,6 @@ from potkit.measures import (
 )
 from potkit.wolff import (
     WolffParams,
-    _integrand,
     thin_witness_blowup,
     wolff_asymptotic_report,
     wolff_decay_check,
@@ -88,7 +87,7 @@ def test_quadrature_agrees_with_exact_piecewise():
     for _ in range(5):
         x = rng.normal(size=3)
         a = wolff_potential(mu, params, x)
-        b = ball_mass_integral(mu, x, _integrand(3, 2.5), 0.0, 1.0)
+        b = ball_mass_integral(mu, x, 0.5, 1.5, 0.0, 1.0)
         assert b == pytest.approx(a, rel=1e-10)
 
 
