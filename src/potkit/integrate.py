@@ -13,18 +13,21 @@ module owns it, in two forms:
   on each interval).  An interval whose mass is a single term c t^m
   integrates in closed form by ``power_integral`` as
   scale c^(1/d) t^(e-1), e = (m - s) / d, and at d = 1 every term of
-  every interval does.  Intervals with several terms at d != 1 go
-  through the tanh-sinh rule; one that reaches t = 0 is cut at 1e-12 of
-  its length, and below the cut its smallest power, a constant counting
-  as power 0, integrates in closed form.
+  every interval does.  A step profile, with no power of t, as every
+  atomic and grid profile is, takes that form directly.  Intervals with
+  several terms at d != 1 go through the tanh-sinh rule; one that
+  reaches t = 0 is cut at 1e-12 of its length, and below the cut its
+  smallest power, a constant counting as power 0, integrates in closed
+  form.
 * ``ball_mass_integral`` for any other measure: the tanh-sinh rule
   between consecutive breakpoints of M, all nodes in one ``ball_mass``
   call.
 
 I is +inf when x carries an atom and lo = 0, since then M(t) >= M(0) > 0
-and e = -s/d <= 0 near t = 0.  On a profile this falls out of
-``power_integral``, whose constant term gives +inf on an interval from
-0; ``ball_mass_integral`` returns it from ``atom_mass_at``.
+and e = -s/d <= 0 near t = 0.  A step profile returns it before any
+power is taken; on other profiles it falls out of ``power_integral``,
+whose constant term gives +inf on an interval from 0;
+``ball_mass_integral`` returns it from ``atom_mass_at``.
 
 The rule of Takahasi & Mori, Publ. RIMS 9 (1974), substitutes
 y = (1 + tanh((pi/2) sinh u)) / 2 on a unit interval and applies the
@@ -98,6 +101,24 @@ def _kernel(s: float, d: float, scale: float):
     return lambda mass, t: scale * ((mass / t ** s) ** (1.0 / d) / t)
 
 
+def _step_integral(c, s: float, d: float, a, b, scale: float) -> float:
+    """``profile_integral`` of a step profile, c on each live interval
+    (a, b): ``power_integral``'s terms and float operations, in one array
+    of the same length, so that the sum is the same."""
+    if a.size and a[0] == 0.0 and c[0] != 0.0:
+        return math.inf  # an atom at x
+    coef = scale * (c if d == 1.0 else c ** (1.0 / d))
+    start = int(a.size > 0 and a[0] == 0.0)  # skip a massless (0, b)
+    a, b, coef = a[start:], b[start:], coef[start:]
+    e = np.full(a.size, -s / d)
+    value = np.zeros(start + a.size)
+    if s == 0.0:
+        value[start:] = coef * np.log(b / a)
+    else:
+        value[start:] = coef * (b ** e - a ** e) / e
+    return float(value.sum())
+
+
 def profile_integral(prof, s: float, d: float, lo: float, hi: float,
                      scale: float = 1.0) -> float:
     """The integral I over (lo, hi) of the closed profile ``prof`` of M,
@@ -108,6 +129,8 @@ def profile_integral(prof, s: float, d: float, lo: float, hi: float,
     b = np.minimum(np.append(bp[1:], math.inf), hi)
     live = b > a
     a, b = a[live], b[live]
+    if not prof.powers:
+        return _step_integral(prof.constant[live], s, d, a, b, scale)
     terms = [(0.0, prof.constant[live])] + [(m, c[live])
                                            for m, c in prof.powers]
     if d == 1.0:

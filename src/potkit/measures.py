@@ -11,7 +11,8 @@ measures at their center), ``radial_mass_profile`` exposes it as a
 coefficients, so that potential integrals can be evaluated over all
 intervals at once.  Atomic ball masses are read off that profile, and a
 grid measure's are those of point masses at its loaded cell centers, so
-grids and atoms share one code path.  Off its center, a radial-profile
+grids and atoms share one code path; asked for a ``reach``, they read
+only the atoms closer than it.  Off its center, a radial-profile
 measure integrates its profile against the covered fraction of each
 sphere by the tanh-sinh rule of ``integrate``.
 
@@ -179,8 +180,10 @@ class Measure:
         """Exact point mass carried by the location ``x`` (0 if none)."""
         return 0.0
 
-    def radial_mass_profile(self, x):
-        """Closed piecewise form of ``t -> ball_mass(x, t)`` or None."""
+    def radial_mass_profile(self, x, reach=math.inf):
+        """Closed piecewise form of ``t -> ball_mass(x, t)`` or None; it
+        may leave out mass at distances of ``reach`` or more, but below
+        ``reach`` it is the full profile, bit for bit."""
         return None
 
     def atoms(self):
@@ -213,7 +216,8 @@ class AtomicMeasure(Measure):
             srt = locations[order]
             if np.any(np.all(srt[1:] == srt[:-1], axis=1)):
                 raise ValueError("atom locations must be pairwise distinct")
-        self._loc = locations
+        # one contiguous column per coordinate, as ``dist2`` reads them
+        self._loc = np.asfortranarray(locations)
         self._mass = masses
 
     @property
@@ -242,11 +246,17 @@ class AtomicMeasure(Measure):
         d = self._dists(x)
         return float(self._mass[d == 0.0].sum())
 
-    def radial_mass_profile(self, x):
-        keep = self._mass > 0
-        d, w = self._dists(x)[keep], self._mass[keep]
+    def radial_mass_profile(self, x, reach=math.inf):
+        d = self._dists(x)
+        keep = (d < reach) & (self._mass > 0)
+        d, w = d[keep], self._mass[keep]
         order = np.argsort(d)
-        return _step_profile(d[order], np.cumsum(w[order]))
+        d = d[order]
+        tie = d[1:] == d[:-1]
+        if tie.any():  # tied atoms in index order: every reach sums alike
+            run = np.append(0, np.cumsum(~tie))
+            order = order[np.argsort(run * order.size + order)]
+        return _step_profile(d, np.cumsum(w[order]))
 
     def atoms(self):
         keep = self._mass > 0
@@ -380,7 +390,7 @@ class RadialProfileMeasure(Measure):
             return self._profile.mass_at_zero
         return 0.0
 
-    def radial_mass_profile(self, x):
+    def radial_mass_profile(self, x, reach=math.inf):
         if _is_center(self._rho(x)):
             return self._profile
         return None
@@ -402,8 +412,10 @@ class GridMeasure(Measure):
         self._grid = grid
         self._density = density
         loaded = density > 0
+        self._cells = np.flatnonzero(loaded)
+        self._loaded = density[loaded]
         self._centers = AtomicMeasure(grid.cell_center_points(loaded),
-                                      density[loaded] * grid.cell_volume)
+                                      self._loaded * grid.cell_volume)
 
     @property
     def dim(self) -> int:
@@ -424,8 +436,13 @@ class GridMeasure(Measure):
     def ball_mass(self, x, t):
         return self._centers.ball_mass(x, t)
 
-    def radial_mass_profile(self, x):
-        return self._centers.radial_mass_profile(x)
+    def radial_mass_profile(self, x, reach=math.inf):
+        return self._centers.radial_mass_profile(x, reach)
+
+    def loaded_cells(self):
+        """The loaded cells in C order, as arrays shared with this
+        measure: centers (k, n), densities (k,) and flat cell indices."""
+        return self._centers._loc, self._loaded, self._cells
 
     def cell_masses(self, grid: EvaluationGrid) -> np.ndarray:
         """The density integrated cellwise; on a grid of other geometry
@@ -481,8 +498,8 @@ class SumMeasure(Measure):
     def atom_mass_at(self, x) -> float:
         return float(sum(m.atom_mass_at(x) for m in self._parts))
 
-    def radial_mass_profile(self, x):
-        profs = [m.radial_mass_profile(x) for m in self._parts]
+    def radial_mass_profile(self, x, reach=math.inf):
+        profs = [m.radial_mass_profile(x, reach) for m in self._parts]
         if any(p is None for p in profs):
             return None
         return _merge_profiles(profs)

@@ -10,10 +10,11 @@ Theory*, 1996):
 
 the integral being the ``integrate`` module's ball-mass integral with
 (s, d, scale) = (n-alpha, 1, n-alpha), or scale 1 at alpha = n.  A sum
-of measures gives the sum of its parts' potentials.  A grid measure is
-a midpoint sum over its loaded cells, the cell that contains x replaced
-by the kernel's average over the equal-volume ball.  A measure of
-infinite mass raises.
+of measures gives the sum of its parts' potentials.  An atomic measure
+sums its kernel, sum_i m_i k(|x - x_i|), which is what the by-parts form
+gives for a step M.  A grid measure is a midpoint sum over its loaded
+cells, the cell that contains x replaced by the kernel's average over
+the equal-volume ball.  A measure of infinite mass raises.
 """
 
 from __future__ import annotations
@@ -26,10 +27,10 @@ import numpy as np
 from .errors import HypothesisViolation
 from .fitting import (ApproachPath, DecayReport, LimitReport, blowup_exponent,
                       fit_limit, fit_log_limit, loglog_slope)
-from .geometry import ball_volume
+from .geometry import ball_volume, dist2
 from .grid import _as_vec
 from .integrate import ball_mass_integral, profile_integral
-from .measures import GridMeasure, Measure, SumMeasure
+from .measures import AtomicMeasure, GridMeasure, Measure, SumMeasure
 
 MIN_PATH_SAMPLES = 8
 SLOPE_TOLERANCE = 0.05
@@ -80,21 +81,21 @@ def _ball_average(r, alpha: float, n: int, D):
 def _potential_grid(mu: GridMeasure, params: RieszParams, x) -> float:
     n = mu.dim
     grid = mu.grid
-    x = _as_vec(x, n)
-    d2 = grid.cell_center_dist2(x)
-    density = mu.density
-    cell_idx = grid.locate_cell(x)
+    centers, density, cells = mu.loaded_cells()
+    d2 = dist2(centers, x)
+    cell = grid.locate_cell(x)
     vol = grid.cell_volume
     total = 0.0
-    if cell_idx is not None and density[cell_idx] > 0.0:
+    flat = -1 if cell is None else np.ravel_multi_index(cell, grid.cell_shape)
+    j = np.searchsorted(cells, flat)
+    if j < cells.size and cells[j] == flat:
         # replace the singular self-cell term by the kernel's average over
         # the volume-equivalent ball times the cell's mass
         r_eq = grid.h * ball_volume(n) ** (-1.0 / n)
-        total += density[cell_idx] * vol * _ball_average(
+        total += density[j] * vol * _ball_average(
             r_eq, params.alpha, n, params.domain_diameter)
-        d2 = d2.copy()
-        d2[cell_idx] = -1.0
-    keep = (density > 0.0) & (d2 > 0.0)
+        d2[j] = -1.0
+    keep = d2 > 0.0
     if np.any(keep):
         k = _kernel(np.sqrt(d2[keep]), params.alpha, n, params.domain_diameter)
         total += float((density[keep] * k).sum()) * vol
@@ -112,6 +113,13 @@ def riesz_potential(mu: Measure, params: RieszParams, x) -> float:
         return float(sum(riesz_potential(part, params, x) for part in mu.parts))
     if isinstance(mu, GridMeasure):
         return _potential_grid(mu, params, x)
+    if isinstance(mu, AtomicMeasure):
+        locations, masses = mu.atoms()
+        dist = np.sqrt(dist2(locations, x))
+        if np.any(dist == 0.0):
+            return math.inf
+        k = _kernel(dist, params.alpha, n, params.domain_diameter)
+        return float((masses * k).sum())
     if math.isinf(mu.total_mass):
         raise HypothesisViolation("Riesz potential of a measure of infinite mass")
     alpha = params.alpha

@@ -5,7 +5,9 @@ The central object is
     W(x, r) = integral over t in (0, r] of (M(t) / t^(n-p))^(1/(p-1)) dt/t,
 
 with ``M(t) = ball_mass(mu, x, t)`` and 1 < p <= n: the ``integrate``
-module's ball-mass integral with (s, d, scale) = (n-p, p-1, 1).
+module's ball-mass integral with (s, d, scale) = (n-p, p-1, 1).  The
+profile of M is asked for up to r only, so an atomic or grid measure
+reads only its atoms within r of x.
 """
 from __future__ import annotations
 
@@ -58,7 +60,7 @@ def wolff_potential(mu: Measure, params: WolffParams, x, *,
     if t_min < 0.0 or t_min >= params.r:
         raise ValueError("t_min must lie in [0, r)")
     s, d = n - params.p, params.p - 1.0
-    prof = mu.radial_mass_profile(x)
+    prof = mu.radial_mass_profile(x, params.r)
     if prof is not None:
         return profile_integral(prof, s, d, t_min, params.r)
     return ball_mass_integral(mu, x, s, d, t_min, params.r)

@@ -182,3 +182,38 @@ def test_newtonian_riesz_is_wolff_at_p_2_plus_the_outer_mass(case):
             + mu.total_mass * r ** (2 - n))
     assert riesz_potential(mu, RieszParams(2.0), x) == pytest.approx(
         want, rel=1e-13)
+
+
+def _power_integral_sum(prof, s, d, lo, hi, scale):
+    """A step profile's integral term by term through ``power_integral``,
+    on the intervals that carry mass, as the general form takes it."""
+    bp = prof.breakpoints
+    a = np.maximum(bp, lo)
+    b = np.minimum(np.append(bp[1:], math.inf), hi)
+    live = b > a
+    a, b, c = a[live], b[live], prof.constant[live]
+    value = np.zeros(a.size)
+    on = c != 0.0
+    value[on] = power_integral(scale * c[on] ** (1.0 / d),
+                               np.full(on.sum(), -s / d), a[on], b[on])
+    return float(value.sum())
+
+
+@pytest.mark.parametrize("s, d, scale", [(0.5, 1.5, 1.0), (1.0, 1.0, 1.0),
+                                         (1.5, 1.0, 1.5), (0.0, 2.0, 1.0),
+                                         (0.0, 1.0, 1.0), (1.0, 0.5, 1.0)])
+def test_step_profiles_integrate_term_by_term(s, d, scale):
+    # atomic profiles take the closed form of each constant directly,
+    # with the float operations of the general form, bit for bit
+    rng = np.random.default_rng(41)
+    mu = AtomicMeasure(rng.uniform(-0.5, 0.5, (200, 3)),
+                       rng.uniform(0.0, 1.0, 200))
+    for x in rng.uniform(-0.6, 0.6, (10, 3)):
+        prof = mu.radial_mass_profile(x)
+        for lo, hi in ((0.0, 0.4), (0.05, 0.4), (0.0, 2.0)):
+            assert profile_integral(prof, s, d, lo, hi, scale) == \
+                _power_integral_sum(prof, s, d, lo, hi, scale)
+    on_atom = mu.radial_mass_profile(mu.locations[0])
+    assert profile_integral(on_atom, s, d, 0.0, 0.4, scale) == math.inf
+    assert profile_integral(on_atom, s, d, 0.01, 0.4, scale) == \
+        _power_integral_sum(on_atom, s, d, 0.01, 0.4, scale)

@@ -9,9 +9,12 @@ from scipy.integrate import quad
 from potkit.errors import HypothesisViolation
 from potkit.fitting import ApproachPath
 from potkit.grid import EvaluationGrid
+from potkit.geometry import ball_volume
 from potkit.measures import (
     AtomicMeasure,
     AtomPlusPowerProfile,
+    GridMeasure,
+    Measure,
     PowerLawProfile,
     RadialProfileMeasure,
     SumMeasure,
@@ -40,6 +43,77 @@ def test_single_atom_log_kernel():
 def test_atom_collision_gives_infinity():
     mu = AtomicMeasure([[0.0, 0.0, 0.0]], [1.0])
     assert riesz_potential(mu, RieszParams(2.0), np.zeros(3)) == math.inf
+
+
+class _ByParts(Measure):
+    """An atomic measure seen only through its profile, so that Riesz
+    integrates its ball mass by parts."""
+
+    def __init__(self, inner):
+        self._inner = inner
+
+    dim = property(lambda self: self._inner.dim)
+    total_mass = property(lambda self: self._inner.total_mass)
+
+    def radial_mass_profile(self, x, reach=math.inf):
+        return self._inner.radial_mass_profile(x)
+
+
+@pytest.mark.parametrize("params", [RieszParams(1.5), RieszParams(2.0),
+                                    RieszParams(3.0, domain_diameter=2.0)])
+def test_atomic_kernel_sum_matches_the_by_parts_form(params):
+    # the 14-atom thin-witness measure at n = 3, p = 2.5
+    idx = np.arange(1, 15)
+    pts = np.zeros((14, 3))
+    pts[:, 0] = 2.0 ** -idx
+    mu = AtomicMeasure(pts, 2.0 ** (-idx * 0.5) * idx ** 1.5)
+    rng = np.random.default_rng(23)
+    for x in rng.uniform(-0.5, 0.5, (30, 3)):
+        assert riesz_potential(mu, params, x) == pytest.approx(
+            riesz_potential(_ByParts(mu), params, x), rel=1e-13, abs=0.0)
+    assert riesz_potential(mu, params, pts[3]) == math.inf
+
+
+def _grid_riesz_every_cell(mu, params, x):
+    """Grid Riesz as a sum over every cell of the grid: the midpoint
+    kernel on loaded cells, the cell containing x replaced by the
+    kernel's average over the equal-volume ball."""
+    grid, density, n, alpha = mu.grid, mu.density, mu.dim, params.alpha
+    D = params.domain_diameter
+    d2 = grid.cell_center_dist2(x)
+    vol = grid.cell_volume
+    total = 0.0
+    cell = grid.locate_cell(x)
+    if cell is not None and density[cell] > 0.0:
+        r_eq = grid.h * ball_volume(n) ** (-1.0 / n)
+        average = ((n / alpha) * r_eq ** (alpha - n) if alpha < n
+                   else math.log(D / r_eq) + 1.0 / n)
+        total += density[cell] * vol * average
+        d2[cell] = -1.0
+    keep = (density > 0.0) & (d2 > 0.0)
+    dist = np.sqrt(d2[keep])
+    k = (np.log(np.divide(D, dist)) if alpha == n
+         else np.power(dist, alpha - n))
+    return total + float((density[keep] * k).sum()) * vol
+
+
+@pytest.mark.parametrize("params", [RieszParams(1.5), RieszParams(2.0),
+                                    RieszParams(3.0, domain_diameter=2.0)])
+def test_grid_sum_over_loaded_cells_matches_every_cell_bit_for_bit(params):
+    rng = np.random.default_rng(29)
+    grid = EvaluationGrid.from_box((0.0,) * 3, (1.0,) * 3, 1.0 / 8.0)
+    density = np.where(rng.random(grid.cell_shape) < 0.5,
+                       rng.uniform(0.5, 1.5, grid.cell_shape), 0.0)
+    mu = GridMeasure(grid, density)
+    loaded = grid.cell_center_points(density > 0)[0]
+    unloaded = grid.cell_center_points(density == 0)[0] + 0.01
+    points = [loaded, loaded + 0.02, unloaded, [1.3, 0.4, 0.5],
+              [-0.2, -0.1, 1.1], [0.5, 0.5, 0.5]]
+    points += list(rng.uniform(-0.2, 1.2, (20, 3)))
+    for x in points:
+        x = np.asarray(x, dtype=float)
+        assert riesz_potential(mu, params, x) == \
+            _grid_riesz_every_cell(mu, params, x)
 
 
 def test_uniform_ball_center_newtonian():

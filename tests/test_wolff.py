@@ -11,7 +11,7 @@ from scipy.integrate import quad
 from potkit.errors import HypothesisViolation
 from potkit.fitting import ApproachPath
 from potkit.grid import EvaluationGrid
-from potkit.integrate import ball_mass_integral
+from potkit.integrate import ball_mass_integral, profile_integral
 from potkit.measures import (
     AtomicMeasure,
     AtomPlusPowerProfile,
@@ -216,6 +216,85 @@ def test_grid_equals_atoms_at_loaded_centres():
         for t in (0.05, 0.2, 0.6):
             assert gm.ball_mass(x, t) == pytest.approx(am.ball_mass(x, t),
                                                        rel=1e-13)
+
+
+def _reach_cases():
+    """An atomic, a grid and a grid + atomic measure on the unit cube."""
+    rng = np.random.default_rng(17)
+    atoms = AtomicMeasure(rng.uniform(0.0, 1.0, (300, 3)),
+                          rng.uniform(0.1, 1.0, 300))
+    grid = _random_grid_measure(8, 18)[0]
+    return {"atomic": atoms, "grid": grid, "sum": SumMeasure([grid, atoms])}
+
+
+def _unreached(mu, params, x, t_min=0.0):
+    """Wolff value from the full profile, which reads every atom."""
+    n = mu.dim
+    return profile_integral(mu.radial_mass_profile(x), n - params.p,
+                            params.p - 1.0, t_min, params.r)
+
+
+def _assert_prefix(mu, x, reach):
+    full, cut = mu.radial_mass_profile(x), mu.radial_mass_profile(x, reach)
+    k = cut.breakpoints.size
+    assert np.array_equal(cut.breakpoints, full.breakpoints[:k])
+    assert np.array_equal(cut.constant, full.constant[:k])
+    assert k == full.breakpoints.size or full.breakpoints[k] >= reach
+    assert np.all(cut.breakpoints[1:] < reach)
+
+
+@pytest.mark.parametrize("kind", ["atomic", "grid", "sum"])
+@pytest.mark.parametrize("p", [2.0, 2.5, 3.0])
+def test_wolff_reads_only_atoms_within_r_bit_for_bit(kind, p):
+    mu = _reach_cases()[kind]
+    rng = np.random.default_rng(19)
+    params = WolffParams(p, 0.3)
+    for x in rng.uniform(0.1, 0.9, (50, 3)):
+        assert wolff_potential(mu, params, x) == _unreached(mu, params, x)
+        _assert_prefix(mu, x, params.r)
+
+
+@pytest.mark.parametrize("kind", ["atomic", "grid", "sum"])
+def test_reach_edge_cases_bit_for_bit(kind):
+    mu = _reach_cases()[kind]
+    x = np.array([0.43, 0.52, 0.61])
+    full = mu.radial_mass_profile(x)
+    nearest = full.breakpoints[1]
+    # r below the nearest atom, and r at exactly an atom's distance
+    below = WolffParams(2.5, 0.5 * nearest)
+    assert wolff_potential(mu, below, x) == 0.0 == _unreached(mu, below, x)
+    for r in full.breakpoints[[1, 5, 40]]:
+        params = WolffParams(2.5, float(r))
+        assert wolff_potential(mu, params, x) == _unreached(mu, params, x)
+        _assert_prefix(mu, x, r)
+    # at a grid node the loaded ones of its 8 cells tie and make one jump
+    node = np.array([0.5, 0.5, 0.375])
+    if kind == "grid":
+        around = mu.grid.cell_center_dist2(node) < 0.15 ** 2
+        masses = mu.density[around] / 8 ** 3
+        assert around.sum() == 8 and np.count_nonzero(masses) > 2
+        first = mu.radial_mass_profile(node)
+        assert first.breakpoints[1] == pytest.approx(math.sqrt(3) / 16)
+        assert first.constant[1] == pytest.approx(masses.sum(), rel=1e-14)
+    for p in (2.0, 2.5, 3.0):
+        params = WolffParams(p, 0.3)
+        assert wolff_potential(mu, params, node) == \
+            _unreached(mu, params, node)
+    _assert_prefix(mu, node, 0.3)
+    # on an atom, and from t_min > 0 there as the witness centres are
+    if kind != "grid":
+        atom = mu.atoms()[0][7]
+        params = WolffParams(2.5, 0.3)
+        assert wolff_potential(mu, params, atom) == math.inf
+        assert wolff_potential(mu, params, atom, t_min=0.05) == \
+            _unreached(mu, params, atom, t_min=0.05)
+    else:
+        centre = np.array([0.5625, 0.4375, 0.3125])
+        params = WolffParams(2.5, 0.3)
+        assert wolff_potential(mu, params, centre) == \
+            _unreached(mu, params, centre)
+        assert wolff_potential(mu, params, centre, t_min=0.05) == \
+            _unreached(mu, params, centre, t_min=0.05)
 
 
 def test_grid_values_carry_no_state_between_points():
