@@ -3,9 +3,8 @@ thin-set diagnostics, measure-data p-Laplace solves, and the eigenvalue
 cones attached to fully nonlinear curvature operators."""
 
 from .capacity import (BallDomain, BoxDomain, CapacityEstimate, ShellDomain,
-                       SmallBallModel, annulus_term,
-                       calibrate_small_ball_ratio, condenser_capacity,
-                       p_capacity, riesz_capacity)
+                       annulus_term, condenser_capacity, p_capacity,
+                       riesz_capacity)
 from .cones import (BridgeReport, Cone, InclusionReport,
                     fully_nonlinear_bridge, inclusion_check, p_gamma,
                     sigma_values)
@@ -32,12 +31,13 @@ from .scene import Scene, load_scene, parse_scene
 from .sets import (BallUnion, BoxUnion, Cusp, ParametricSet, PointList,
                    RestrictedSet, Sphere, cantor_dust, segment_set,
                    sphere_directions)
-from .thinness import (ThinnessReport, ball_sequence_terms,
-                       classify_thinness, escaping_ray, wiener_terms)
+from .thinness import (SmallBallModel, ThinnessReport, WitnessReport,
+                       ball_sequence_terms, calibrate_small_ball_ratio,
+                       classify_thinness, escaping_ray, thin_witness_blowup,
+                       wiener_terms)
 from .verify import (CHECK_NAMES, CheckResult, Metric, VerifyReport,
                      render_artifacts, run_all, run_check)
-from .wolff import (WitnessReport, WolffParams, thin_witness_blowup,
-                    wolff_asymptotic_report, wolff_decay_check,
+from .wolff import (WolffParams, wolff_asymptotic_report, wolff_decay_check,
                     wolff_potential)
 
 __version__ = "0.1.0"

@@ -1,5 +1,6 @@
 """Riesz capacity (discrete equilibrium) and variational p-capacity (grid
-energy minimization), with annulus ratio terms for thinness tests.
+energy minimization), and the dyadic annulus quotient that the thinness
+tests in :mod:`potkit.thinness` are built from.
 
 The Riesz capacity of E inside a region Omega is the least total mass m
 whose potential integral k_alpha * m is >= 1 everywhere on E, with
@@ -25,7 +26,6 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
 from .errors import HypothesisViolation, ResolutionError
-from .fitting import loglog_slope
 from .geometry import dist2, kappa_exponent, sphere_area
 from .grid import EvaluationGrid, _as_vec
 from .penergy import (PEnergyProblem, minimize_p_energy,
@@ -370,29 +370,10 @@ def condenser_capacity(r: float, R: float, n: int, p: float) -> float:
 # dyadic annulus terms
 
 
-_DENOMINATOR_CACHE: dict = {}
-
-
-def _denominator_unit(n: int, p_or_alpha: float, mode: str,
-                      pitch_rel: float) -> float:
-    """Capacity of the unit-scale denominator problem: the sphere of
-    radius 1 inside the ball of radius 2, at pitch pitch_rel.  Scaled
-    copies of the dyadic problem reduce to this one exactly because the
-    grid is matched to the annulus scale."""
-    key = (n, round(p_or_alpha, 12), mode, round(pitch_rel, 12))
-    if key in _DENOMINATOR_CACHE:
-        return _DENOMINATOR_CACHE[key]
-    sphere = Sphere([0.0] * n, 1.0)
-    solve = p_capacity if mode == "cap" else riesz_capacity
-    est = solve(sphere, BallDomain((0.0,) * n, 2.0), p_or_alpha,
-                pitch_rel * 2.0)
-    _DENOMINATOR_CACHE[key] = est.value
-    return est.value
-
-
 def annulus_term(E: ParametricSet, x0, i: int, *, mode: str, index: float,
                  delta: float = 1.0, pitch_rel: float = 1.0 / 8.0):
-    """Numerator and denominator of the i-th Wiener-type quotient.
+    """Numerator and denominator of the i-th Wiener-type quotient, or
+    (0.0, None) when E misses the annulus at this pitch.
 
     The numerator is the capacity of E intersected with the closed
     annulus omega_i = {2^-i delta <= |x-x0| <= 2^-i+1 delta} relative to
@@ -400,8 +381,8 @@ def annulus_term(E: ParametricSet, x0, i: int, *, mode: str, index: float,
     the denominator is the capacity of the sphere of radius 2^-i delta
     in the ball of radius 2^-i+1 delta.  Both are computed at pitch
     proportional to the annulus scale so the quotient is resolution
-    consistent; the denominator is evaluated once at unit scale and
-    scaled exactly.
+    consistent; the denominator is solved at unit scale and scaled
+    exactly, since its grid matches the annulus scale.
     """
     if i < 1:
         raise ValueError("annulus index starts at 1")
@@ -412,66 +393,12 @@ def annulus_term(E: ParametricSet, x0, i: int, *, mode: str, index: float,
     s = 2.0 ** -i * delta
     piece = RestrictedSet(E, x0, s, 2.0 * s)
     shell = ShellDomain(tuple(x0), 0.5 * s, 4.0 * s)
-    pitch = 8.0 * s * pitch_rel / 8.0
-    grid = shell.grid(pitch)
-    if not np.any(piece.meets_cells(grid)):
+    pitch = s * pitch_rel
+    # riesz_capacity raises for a piece outside the shell's box
+    if not np.any(piece.meets_cells(shell.grid(pitch))):
         return 0.0, None
     solve = p_capacity if mode == "cap" else riesz_capacity
     num = solve(piece, shell, index, pitch).value
-    den = _denominator_unit(n, index, mode, pitch_rel) * s ** (n - index)
-    return num, den
-
-
-# ---------------------------------------------------------------------------
-# small-ball calibration
-
-
-@dataclass
-class SmallBallModel:
-    """Power-law fit ratio(rho) ~ amplitude * rho^exponent for the
-    annulus quotient of a single ball of relative radius rho sitting on
-    the annulus at unit relative distance from the center.
-
-    Grid solves resolve only rho above a few pitches; the fitted law
-    extrapolates the quotient for smaller balls, where the exact
-    capacity scaling in the ball radius is the controlling behavior.
-    """
-
-    amplitude: float
-    exponent: float
-    rhos: tuple
-    ratios: tuple
-    r2: float
-
-    def ratio(self, rho: float) -> float:
-        return self.amplitude * rho ** self.exponent
-
-
-def calibrate_small_ball_ratio(n: int, *, p: float | None = None,
-                               alpha: float | None = None,
-                               rhos=(0.4, 0.28, 0.2),
-                               pitch_rel: float = 1.0 / 6.0
-                               ) -> SmallBallModel:
-    """Fit the single-ball annulus quotient against the relative radius.
-
-    The ball sits at distance equal to the annulus inner radius (unit
-    scale), mirroring the canonical witness geometry.  The measured
-    log-log slope should track the capacity scaling exponent (n - p or
-    n - alpha)."""
-    from .sets import BallUnion
-    if (p is None) == (alpha is None):
-        raise ValueError("give exactly one of p, alpha")
-    mode = "cap" if p is not None else "riesz"
-    index = p if p is not None else alpha
-    ratios = []
-    for rho in rhos:
-        ball = BallUnion([[1.0] + [0.0] * (n - 1)], [rho])
-        num, den = annulus_term(ball, [0.0] * n, 1, mode=mode, index=index,
-                                delta=2.0, pitch_rel=pitch_rel)
-        ratios.append(0.0 if den is None else num / den)
-    ratios_a = np.asarray(ratios)
-    if np.any(ratios_a <= 0):
-        raise ResolutionError("calibration ball vanished below the grid")
-    slope, intercept, r2 = loglog_slope(np.asarray(rhos), ratios_a)
-    return SmallBallModel(float(math.exp(intercept)), float(slope),
-                          tuple(rhos), tuple(ratios), float(r2))
+    unit = solve(Sphere([0.0] * n, 1.0), BallDomain((0.0,) * n, 2.0), index,
+                 pitch_rel * 2.0).value
+    return num, unit * s ** (n - index)

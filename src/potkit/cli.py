@@ -413,7 +413,10 @@ def build_parser() -> argparse.ArgumentParser:
         sp = cones_sub.add_parser(verb, help=help_text)
         _add_flags(sp, "scene", *flags)
 
-    va = sub.add_parser("verify-all", help="run the verification suite")
+    va = sub.add_parser("verify-all", help="run the verification suite",
+                        description="Artifacts are byte-identical only at "
+                        "a fixed BLAS thread count (OMP_NUM_THREADS, "
+                        "OPENBLAS_NUM_THREADS); CI pins 1 thread.")
     _add_flags(va, "seed")
     va.add_argument("--profile", choices=("full", "quick"), default="full")
     va.add_argument("--checks", help="comma-separated subset of checks")

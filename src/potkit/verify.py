@@ -5,7 +5,8 @@ settings or at a reduced ``quick`` profile, and returns a CheckResult
 whose metrics carry the observed value, the reference value and the
 tolerance.  ``artifact_texts`` serializes a report deterministically;
 runtimes are deliberately kept out of the artifacts so repeated runs
-with the same seed are byte-identical.
+with the same seed are byte-identical, at a fixed BLAS thread count
+only (``OMP_NUM_THREADS``, ``OPENBLAS_NUM_THREADS``; CI pins 1 thread).
 """
 
 from __future__ import annotations
@@ -18,8 +19,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .capacity import (BallDomain, BoxDomain, calibrate_small_ball_ratio,
-                       condenser_capacity, p_capacity, riesz_capacity)
+from .capacity import (BallDomain, BoxDomain, condenser_capacity, p_capacity,
+                       riesz_capacity)
 from .cones import Cone, inclusion_check, p_gamma
 from .fitting import ApproachPath, loglog_slope
 from .grid import EvaluationGrid
@@ -32,9 +33,9 @@ from .plaplace import (FundamentalSolution, envelope_band, envelope_check,
                        solve_p_dirichlet)
 from .riesz import RieszParams, riesz_asymptotic_report
 from .sets import BallUnion, Sphere, sphere_directions
-from .thinness import ball_sequence_terms, classify_thinness
-from .wolff import WolffParams, thin_witness_blowup, \
-    wolff_asymptotic_report, wolff_potential
+from .thinness import (ball_sequence_terms, calibrate_small_ball_ratio,
+                       classify_thinness, thin_witness_blowup)
+from .wolff import WolffParams, wolff_asymptotic_report, wolff_potential
 
 PROFILES = ("full", "quick")
 

@@ -8,11 +8,15 @@ with ``M(t) = ball_mass(mu, x, t)`` and 1 < p <= n: the ``integrate``
 module's ball-mass integral with (s, d, scale) = (n-p, p-1, 1).  The
 profile of M is asked for up to r only, so an atomic or grid measure
 reads only its atoms within r of x.
+
+This module depends on the measures and the integral engine only; the
+thin-set witness family built on these potentials is in
+:mod:`potkit.thinness`.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,10 +25,8 @@ from .fitting import (ApproachPath, DecayReport, LimitReport, blowup_exponent,
                       fit_limit, fit_log_limit, loglog_slope)
 from .geometry import kappa_exponent
 from .grid import _as_vec
-from .measures import AtomicMeasure, Measure
+from .measures import Measure
 from .integrate import ball_mass_integral, profile_integral
-from .sets import BallUnion
-from .thinness import escaping_ray
 
 MIN_PATH_SAMPLES = 6
 
@@ -143,86 +145,3 @@ def wolff_decay_check(mu: Measure, params: WolffParams, x0, m: float,
     return DecayReport(path.radii, values, measured, bound, constant,
                        hyp_const, bool(measured <= bound),
                        extras={"epsilon": epsilon, "m": m})
-
-
-@dataclass(frozen=True)
-class WitnessReport:
-    """Canonical thin-set family with Wolff blow-up along its centers.
-
-    ``center_scaled`` holds the above-|x_i| part of the Wolff integral
-    (r = 1) at atom center x_i, which carries the |x_i|^kappa scaling on
-    its own: the own-atom piece equals ((p-1)/(n-p)) i (1 - |x_i|^kappa)
-    exactly.  The full value there is +inf because each center carries
-    an atom.  ``ray_scaled`` holds |x|^kappa W(x, 1) along the escaping
-    ray ``ray_direction``."""
-
-    measure: AtomicMeasure
-    centers: np.ndarray
-    ball_radii: np.ndarray
-    masses: np.ndarray
-    indices: np.ndarray
-    center_scaled: np.ndarray
-    ray_direction: np.ndarray
-    ray_radii: np.ndarray
-    ray_scaled: np.ndarray
-    centers_diverge: bool
-    ray_vanishes: bool
-    extras: dict = field(default_factory=dict)
-
-
-def thin_witness_blowup(s: float, p: float, *, n: int = 3,
-                        count: int = 14) -> WitnessReport:
-    """Build the ball family E_s = union of B(2^-i e1, 2^-i i^-s) with the
-    witness measure sum_i a_i delta at the centers, a_i = 2^(-i(n-p)) i^(p-1).
-
-    The masses make the scaled Wolff potential W(., 1) at center i at
-    least ((p-1)/(n-p)) * i * (1 - 2^(-i kappa)) while the total mass
-    stays finite; along the ray from 0 that ``escaping_ray`` finds
-    outside the ball family the scaled values decay to 0.
-    """
-    if not 2.0 < p < n:
-        raise ValueError("witness construction requires p in (2, n)")
-    if s * (n - p) <= 1.0:
-        raise ValueError("invalid s: need s(n-p) > 1 so the family is thin")
-    if count < 4:
-        raise ValueError("need at least 4 atoms")
-    idx = np.arange(1, count + 1)
-    centers = np.zeros((count, n))
-    centers[:, 0] = 2.0 ** -idx
-    radii = 2.0 ** -idx * idx ** float(-s)
-    masses = 2.0 ** (-idx * (n - p)) * idx ** (p - 1.0)
-    mu = AtomicMeasure(centers, masses)
-    params = WolffParams(p, 1.0)
-    kappa = kappa_exponent(n, p)
-
-    rho = 2.0 ** -idx.astype(float)
-    # the integral above t = |x_i| carries the |x_i|^kappa scaling by
-    # itself: its own-atom piece is ((p-1)/(n-p)) i (1 - |x_i|^kappa)
-    center_scaled = np.array([
-        wolff_potential(mu, params, centers[k], t_min=rho[k])
-        for k in range(count)])
-
-    v = escaping_ray(BallUnion(centers, radii), np.zeros(n), 0.75)
-    if v is None:
-        raise RuntimeError("no escaping ray found for the witness family")
-    v = v / np.linalg.norm(v)
-    # the raw potential along the ray grows like log(1/rr)^2, so the
-    # scaled value peaks near rr ~ 2^-10 and only then decays like
-    # rr^kappa log(1/rr)^2; go deep enough to see the decay regime
-    ray_radii = 2.0 ** -np.arange(1, 37, dtype=float)
-    ray_scaled = np.array([
-        rr ** kappa * wolff_potential(mu, params, rr * v) for rr in ray_radii])
-
-    ramp = (p - 1.0) / (n - p) * idx
-    tail = idx >= max(4, count // 2)
-    centers_diverge = bool(
-        np.all(np.diff(center_scaled[tail]) > 0)
-        and np.all(center_scaled[tail] >= 0.9 * ramp[tail]))
-    third = len(ray_radii) // 3
-    ray_slope, _, _ = loglog_slope(ray_radii[-third:], ray_scaled[-third:])
-    ray_vanishes = bool(ray_scaled[-1] <= 0.25 * ray_scaled.max()
-                        and ray_slope > 0.1)
-
-    return WitnessReport(mu, centers, radii, masses, idx, center_scaled, v,
-                         ray_radii, ray_scaled, centers_diverge, ray_vanishes,
-                         extras={"linear_ramp": ramp, "ray_slope": ray_slope})

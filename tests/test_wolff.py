@@ -21,9 +21,9 @@ from potkit.measures import (
     SumMeasure,
     normalized_sphere_shell,
 )
+from potkit.thinness import thin_witness_blowup
 from potkit.wolff import (
     WolffParams,
-    thin_witness_blowup,
     wolff_asymptotic_report,
     wolff_decay_check,
     wolff_potential,
