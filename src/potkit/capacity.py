@@ -180,6 +180,9 @@ class CapacityEstimate:
 
 _SITE_CAP = 3500
 _PITCH_GROWTH = 1.1
+# entries per row block of a kernel matrix: 1 MB of floats, so each
+# temporary of ``_riesz_kernel_matrix`` stays in a 2 MB L2 cache
+_BLOCK_ENTRIES = 1 << 17
 
 
 def _riesz_kernel_matrix(x, y, alpha, n, diam, r_moll):
@@ -190,6 +193,37 @@ def _riesz_kernel_matrix(x, y, alpha, n, diam, r_moll):
     k = _kernel(np.maximum(d, r_moll, out=d), alpha, n, diam, out=d)
     np.copyto(k, _ball_average(r_moll, alpha, n, diam), where=near)
     return k
+
+
+def _block_rows(cols: int) -> int:
+    """Rows of a kernel-matrix block with ``cols`` columns: the largest
+    power of two that keeps it within ``_BLOCK_ENTRIES`` entries.  Blocks
+    then start at multiples of 4, where BLAS starts its groups of rows,
+    so on one BLAS thread each row of ``block @ m`` sums as it would in
+    one product over all rows."""
+    return 1 << max(0, (_BLOCK_ENTRIES // cols).bit_length() - 1)
+
+
+def _site_kernel_matrix(sites, alpha, n, diam, r_moll):
+    """``_riesz_kernel_matrix(sites, sites, ...)``, bit for bit, from its
+    upper block rows, mirrored: ``dist2`` is exactly symmetric, so K is."""
+    K = np.empty((len(sites), len(sites)))
+    rows = _block_rows(len(sites))
+    for i in range(0, len(sites), rows):
+        j = i + rows
+        K[i:j, i:] = _riesz_kernel_matrix(sites[i:j], sites[i:], alpha, n,
+                                          diam, r_moll)
+        K[j:, i:j] = K[i:j, j:].T
+    return K
+
+
+def _kernel_potentials(x, sites, m, alpha, n, diam, r_moll):
+    """The potential of masses m on the sites at each point of x, from
+    ``_block_rows`` rows of the kernel matrix at a time."""
+    rows = _block_rows(len(sites))
+    return np.concatenate([
+        _riesz_kernel_matrix(x[i:i + rows], sites, alpha, n, diam,
+                             r_moll) @ m for i in range(0, len(x), rows)])
 
 
 def _sample(E: ParametricSet, pitch: float, cap: int) -> np.ndarray:
@@ -254,12 +288,12 @@ def riesz_capacity(E: ParametricSet, omega: Domain, alpha: float,
         return CapacityEstimate(0.0, "equilibrium", h, lower=0.0, upper=0.0)
     fine = _sample(E, h / 2.0, 12 * _SITE_CAP)
     r_moll = 0.5 * h
-    K = _riesz_kernel_matrix(sites, sites, alpha, n, diam, r_moll)
+    K = _site_kernel_matrix(sites, alpha, n, diam, r_moll)
     m, pivots = _equilibrium(K)
-    # site potentials, then constraint points in row blocks to save memory
-    pot = np.concatenate([K @ m] + [
-        _riesz_kernel_matrix(fine[i:i + 2048], sites, alpha, n, diam,
-                             r_moll) @ m for i in range(0, len(fine), 2048)])
+    # site potentials, then constraint points in row blocks of about
+    # _BLOCK_ENTRIES kernel entries, so each block stays in cache
+    pot = np.concatenate([
+        K @ m, _kernel_potentials(fine, sites, m, alpha, n, diam, r_moll)])
     min_pot = float(pot.min())
     if min_pot <= 0:
         raise ResolutionError("potential vanished on a constraint point")

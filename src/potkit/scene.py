@@ -11,7 +11,6 @@ from dataclasses import dataclass, field
 import json
 from pathlib import Path
 
-import jsonschema
 import numpy as np
 
 from .errors import SceneError
@@ -189,6 +188,7 @@ _SET_DIM_FIELDS = ("centers", "los", "his", "center", "points", "a", "b",
 
 def parse_scene(obj: dict) -> Scene:
     """Validate a decoded scene document and resolve all named objects."""
+    import jsonschema  # loaded here, off the cold start of every import
     try:
         jsonschema.validate(obj, SCENE_SCHEMA)
     except jsonschema.ValidationError as exc:

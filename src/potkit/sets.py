@@ -20,7 +20,6 @@ import math
 
 import numpy as np
 from scipy.special import ndtri
-from scipy.stats import qmc
 
 from .geometry import dist2, sphere_area
 from .grid import EvaluationGrid, _as_vec
@@ -293,10 +292,31 @@ def segment_set(a, b) -> BoxUnion:
     return BoxUnion(np.minimum(a, b)[None, :], np.maximum(a, b)[None, :])
 
 
+def _halton(dim: int, count: int) -> np.ndarray:
+    """Points 1..count of the unscrambled Halton sequence in [0, 1)^dim:
+    coordinate a of point i is the radical inverse of i in the a-th
+    prime, summed digit by digit, least significant first."""
+    primes, b = [], 2
+    while len(primes) < dim:
+        if all(b % f for f in primes):
+            primes.append(b)
+        b += 1
+    out = np.zeros((count, dim))
+    for a, base in enumerate(primes):
+        q, b2r = np.arange(1, count + 1), 1.0 / base
+        while q.any():
+            q, r = np.divmod(q, base)
+            out[:, a] += r * b2r
+            b2r /= base
+    return out
+
+
 def sphere_directions(dim: int, count: int) -> np.ndarray:
     """Deterministic low-discrepancy unit directions: equiangular in the
-    plane, Fibonacci points on the 2-sphere, normalized Halton-Gaussian
-    points in higher dimension."""
+    plane, Fibonacci points on the 2-sphere, and in higher dimension the
+    unscrambled Halton points 1..count (coordinate a of point i is the
+    radical inverse of i in the a-th prime; point 0, the origin, is left
+    out) mapped through the inverse normal CDF and normalized."""
     if dim == 2:
         ang = 2.0 * math.pi * (np.arange(count) + 0.5) / count
         return np.stack([np.cos(ang), np.sin(ang)], axis=1)
@@ -307,9 +327,7 @@ def sphere_directions(dim: int, count: int) -> np.ndarray:
         theta = 2.0 * math.pi * k / golden
         rho = np.sqrt(np.clip(1.0 - z * z, 0.0, 1.0))
         return np.stack([rho * np.cos(theta), rho * np.sin(theta), z], axis=1)
-    sampler = qmc.Halton(d=dim, scramble=False)
-    u = sampler.random(count + 1)[1:]
-    g = ndtri(np.clip(u, 1e-12, 1.0 - 1e-12))
+    g = ndtri(np.clip(_halton(dim, count), 1e-12, 1.0 - 1e-12))
     norm = np.linalg.norm(g, axis=1, keepdims=True)
     norm[norm == 0.0] = 1.0
     return g / norm

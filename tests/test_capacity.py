@@ -199,6 +199,63 @@ def test_solid_ball_riesz_capacity_is_the_same_at_any_centre():
     assert got[0].lower <= 0.3 <= got[0].upper
 
 
+@pytest.mark.parametrize("alpha", [1.5, 3.0])
+def test_kernel_blocks_give_the_whole_matrix_and_its_products(monkeypatch,
+                                                             alpha):
+    # 101 sites in blocks of 8 rows (a short last block), and the real
+    # block size, which takes all 101 rows at once
+    sites = np.random.default_rng(8).uniform(-0.5, 0.5, (101, 3))
+    sites[50] = sites[49] + 0.001
+    want = _riesz_kernel_matrix(sites, sites, alpha, 3, 2.0, 0.01)
+    assert np.array_equal(capacity._site_kernel_matrix(
+        sites, alpha, 3, 2.0, 0.01), want)
+    monkeypatch.setattr(capacity, "_BLOCK_ENTRIES", 1000)
+    assert capacity._block_rows(101) == 8
+    assert np.array_equal(capacity._site_kernel_matrix(
+        sites, alpha, 3, 2.0, 0.01), want)
+    # 333 points in 42 blocks, each row once and in order
+    x = np.random.default_rng(9).uniform(-0.5, 0.5, (333, 3))
+    m = np.random.default_rng(10).uniform(0.5, 1.0, 101)
+    np.testing.assert_allclose(
+        capacity._kernel_potentials(x, sites, m, alpha, 3, 2.0, 0.01),
+        _riesz_kernel_matrix(x, sites, alpha, 3, 2.0, 0.01) @ m,
+        rtol=1e-13, atol=0.0)
+
+
+def _one_shot_riesz_capacity(E, omega, alpha, h):
+    """riesz_capacity's value, lower and upper from whole kernel
+    matrices.  Their products run over the same row blocks, since a BLAS
+    on several threads may split one product's rows at other places."""
+    sites = _sample(E, h, capacity._SITE_CAP)
+    fine = _sample(E, h / 2.0, 12 * capacity._SITE_CAP)
+    args = (alpha, E.dim, omega.diameter, 0.5 * h)
+    K = _riesz_kernel_matrix(sites, sites, *args)
+    m, _ = _equilibrium(K)
+    Kf = _riesz_kernel_matrix(fine, sites, *args)
+    rows = capacity._block_rows(len(sites))
+    pot = np.concatenate([K @ m] + [Kf[i:i + rows] @ m
+                                    for i in range(0, len(fine), rows)])
+    value = float((m / pot.min()).sum())
+    return value, value * pot.min() / pot.max(), value
+
+
+@pytest.mark.parametrize("entries", [1 << 17, 5000])
+@pytest.mark.parametrize("E, alpha, h", [
+    (Sphere([0.1, -0.05, 0.02], 0.4), 1.5, 1 / 16),
+    (BallUnion([[0.05, 0.0, -0.1]], [0.3]), 2.0, 0.1),
+], ids=["sphere", "solid-ball"])
+def test_blocked_riesz_capacity_equals_one_shot_matrices(
+        monkeypatch, entries, E, alpha, h):
+    omega = BoxDomain((-1.0,) * 3, (1.0,) * 3)
+    monkeypatch.setattr(capacity, "_BLOCK_ENTRIES", entries)
+    est = riesz_capacity(E, omega, alpha, h)
+    sites, fine = est.extras["sites"], est.extras["constraints"]
+    rows = capacity._block_rows(sites)
+    assert sites % rows and fine % rows and fine > rows
+    assert (est.value, est.lower, est.upper) == _one_shot_riesz_capacity(
+        E, omega, alpha, h)
+
+
 def test_capped_sample_is_the_set_sampled_at_a_coarser_pitch():
     sphere = Sphere(np.zeros(3), 0.5)
     pitch = 1.0 / 64.0

@@ -2,10 +2,15 @@
 bad document raises SceneError naming where it went wrong."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import potkit
 from potkit.errors import SceneError
 from potkit.measures import (AtomicMeasure, RadialProfileMeasure,
                              SumMeasure)
@@ -178,3 +183,27 @@ def test_load_scene_reads_a_file(tmp_path):
     path.write_text("[]")
     with pytest.raises(SceneError, match="JSON object"):
         load_scene(path)
+
+
+def test_importing_potkit_loads_neither_scipy_stats_nor_jsonschema():
+    # a fresh interpreter, so modules that other tests load do not count;
+    # jsonschema arrives with the first scene parse, which still names
+    # the pointer of a schema violation
+    code = """
+import json, sys
+import potkit, potkit.cli, potkit.verify
+from potkit.errors import SceneError
+loaded = [m for m in ("scipy.stats", "jsonschema") if m in sys.modules]
+assert not loaded, loaded
+try:
+    potkit.parse_scene(json.loads(sys.argv[1]))
+except SceneError as exc:
+    assert "schema violation at /dimension" in str(exc), exc
+else:
+    raise AssertionError("no SceneError")
+"""
+    src = str(Path(potkit.__file__).resolve().parents[1])
+    run = subprocess.run(
+        [sys.executable, "-c", code, json.dumps(_scene(dimension="three"))],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr

@@ -1,5 +1,7 @@
 """Parametric sets: membership, cell marking, segment hits, samples."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ from potkit.sets import (
     RestrictedSet,
     Sphere,
     cantor_dust,
+    _halton,
     segment_set,
     sphere_directions,
 )
@@ -152,6 +155,36 @@ def test_sphere_directions_unit_and_deterministic():
     assert np.allclose(np.linalg.norm(a, axis=1), 1.0, atol=1e-12)
     # reasonably spread: mean direction near zero
     assert np.linalg.norm(a.mean(axis=0)) < 0.2
+
+
+@pytest.mark.parametrize("dim", [4, 5, 6, 8])
+@pytest.mark.parametrize("count", [1, 64, 16384])
+def test_halton_is_scipys_unscrambled_sequence_without_the_origin(dim, count):
+    from scipy.stats import qmc
+    want = qmc.Halton(d=dim, scramble=False).random(count + 1)[1:]
+    assert np.array_equal(_halton(dim, count), want)
+
+
+@pytest.mark.parametrize("dim", [4, 5, 6, 8])
+def test_sphere_directions_in_higher_dimension_are_unit(dim):
+    a = sphere_directions(dim, 256)
+    assert a.shape == (256, dim)
+    assert np.allclose(np.linalg.norm(a, axis=1), 1.0, atol=1e-14)
+    assert np.linalg.norm(a.mean(axis=0)) < 0.2
+
+
+def test_sphere_directions_in_the_plane_and_on_the_2_sphere():
+    # equiangular in the plane, Fibonacci on the 2-sphere, bit for bit
+    ang = 2.0 * math.pi * (np.arange(7) + 0.5) / 7
+    assert np.array_equal(sphere_directions(2, 7),
+                          np.stack([np.cos(ang), np.sin(ang)], axis=1))
+    k = np.arange(9)
+    z = 1.0 - (2.0 * k + 1.0) / 9
+    theta = 2.0 * math.pi * k / ((1.0 + math.sqrt(5.0)) / 2.0)
+    rho = np.sqrt(1.0 - z * z)
+    assert np.array_equal(
+        sphere_directions(3, 9),
+        np.stack([rho * np.cos(theta), rho * np.sin(theta), z], axis=1))
 
 
 def test_scaled():
