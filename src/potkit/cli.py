@@ -1,8 +1,10 @@
 """Batch front-end: scene ingestion, subcommand dispatch, deterministic
 CSV/JSON emission.
 
-Exit codes: 0 on success, 1 on usage or scene/schema errors, 2 when a
-run completes but an assertion-style outcome fails (an inclusion
+Exit codes: 0 on success; 1 on usage or scene/schema errors and on scene
+values a computation rejects with a plain ``ValueError`` (a path too
+short or through an atom), printed as ``potkit: <msg>`` on stderr; 2
+when a run completes but an assertion-style outcome fails (an inclusion
 counterexample, a failed verification suite, or a resolution error).
 Artifacts are rendered fully in memory and moved into place through
 temp files, so a failed run never leaves partial outputs.  Every
@@ -142,16 +144,30 @@ def _cone_from(spec, where: str) -> Cone:
 # subcommands
 
 
-def _run_wolff(args, outdir: str) -> int:
+# subcommand -> (parameter type, its two task fields, the second's
+# default, limit report, CSV columns of the report's radii, scaled values
+# and raw potentials)
+_LIMITS = {
+    "wolff": (WolffParams, "p", "r", 1.0, wolff_asymptotic_report,
+              ("r", "scaled_value", "raw_value")),
+    "riesz": (RieszParams, "alpha", "domain_diameter", None,
+              riesz_asymptotic_report, ("r", "ratio", "potential")),
+}
+
+
+def _run_limit(args, outdir: str) -> int:
+    kind, first, second, default, report, columns = _LIMITS[args.command]
     scene = _load(args)
     task = scene.task
     mu = scene.measure(_need(task, "measure"))
-    params = WolffParams(float(_need(task, "p")), float(task.get("r", 1.0)))
+    extra = task.get(second, default)
+    params = kind(float(_need(task, first)),
+                  None if extra is None else float(extra))
     path = _task_path(task, scene.dimension)
-    rep = wolff_asymptotic_report(mu, params, path.anchor, path)
+    rep = report(mu, params, path.anchor, path)
     files = {
-        "wolff.csv": csv_text(("r", "scaled_value", "raw_value"),
-                              zip(rep.radii, rep.values, rep.extras["raw"])),
+        f"{args.command}.csv": csv_text(
+            columns, zip(rep.radii, rep.values, rep.extras["raw"])),
         "report.json": json_text({
             "limit": rep.limit,
             "correction_exponent": rep.correction_exponent,
@@ -160,32 +176,7 @@ def _run_wolff(args, outdir: str) -> int:
         }),
     }
     write_files(outdir, files)
-    print(f"wolff: limit {rep.limit:.12g} -> {outdir}")
-    return 0
-
-
-def _run_riesz(args, outdir: str) -> int:
-    scene = _load(args)
-    task = scene.task
-    mu = scene.measure(_need(task, "measure"))
-    diam = task.get("domain_diameter")
-    params = RieszParams(float(_need(task, "alpha")),
-                         None if diam is None else float(diam))
-    path = _task_path(task, scene.dimension)
-    rep = riesz_asymptotic_report(mu, params, path.anchor, path)
-    files = {
-        "riesz.csv": csv_text(("r", "ratio", "potential"),
-                              zip(rep.radii, rep.values,
-                                  rep.extras["potentials"])),
-        "report.json": json_text({
-            "limit": rep.limit,
-            "correction_exponent": rep.correction_exponent,
-            "residual": rep.residual,
-            "point_mass_estimate": rep.extras["point_mass_estimate"],
-        }),
-    }
-    write_files(outdir, files)
-    print(f"riesz: limit {rep.limit:.12g} -> {outdir}")
+    print(f"{args.command}: limit {rep.limit:.12g} -> {outdir}")
     return 0
 
 
@@ -424,10 +415,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 _RUNNERS = {
-    "riesz": _run_riesz,
+    "riesz": _run_limit,
     "capacity": _run_capacity,
     "thin": _run_thin,
-    "wolff": _run_wolff,
+    "wolff": _run_limit,
     "plaplace": _run_plaplace,
     "density": _run_density,
     "verify-all": _run_verify_all,
@@ -454,6 +445,9 @@ def main(argv=None) -> int:
     except PotkitError as exc:
         print(f"potkit: {exc}", file=sys.stderr)
         return 2
+    except ValueError as exc:
+        print(f"potkit: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -5,6 +5,10 @@ unknown correction exponent ``s``; series terms behave like ``c q^i`` or
 ``c i^-q``.  The helpers here estimate the structural parameters from
 trailing windows by least squares in log coordinates and report fit
 residuals so callers can decide how much to trust the answer.
+
+Every singular-asymptotics report samples along a checked path
+(``ApproachPath.values_along``), then scales and fits in
+``singular_limit``, or tests a blow-up rate in ``decay_report``.
 """
 
 from __future__ import annotations
@@ -14,7 +18,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import HypothesisViolation
 from .grid import _as_vec
+
+MIN_PATH_SAMPLES = 8
 
 
 @dataclass(frozen=True)
@@ -53,12 +60,21 @@ class ApproachPath:
         radii = r0 * ratio ** np.arange(count)
         return ApproachPath(anchor, direction, radii)
 
-    @property
-    def dim(self) -> int:
-        return self.anchor.size
-
     def points(self) -> np.ndarray:
         return self.anchor[None, :] + self.radii[:, None] * self.direction[None, :]
+
+    def require_anchor(self, anchor) -> None:
+        if not np.allclose(self.anchor, anchor, rtol=0.0, atol=1e-12):
+            raise ValueError("path must be anchored at x0")
+
+    def values_along(self, anchor, f) -> np.ndarray:
+        """``f`` at each point of a path anchored at ``anchor`` with at
+        least ``MIN_PATH_SAMPLES`` samples."""
+        self.require_anchor(anchor)
+        if self.radii.size < MIN_PATH_SAMPLES:
+            raise ValueError(
+                f"path too short: need at least {MIN_PATH_SAMPLES} samples")
+        return np.array([f(pt) for pt in self.points()])
 
 
 def loglog_slope(x, y):
@@ -240,8 +256,8 @@ class DecayReport:
 
     ``measured_exponent`` is the fitted blow-up rate sigma in
     ``value ~ radius**(-sigma)``; the check passes when it does not
-    exceed ``bound_exponent``.  ``constant`` is the smallest admissible
-    prefactor for the bound at the sampled radii.
+    exceed ``bound_exponent + slack``.  ``constant`` is the smallest
+    admissible prefactor for the bound at the sampled radii.
     """
 
     radii: np.ndarray
@@ -251,6 +267,7 @@ class DecayReport:
     constant: float
     hypothesis_constant: float
     passed: bool
+    slack: float = 0.0
     extras: dict = field(default_factory=dict)
 
 
@@ -272,3 +289,60 @@ def blowup_exponent(radii, values) -> float:
         return 0.0
     slope, _, _ = loglog_slope(r[:-1][keep], diffs[keep])
     return -slope
+
+
+def singular_limit(radii, values, kappa: float, *,
+                   window: int | None = None) -> LimitReport:
+    """Limit of ``values`` scaled to the fundamental profile at r -> 0.
+
+    For kappa > 0 the scaled values are r^kappa * v, extrapolated by
+    ``fit_limit`` on ``window``; at a critical exponent, kappa = 0, they
+    are v / log(1/r) at radii below 1, extrapolated by ``fit_log_limit``.
+    The report's extras hold the unscaled values v as "raw"."""
+    r = np.asarray(radii, dtype=float)
+    v = np.asarray(values, dtype=float)
+    if not np.all(np.isfinite(v)):
+        raise ValueError("path passes through an atom; a value is infinite")
+    if kappa == 0.0:
+        if r.max() >= 1.0:
+            raise ValueError("log(1/r) scaling requires path radii below 1")
+        scaled = v / np.log(1.0 / r)
+        fit = fit_log_limit(r, scaled)
+    else:
+        scaled = r ** kappa * v
+        fit = fit_limit(r, scaled, window)
+    return LimitReport(r, scaled, fit.limit, fit.exponent, fit.residual,
+                       extras={"raw": v})
+
+
+def growth_constant(scales, masses, m: float, atom: float) -> float:
+    """Smallest C with ``masses <= C scales**m`` at the decreasing
+    ``scales``, after testing the growth hypothesis mu(B(x0, t)) <= C t^m.
+
+    Raises ``HypothesisViolation`` for an atom at x0 when m > 0, and when
+    the log-log slope of the masses at the 8 smallest scales with
+    positive mass falls below m - 0.15."""
+    if m > 0.0 and atom > 0.0:
+        raise HypothesisViolation("measure carries an atom at x0")
+    positive = masses > 0
+    if positive.sum() >= 3:
+        slope, _, _ = loglog_slope(scales[positive][-8:], masses[positive][-8:])
+        if slope < m - 0.15:
+            raise HypothesisViolation(
+                f"ball mass grows like t^{slope:.3f} at small scales, "
+                f"violating the t^{m} hypothesis")
+    return float(np.max(masses / scales ** m)) if positive.any() else 0.0
+
+
+def decay_report(radii, values, bound: float, hyp_const: float, *,
+                 slack: float = 0.0, extras: dict | None = None) -> DecayReport:
+    """Blow-up rate of potential ``values`` along decreasing ``radii``
+    against the exponent ``bound``: passes when it is at most
+    ``bound + slack``."""
+    if not np.all(np.isfinite(values)):
+        raise HypothesisViolation("potential infinite on the path")
+    measured = blowup_exponent(radii, values)
+    constant = float(np.max(values * radii ** bound))
+    return DecayReport(radii, values, measured, bound, constant, hyp_const,
+                       bool(measured <= bound + slack), slack,
+                       extras=extras or {})

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import HypothesisViolation, ResolutionError
-from .fitting import ApproachPath, LimitReport, fit_limit, fit_log_limit
+from .fitting import ApproachPath, LimitReport, singular_limit
 from .geometry import dist2, kappa_exponent, sphere_area
 from .grid import EvaluationGrid, _as_vec
 from .measures import Measure
@@ -314,17 +314,18 @@ def envelope_band(reports) -> tuple:
 
 def super_asymptotic_report(u_eval, p: float, x0, path: ApproachPath, *,
                             window: tuple | None = None) -> LimitReport:
-    """Fitted limit of u / G_p along the path, with the smallest c0
-    making u >= m_hat G_p - c0 on the sampled window; at p = n the fit
-    is linear in 1/log(1/r) (``fit_log_limit``).
+    """Fitted limit of u / G_p along a path anchored at x0, from the one
+    engine ``fitting.singular_limit``, with the smallest c0 making
+    u >= m_hat G_p - c0 on the sampled window; at p = n the fit is
+    linear in 1/log(1/r) and needs radii below 1.
 
     For grid solutions pass window = (4h, r/4) to stay above the atom
     regularization scale; an empty window raises ResolutionError.
     """
     x0 = _as_vec(x0)
     n = x0.size
-    if not 1.0 < p <= n:
-        raise HypothesisViolation(f"p must lie in (1, n], got {p}")
+    fund = FundamentalSolution(n, p, m=1.0, x0=tuple(x0))
+    path.require_anchor(x0)
     radii = path.radii
     if window is not None:
         lo, hi = window
@@ -334,17 +335,10 @@ def super_asymptotic_report(u_eval, p: float, x0, path: ApproachPath, *,
                 "no path radii inside the resolvable window; the grid is "
                 "too coarse for this probe")
         radii = radii[keep]
-    pts = x0 + radii[:, None] * path.direction
-    u_vals = np.asarray(u_eval(pts), dtype=float).ravel()
-    fund = FundamentalSolution(n, p, m=1.0, x0=tuple(x0))
+    u_vals = np.asarray(u_eval(x0 + radii[:, None] * path.direction),
+                        dtype=float).ravel()
+    rep = singular_limit(radii, u_vals, fund.kappa)
     g_vals = fund.radial(radii)
-    if np.any(g_vals <= 0.0):
-        raise HypothesisViolation(
-            "G_p must be positive on the window (p = n needs radii < 1)")
-    ratios = u_vals / g_vals
-    fit = (fit_log_limit if p == n else fit_limit)(radii, ratios)
-    m_hat = fit.limit
-    c0 = float(np.max(m_hat * g_vals - u_vals))
-    return LimitReport(radii, ratios, m_hat, fit.exponent, fit.residual,
-                       extras={"m": m_hat, "c0": max(c0, 0.0),
-                               "u_values": u_vals, "g_values": g_vals})
+    c0 = float(np.max(rep.limit * g_vals - u_vals))
+    rep.extras.update(m=rep.limit, c0=max(c0, 0.0), g_values=g_vals)
+    return rep

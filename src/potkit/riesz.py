@@ -25,14 +25,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import HypothesisViolation
-from .fitting import (ApproachPath, DecayReport, LimitReport, blowup_exponent,
-                      fit_limit, fit_log_limit, loglog_slope)
+from .fitting import (ApproachPath, DecayReport, LimitReport, decay_report,
+                      growth_constant, singular_limit)
 from .geometry import ball_volume, dist2
 from .grid import _as_vec
 from .integrate import ball_mass_integral, profile_integral
 from .measures import AtomicMeasure, GridMeasure, Measure, SumMeasure
 
-MIN_PATH_SAMPLES = 8
 SLOPE_TOLERANCE = 0.05
 
 
@@ -139,71 +138,40 @@ def riesz_potential(mu: Measure, params: RieszParams, x) -> float:
     return float(value)
 
 
-def riesz_asymptotic_report(mu: Measure, params: RieszParams, p,
+def riesz_asymptotic_report(mu: Measure, params: RieszParams, x0,
                             path: ApproachPath) -> LimitReport:
-    """Ratios R(x_k)/|x_k-p|^(alpha-n) (or /log(1/|x_k-p|) at alpha = n)
-    along the path, with the fitted limit estimating mu({p}).
+    """Ratios |x_k-x0|^(n-alpha) R(x_k) (or R(x_k)/log(1/|x_k-x0|) at
+    alpha = n) along the path, with the fitted limit estimating
+    mu({x0}), from the one engine ``fitting.singular_limit``.
 
     At alpha = n the fit is linear in 1/log(1/r) (``fit_log_limit``),
     and the report also carries the D-normalized ratios R/log(D/r); the
     two agree in the limit."""
     n = mu.dim
     params.validate_dim(n)
-    p = _as_vec(p, n)
-    if path.radii.size < MIN_PATH_SAMPLES:
-        raise ValueError(f"path too short: need at least {MIN_PATH_SAMPLES} samples")
-    if not np.allclose(path.anchor, p, rtol=0.0, atol=1e-12):
-        raise ValueError("path must be anchored at p")
-    if params.is_log(n) and path.radii.max() >= 1.0:
-        raise ValueError("alpha = n scaling requires path radii below 1")
-    points = path.points()
-    pot = np.array([riesz_potential(mu, params, pt) for pt in points])
-    if not np.all(np.isfinite(pot)):
-        raise ValueError("path passes through an atom; potential is infinite")
-    extras = {"potentials": pot}
+    pot = path.values_along(_as_vec(x0, n),
+                            lambda pt: riesz_potential(mu, params, pt))
+    rep = singular_limit(path.radii, pot, n - params.alpha,
+                         window=max(4, math.ceil(path.radii.size / 3)))
     if params.is_log(n):
-        ratios = pot / np.log(1.0 / path.radii)
-        extras["ratios_domain_normalized"] = pot / np.log(
+        rep.extras["ratios_domain_normalized"] = pot / np.log(
             params.domain_diameter / path.radii)
-        fit = fit_log_limit(path.radii, ratios)
-    else:
-        ratios = pot / path.radii ** (params.alpha - n)
-        fit = fit_limit(path.radii, ratios,
-                        window=max(4, math.ceil(path.radii.size / 3)))
-    extras["point_mass_estimate"] = fit.limit
-    return LimitReport(path.radii, ratios, fit.limit, fit.exponent,
-                       fit.residual, extras=extras)
+    rep.extras["point_mass_estimate"] = rep.limit
+    return rep
 
 
-def riesz_decay_check(mu: Measure, params: RieszParams, p, d: float,
+def riesz_decay_check(mu: Measure, params: RieszParams, x0, d: float,
                       path: ApproachPath) -> DecayReport:
-    """Check R(x) <= C' |x-p|^-(n-alpha-d) for measures with ball-mass
-    growth mu(B(p,t)) <= C t^d, d < n - alpha; the fitted exponent may
-    exceed n - alpha - d by ``SLOPE_TOLERANCE``."""
+    """Check R(x) <= C' |x-x0|^-(n-alpha-d) for measures with ball-mass
+    growth mu(B(x0,t)) <= C t^d, d < n - alpha; the fitted exponent may
+    exceed n - alpha - d by the slack ``SLOPE_TOLERANCE``."""
     n = mu.dim
     params.validate_dim(n)
     if not 0.0 <= d < n - params.alpha:
         raise ValueError("d must lie in [0, n-alpha)")
-    p = _as_vec(p, n)
-    scales = path.radii
-    masses = mu.ball_mass(p, scales)
-    if d > 0.2:
-        positive = masses > 0
-        if positive.sum() >= 3:
-            slope, _, _ = loglog_slope(scales[positive][-8:],
-                                       masses[positive][-8:])
-            if slope < d - 0.15:
-                raise HypothesisViolation(
-                    f"ball mass grows like t^{slope:.3f}, violating t^{d}")
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratios = np.where(scales > 0, masses / scales ** d, 0.0)
-    hyp_const = float(np.max(ratios)) if masses.size else 0.0
-    values = np.array([riesz_potential(mu, params, pt) for pt in path.points()])
-    if not np.all(np.isfinite(values)):
-        raise HypothesisViolation("potential infinite on the path")
-    bound = n - params.alpha - d
-    measured = blowup_exponent(path.radii, values)
-    constant = float(np.max(values * path.radii ** bound)) if values.size else 0.0
-    return DecayReport(path.radii, values, measured, bound, constant,
-                       hyp_const, bool(measured <= bound + SLOPE_TOLERANCE),
-                       extras={"slope_tolerance": SLOPE_TOLERANCE, "d": d})
+    x0 = _as_vec(x0, n)
+    hyp_const = growth_constant(path.radii, mu.ball_mass(x0, path.radii), d,
+                                mu.atom_mass_at(x0))
+    values = path.values_along(x0, lambda pt: riesz_potential(mu, params, pt))
+    return decay_report(path.radii, values, n - params.alpha - d, hyp_const,
+                        slack=SLOPE_TOLERANCE, extras={"d": d})

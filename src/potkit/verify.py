@@ -160,7 +160,7 @@ def _check_riesz_atom_limit(profile: str, seed: int) -> CheckResult:
     path = ApproachPath.geometric(np.zeros(n), [1.0, 0.0, 0.0],
                                   r0=0.5, ratio=0.5, count=20)
     rep = riesz_asymptotic_report(profile_measure, params, np.zeros(n), path)
-    rows = list(zip(path.radii, rep.values, rep.extras["potentials"]))
+    rows = list(zip(path.radii, rep.values, rep.extras["raw"]))
     return _finish(
         "riesz-atom-limit",
         [Metric("fitted-limit", rep.limit, atom, 1e-2)],

@@ -20,15 +20,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import HypothesisViolation
-from .fitting import (ApproachPath, DecayReport, LimitReport, blowup_exponent,
-                      fit_limit, fit_log_limit, loglog_slope)
+from .fitting import (ApproachPath, DecayReport, LimitReport, decay_report,
+                      growth_constant, singular_limit)
 from .geometry import kappa_exponent
 from .grid import _as_vec
 from .measures import Measure
 from .integrate import ball_mass_integral, profile_integral
-
-MIN_PATH_SAMPLES = 6
 
 
 @dataclass(frozen=True)
@@ -70,7 +67,8 @@ def wolff_potential(mu: Measure, params: WolffParams, x, *,
 
 def wolff_asymptotic_report(mu: Measure, params: WolffParams, x0,
                             path: ApproachPath) -> LimitReport:
-    """Scaled Wolff samples along a path to x0 with extrapolated limit.
+    """Scaled Wolff samples along a path to x0 with extrapolated limit,
+    from the one engine ``fitting.singular_limit``.
 
     For p < n the scaled quantity is |x-x0|^((n-p)/(p-1)) W(x) and the
     limit estimates ((p-1)/(n-p)) mu({x0})^(1/(p-1)); for p = n it is
@@ -78,36 +76,19 @@ def wolff_asymptotic_report(mu: Measure, params: WolffParams, x0,
     """
     n = mu.dim
     params.validate_dim(n)
-    x0 = _as_vec(x0, n)
-    if not np.allclose(path.anchor, x0, rtol=0.0, atol=1e-12):
-        raise ValueError("path must be anchored at x0")
-    if path.radii.size < MIN_PATH_SAMPLES:
-        raise ValueError(f"path too short: need at least {MIN_PATH_SAMPLES} samples")
-    if params.p == n and path.radii.max() >= 1.0:
-        raise ValueError("p = n scaling requires path radii below 1")
-    points = path.points()
-    raw = np.array([wolff_potential(mu, params, pt) for pt in points])
-    if not np.all(np.isfinite(raw)):
-        raise ValueError("path passes through an atom; Wolff value is infinite")
-    extras = {"raw": raw}
+    raw = path.values_along(_as_vec(x0, n),
+                            lambda pt: wolff_potential(mu, params, pt))
+    rep = singular_limit(path.radii, raw, kappa_exponent(n, params.p))
     if params.p < n:
-        kappa = kappa_exponent(n, params.p)
-        scaled = path.radii ** kappa * raw
-        fit = fit_limit(path.radii, scaled)
-        limit, exponent, residual = fit.limit, fit.exponent, fit.residual
-        mass = math.copysign(abs(limit * (n - params.p) / (params.p - 1.0))
-                             ** (params.p - 1.0), limit)
+        mass = abs(rep.limit * (n - params.p) / (params.p - 1.0)) \
+            ** (params.p - 1.0)
     else:
-        scaled = raw / np.log(1.0 / path.radii)
-        fit = fit_log_limit(path.radii, scaled)
-        limit, exponent, residual = fit.limit, fit.exponent, fit.residual
-        mass = math.copysign(abs(limit) ** (n - 1.0), limit)
+        mass = abs(rep.limit) ** (n - 1.0)
         # alternative normalization against the integration cap; for a
         # pure atom it is constant in rho
-        extras["scaled_cap_normalized"] = raw / np.log(params.r / path.radii)
-    extras["point_mass_estimate"] = float(mass)
-    return LimitReport(path.radii, scaled, limit, exponent, residual,
-                       extras=extras)
+        rep.extras["scaled_cap_normalized"] = raw / np.log(params.r / path.radii)
+    rep.extras["point_mass_estimate"] = math.copysign(mass, rep.limit)
+    return rep
 
 
 def wolff_decay_check(mu: Measure, params: WolffParams, x0, m: float,
@@ -123,25 +104,10 @@ def wolff_decay_check(mu: Measure, params: WolffParams, x0, m: float,
     if epsilon <= 0.0:
         raise ValueError("epsilon must be positive")
     x0 = _as_vec(x0, n)
-    if mu.atom_mass_at(x0) > 0.0:
-        raise HypothesisViolation("measure carries an atom at x0")
     scales = params.r * 2.0 ** -np.arange(0, 16)
-    masses = mu.ball_mass(x0, scales)
-    positive = masses > 0
-    if positive.sum() >= 3:
-        slope, _, _ = loglog_slope(scales[positive][-8:], masses[positive][-8:])
-        if slope < m - 0.15:
-            raise HypothesisViolation(
-                f"ball mass grows like t^{slope:.3f} at small scales, "
-                f"violating the t^{m} hypothesis")
-    hyp_const = float(np.max(masses / scales ** m)) if positive.any() else 0.0
-
-    values = np.array([wolff_potential(mu, params, pt) for pt in path.points()])
-    if not np.all(np.isfinite(values)):
-        raise HypothesisViolation("Wolff potential infinite on the path")
+    hyp_const = growth_constant(scales, mu.ball_mass(x0, scales), m,
+                                mu.atom_mass_at(x0))
+    values = path.values_along(x0, lambda pt: wolff_potential(mu, params, pt))
     bound = (n - params.p - m + epsilon) / (params.p - 1.0)
-    measured = blowup_exponent(path.radii, values)
-    constant = float(np.max(values * path.radii ** bound)) if values.size else 0.0
-    return DecayReport(path.radii, values, measured, bound, constant,
-                       hyp_const, bool(measured <= bound),
-                       extras={"epsilon": epsilon, "m": m})
+    return decay_report(path.radii, values, bound, hyp_const,
+                        extras={"epsilon": epsilon, "m": m})

@@ -133,6 +133,59 @@ def test_riesz_at_alpha_equal_n_reports_the_atom_mass(tmp_path):
     assert report["correction_exponent"] == 1.0
 
 
+def _limit_scene(tmp_path, command, **changes):
+    """A wolff or riesz scene on an atom at the origin; ``changes``
+    replace task fields, and ``atoms`` the atom locations."""
+    atoms = changes.pop("atoms", [[0.0, 0.0, 0.0]])
+    exponent = {"wolff": "p", "riesz": "alpha"}[command]
+    task = {"measure": "a", exponent: 2.5, "anchor": [0.0, 0.0, 0.0],
+            "path": {"count": 8}}
+    task.update({exponent if k == "exponent" else k: v
+                 for k, v in changes.items()})
+    return _write_scene(tmp_path, 3, task, measures=[
+        {"name": "a", "kind": "atoms", "locations": atoms,
+         "masses": [2.0] * len(atoms)}])
+
+
+@pytest.mark.parametrize("command, columns", [
+    ("wolff", "r,scaled_value,raw_value"), ("riesz", "r,ratio,potential")])
+def test_limit_subcommands_write_the_report_series(tmp_path, capsys,
+                                                   command, columns):
+    out = tmp_path / "out"
+    code = cli.main([command, "--scene", _limit_scene(tmp_path, command),
+                     "--out", str(out)])
+    assert code == 0
+    assert sorted(p.name for p in out.iterdir()) == sorted(
+        [f"{command}.csv", "report.json"])
+    header, rows = _csv_rows(out / f"{command}.csv")
+    assert header == columns
+    assert [row[0] for row in rows] == [0.5 * 0.5 ** k for k in range(8)]
+    report = json.loads((out / "report.json").read_text())
+    assert sorted(report) == ["correction_exponent", "limit",
+                              "point_mass_estimate", "residual"]
+    assert capsys.readouterr().out == (
+        f"{command}: limit {report['limit']:.12g} -> {out}\n")
+
+
+@pytest.mark.parametrize("command", ["wolff", "riesz"])
+@pytest.mark.parametrize("changes, message", [
+    ({"path": {"count": 4}}, "path too short"),
+    ({"exponent": 0.5}, "must be a finite real > 1"),
+    ({"atoms": [[0.0, 0.0, 0.0], [0.25, 0.0, 0.0]]}, "through an atom"),
+], ids=["short-path", "exponent-below-1", "path-through-an-atom"])
+def test_limit_subcommands_reject_bad_scene_values(tmp_path, capsys, command,
+                                                   changes, message):
+    out = tmp_path / "out"
+    code = cli.main([command, "--scene",
+                     _limit_scene(tmp_path, command, **changes),
+                     "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("potkit: ") and message in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def _write_scene(tmp_path, n, task, *, sets=(), measures=(), tolerance=None):
     doc = {"dimension": n,
            "domain": {"lo": [-1.0] * n, "hi": [1.0] * n},

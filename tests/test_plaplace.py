@@ -77,3 +77,15 @@ def test_super_asymptotic_limit_of_a_multiple_of_g_p(shift):
                                   np.zeros(3), path)
     assert rep.limit == pytest.approx(2.0, rel=1e-12)
     assert rep.extras["c0"] == 0.0
+
+
+def test_super_asymptotic_report_at_p_equal_n_needs_radii_below_1():
+    # G_n = log(1/r) vanishes at r = 1: a scene value the scaling cannot
+    # take, a ValueError like the Wolff and Riesz reports raise, not a
+    # failed hypothesis
+    path = ApproachPath.geometric(np.zeros(3), [1.0, 0.0, 0.0],
+                                  r0=1.0, ratio=0.5, count=12)
+    with pytest.raises(ValueError, match="below 1") as exc:
+        super_asymptotic_report(FundamentalSolution(3, 3.0), 3.0,
+                                np.zeros(3), path)
+    assert not isinstance(exc.value, HypothesisViolation)

@@ -7,7 +7,7 @@ import pytest
 from scipy.integrate import quad
 
 from potkit.errors import HypothesisViolation
-from potkit.fitting import ApproachPath
+from potkit.fitting import ApproachPath, fit_limit
 from potkit.grid import EvaluationGrid
 from potkit.geometry import ball_volume
 from potkit.measures import (
@@ -336,3 +336,33 @@ def test_riesz_decay_check_rejects_slower_growth_than_assumed():
     with pytest.raises(HypothesisViolation):
         riesz_decay_check(mu, RieszParams(2.0), np.zeros(3), 0.6,
                           _decay_path())
+
+
+@pytest.mark.parametrize("d", [0.1, 0.18])
+def test_riesz_decay_check_rejects_an_atom_at_x0_when_d_is_positive(d):
+    # an atom has mass of order t^0 at x0, so no t^d growth with d > 0
+    mu = AtomicMeasure([np.zeros(3)], [1.0])
+    with pytest.raises(HypothesisViolation, match="atom at x0"):
+        riesz_decay_check(mu, RieszParams(2.0), np.zeros(3), d,
+                          _decay_path())
+
+
+def test_riesz_decay_check_accepts_an_atom_at_x0_when_d_is_0():
+    # R = 1/|x| blows up at exactly the bound n - alpha - 0 = 1
+    mu = AtomicMeasure([np.zeros(3)], [1.0])
+    rep = riesz_decay_check(mu, RieszParams(2.0), np.zeros(3), 0.0,
+                            _decay_path())
+    assert rep.passed
+    assert rep.measured_exponent == pytest.approx(1.0, abs=1e-12)
+
+
+def test_riesz_report_fits_its_trailing_third():
+    # the Riesz window, max(4, ceil(20/3)) = 7 here, is the report's own;
+    # the default half window moves this limit by about 2e-12
+    mu = RadialProfileMeasure(np.zeros(3),
+                              AtomPlusPowerProfile(2.0, 1.0, 3.0, rmax=1.0))
+    path = ApproachPath.geometric(np.zeros(3), [1.0, 0.0, 0.0],
+                                  r0=0.5, ratio=0.5, count=20)
+    rep = riesz_asymptotic_report(mu, RieszParams(2.0), np.zeros(3), path)
+    assert rep.limit == fit_limit(path.radii, rep.values, window=7).limit
+    assert rep.limit != fit_limit(path.radii, rep.values).limit
