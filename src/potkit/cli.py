@@ -17,6 +17,7 @@ variable, then to its default, only on the subcommands that take it.
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import sys
 
@@ -101,15 +102,34 @@ def _need(task: dict, key: str):
     return task[key]
 
 
+_REQUIRED = object()
+
+
+def _number(spec: dict, key: str, default=_REQUIRED, *, cast=float,
+            where: str = "task"):
+    """Field ``key`` of the scene object at ``where`` through ``cast``;
+    ``default`` when absent.  A missing required field, or a value that
+    is not a number (JSON null included), raises SceneError."""
+    if key not in spec:
+        if default is _REQUIRED:
+            raise SceneError(f"{where}: missing field {key!r}")
+        return default
+    try:
+        return cast(spec[key])
+    except (TypeError, ValueError):
+        raise SceneError(f"{where}/{key}: expected a number, got "
+                         f"{json.dumps(spec[key])}") from None
+
+
 def _task_path(task: dict, n: int) -> ApproachPath:
     spec = _need(task, "path")
     anchor = np.asarray(_need(task, "anchor"), dtype=float)
     direction = np.asarray(spec.get("direction", [1.0] + [0.0] * (n - 1)),
                            dtype=float)
-    return ApproachPath.geometric(anchor, direction,
-                                  r0=float(spec.get("r0", 0.5)),
-                                  ratio=float(spec.get("ratio", 0.5)),
-                                  count=int(spec.get("count", 20)))
+    return ApproachPath.geometric(
+        anchor, direction, r0=_number(spec, "r0", 0.5, where="task/path"),
+        ratio=_number(spec, "ratio", 0.5, where="task/path"),
+        count=_number(spec, "count", 20, cast=int, where="task/path"))
 
 
 def _domain_from(task: dict, scene: Scene):
@@ -118,7 +138,8 @@ def _domain_from(task: dict, scene: Scene):
         return BoxDomain(scene.lo, scene.hi)
     kind = spec.get("kind", "box")
     if kind == "ball":
-        return BallDomain(tuple(spec["center"]), float(spec["radius"]))
+        return BallDomain(tuple(spec["center"]),
+                          _number(spec, "radius", where="task/omega"))
     if kind == "box":
         return BoxDomain(tuple(spec["lo"]), tuple(spec["hi"]))
     raise SceneError(f"task/omega: unknown domain kind {kind!r}")
@@ -132,11 +153,11 @@ def _cone_from(spec, where: str) -> Cone:
     if kind in ("a", "r", "gamma") and param is None:
         raise SceneError(f"{where}: cone spec needs 'param'")
     if kind == "a":
-        return Cone.a(float(param))
+        return Cone.a(_number(spec, "param", where=where))
     if kind == "r":
-        return Cone.r(int(param))
+        return Cone.r(_number(spec, "param", cast=int, where=where))
     if kind == "gamma":
-        return Cone.gamma(int(param))
+        return Cone.gamma(_number(spec, "param", cast=int, where=where))
     raise SceneError(f"{where}: unknown cone kind {spec['kind']!r}")
 
 
@@ -160,9 +181,7 @@ def _run_limit(args, outdir: str) -> int:
     scene = _load(args)
     task = scene.task
     mu = scene.measure(_need(task, "measure"))
-    extra = task.get(second, default)
-    params = kind(float(_need(task, first)),
-                  None if extra is None else float(extra))
+    params = kind(_number(task, first), _number(task, second, default))
     path = _task_path(task, scene.dimension)
     rep = report(mu, params, path.anchor, path)
     files = {
@@ -188,12 +207,12 @@ def _run_capacity(args, outdir: str) -> int:
     task = scene.task
     E = scene.set(_need(task, "set"))
     omega = _domain_from(task, scene)
-    h = float(_need(task, "h"))
+    h = _number(task, "h")
     kind = task.get("kind", "p")
     if kind == "riesz":
-        est = riesz_capacity(E, omega, float(_need(task, "alpha")), h)
+        est = riesz_capacity(E, omega, _number(task, "alpha"), h)
     elif kind == "p":
-        est = p_capacity(E, omega, float(_need(task, "p")), h,
+        est = p_capacity(E, omega, _number(task, "p"), h,
                          fold_center=task.get("fold_center"))
     else:
         raise SceneError(f"task/kind: expected 'riesz' or 'p', got {kind!r}")
@@ -211,11 +230,11 @@ def _run_thin(args, outdir: str) -> int:
     E = scene.set(_need(task, "set"))
     x0 = np.asarray(_need(task, "point"), dtype=float)
     weighting = task.get("weighting", "cap-p")
-    terms = wiener_terms(E, x0, index=float(_need(task, "index")),
-                         count=int(task.get("count", 8)),
+    terms = wiener_terms(E, x0, index=_number(task, "index"),
+                         count=_number(task, "count", 8, cast=int),
                          weighting=weighting,
-                         delta=float(task.get("delta", 1.0)),
-                         pitch_rel=float(task.get("pitch_rel", 1.0 / 8.0)))
+                         delta=_number(task, "delta", 1.0),
+                         pitch_rel=_number(task, "pitch_rel", 1.0 / 8.0))
     rep = classify_thinness(terms)
     partial = np.cumsum(terms)
     files = {
@@ -242,7 +261,7 @@ def _boundary_from(task):
     kind = spec.get("kind")
     if kind == "affine":
         grad = np.asarray(_need(spec, "gradient"), dtype=float)
-        off = float(spec.get("offset", 0.0))
+        off = _number(spec, "offset", 0.0, where="task/boundary")
         return lambda pts: pts @ grad + off
     raise SceneError(f"task/boundary/kind: unsupported {kind!r}")
 
@@ -252,8 +271,7 @@ def _run_plaplace(args, outdir: str) -> int:
     task = scene.task
     name = task.get("measure")
     mu = None if name is None else scene.measure(name)
-    p = float(_need(task, "p"))
-    h = float(_need(task, "h"))
+    p, h = _number(task, "p"), _number(task, "h")
     grid = EvaluationGrid.from_box(scene.lo, scene.hi, h)
     sol = solve_p_dirichlet(grid, mu, p, _boundary_from(task))
     flat = sol.values.ravel()
@@ -287,8 +305,8 @@ def _run_cones_include(args, outdir: str) -> int:
     task = scene.task
     inner = _cone_from(_need(task, "inner"), "task/inner")
     outer = _cone_from(_need(task, "outer"), "task/outer")
-    n = int(_need(task, "n"))
-    samples = int(task.get("samples", 100_000))
+    n = _number(task, "n", cast=int)
+    samples = _number(task, "samples", 100_000, cast=int)
     rep = inclusion_check(inner, outer, n, samples=samples,
                           seed=scene.require_seed())
     write_files(outdir, {"report.json": json_text({
@@ -308,7 +326,7 @@ def _run_cones_pgamma(args, outdir: str) -> int:
     scene = _load(args)
     task = scene.task
     cone = _cone_from(_need(task, "cone"), "task/cone")
-    n = int(_need(task, "n"))
+    n = _number(task, "n", cast=int)
     tol = scene.tolerance if scene.tolerance is not None else 1e-10
     value = p_gamma(cone, n, tol=tol)
     write_files(outdir, {"report.json": json_text({
@@ -324,11 +342,12 @@ def _run_density(args, outdir: str) -> int:
     if mode == "upper":
         mu = scene.measure(_need(task, "measure"))
         x = np.asarray(_need(task, "point"), dtype=float)
-        d = float(_need(task, "d"))
+        d = _number(task, "d")
         spec = task.get("ladder", {})
-        radii = geometric_ladder(float(spec.get("r_max", 0.5)),
-                                 float(spec.get("r_min", 0.5 * 2.0 ** -15)),
-                                 int(spec.get("rungs", 16)))
+        radii = geometric_ladder(
+            _number(spec, "r_max", 0.5, where="task/ladder"),
+            _number(spec, "r_min", 0.5 * 2.0 ** -15, where="task/ladder"),
+            _number(spec, "rungs", 16, cast=int, where="task/ladder"))
         prof = upper_density(mu, x, d, radii)
         files = {
             "density.csv": csv_text(("r", "value"),

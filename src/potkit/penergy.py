@@ -1,8 +1,10 @@
 """Discrete p-Dirichlet energy on uniform grids and its minimization.
 
-The gradient lives on cells: along axis a it is the forward difference
-of node values divided by h, averaged over the 2^(n-1) cell edges
-parallel to a.  The energy is
+The gradient lives on cells.  Along axis a it is the difference of the
+two cell faces normal to a: S_a sums u over the 2^(n-1) corners of a
+face, and g_a = (S_a[upper face] - S_a[lower face]) / (2^(n-1) h), the
+forward difference averaged over the 2^(n-1) cell edges parallel to a.
+The energy is
 
     E(u) = coef * sum over cells of |grad u|^p h^n  -  sum over nodes of w u,
 
@@ -10,10 +12,12 @@ with coef = 1/p for measure-driven solves and, for a capacity problem
 (w = 0), the number of mirror copies of the grid that the energy stands
 for.  E is convex for every p > 1, so any descent to first-order
 stationarity finds the global minimizer subject to the pinned nodes.
-Minimization is limited-memory quasi-Newton descent with an optional
-Newton polish: on grids small enough for a sparse direct solve, damped
-Newton steps with the exact Hessian (nested-dissection order, pattern
-built once per call) push the gradient to machine level.
+
+Minimization is an L-BFGS descent on the free nodes (Nocedal's two-loop
+recursion over the newest 10 pairs, Armijo backtracking) with an
+optional Newton polish: on grids small enough for a sparse direct
+solve, damped Newton steps with the exact Hessian (nested-dissection
+order, pattern built once per call) push the gradient to machine level.
 
 One coarse-to-fine cascade serves every caller: ``minimize_p_energy``
 solves the coarser levels of a problem coarsest first and starts the
@@ -22,19 +26,23 @@ Without a load that start is clipped to the range of the pinned values,
 which the continuum minimizer never leaves (the maximum principle) but
 a coarse grid minimizer can.
 
-Every solve runs at one setting: the descent stops at relative energy
-change ``REL_ENERGY_TOL`` within ``LBFGS_MAXITER`` iterations, and the
+Every solve runs at one setting: the descent stops once an accepted
+step lowers the energy by at most ``REL_ENERGY_TOL`` times the larger
+of the two energies' magnitudes (a relative test at every scale), or
+at max-norm gradient 1e-12, within ``LBFGS_MAXITER`` iterations; the
 polish stops at max-norm gradient ``NEWTON_GTOL`` within
 ``NEWTON_ITERS`` steps.  The solvers read these constants when called.
 
 The energy works on the flat node array: a cell sits at the index of
 its lowest corner, its neighbour along axis b is a shift by the node
-stride s_b, and each difference, average and scatter is one contiguous
-1-D operation on buffers a problem allocates once.  A position with its
-lowest corner on an upper face is not a cell; its shifted reads wrap,
-so its weight is overwritten with 0 (a product with 0 would pass inf or
-nan) and adds exactly +0 to every node.  The float operations are those
-of the cell-shaped form, in the same order.
+stride s_b, and each sum, difference and scatter is one contiguous 1-D
+operation on buffers a problem allocates once.  It divides u by
+2^(n-1) h first and sums the quotients; for n = 3 the three face sums
+share two pairwise sums.  A position with its lowest corner on an
+upper face is not a cell: its gradients are set to 0, and so is the
+energy density there before the whole buffer is summed.  The adjoint
+is the same steps transposed.  The float operations are those of the
+cell-shaped form of these steps, in the same order.
 """
 
 from __future__ import annotations
@@ -45,7 +53,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.optimize import minimize as scipy_minimize
+from scipy.linalg.blas import daxpy
 
 from .errors import ResolutionError
 from .grid import EvaluationGrid
@@ -58,53 +66,83 @@ NEWTON_GTOL = 1e-14
 
 class _CellKernel:
     """Cell gradients and their adjoint on the flat node array of one
-    grid, in buffers reused from call to call; not for concurrent calls."""
+    grid, in buffers reused from call to call; not for concurrent calls.
+
+    ``plan`` lists every partial sum of u over a set of axes after the
+    set without its largest axis m, which it adds to its own shift by
+    s_m; a set of n - 1 axes is the face sum of the axis it misses.  A
+    sum over the axes K is kept at the first n_nodes - sum of s_b over K
+    positions, where all of its terms lie in the array, and the
+    gradients are set to 0 off the cells, so no call reads what an
+    earlier call left in a buffer.
+    """
 
     def __init__(self, grid: EvaluationGrid):
-        shape, self.h = grid.node_shape, grid.h
-        self.strides = [math.prod(shape[a + 1:]) for a in range(grid.dim)]
+        n, shape = grid.dim, grid.node_shape
+        self.strides = [math.prod(shape[a + 1:]) for a in range(n)]
         self.on_face = np.pad(np.zeros(grid.cells, dtype=bool),
-                              [(0, 1)] * grid.dim, constant_values=True).ravel()
+                              [(0, 1)] * n, constant_values=True).ravel()
         self.cells = np.flatnonzero(~self.on_face)
-        self.grads = [np.zeros(grid.n_nodes) for _ in range(grid.dim)]
-        self.g2, self.w, self.t, self.tmp = np.zeros((4, grid.n_nodes))
+        self.plan = []  # (axes, the face's axis or None, length)
+        for a in range(n):
+            face = tuple(b for b in range(n) if b != a)
+            for k in range(1, n):
+                if face[:k] not in (key for key, _, _ in self.plan):
+                    self.plan.append((
+                        face[:k], a if k == n - 1 else None,
+                        grid.n_nodes - sum(self.strides[b] for b in face[:k])))
+        self.sums = {key: np.zeros(grid.n_nodes)
+                     for key, a, _ in self.plan if a is None}
+        self.grads = np.zeros((n, grid.n_nodes))
+        self.v, self.face, self.g2, self.w, self.t = np.zeros(
+            (5, grid.n_nodes))
+        self.flat = np.zeros(grid.n_nodes, dtype=bool)
+        self.width = 2.0 ** (n - 1) * grid.h
+        # every cell i has i + sum(strides) < n_nodes: g_a is taken over
+        # the first `span` positions, then 0 off the cells
+        self.span = grid.n_nodes - sum(self.strides)
 
     def gradients(self, u: np.ndarray, eps: float):
-        """Per axis the difference / h, then the mean of two neighbours
-        along each other axis in ascending order; and |gradient|^2 + eps^2."""
-        u = np.asarray(u, dtype=float).reshape(-1)
-        g2, tmp = self.g2, self.tmp
-        for a, g in enumerate(self.grads):
-            sa = self.strides[a]
-            np.divide(np.subtract(u[sa:], u[:-sa], out=g[:-sa]), self.h,
-                      out=g[:-sa])
-            for b, s in enumerate(self.strides):
-                if b != a:
-                    np.add(g[:-s], g[s:], out=tmp[:-s])
-                    np.multiply(tmp[:-s], 0.5, out=g[:-s])
-        np.multiply(self.grads[0], self.grads[0], out=g2)
-        for d in self.grads[1:]:
-            np.add(g2, np.multiply(d, d, out=tmp), out=g2)
+        """Per axis the face sum S_a of v = u / width and g_a = S_a[+s_a]
+        - S_a, 0 off the cells; and |gradient|^2 + eps^2."""
+        v = np.divide(np.asarray(u, dtype=float).reshape(-1), self.width,
+                      out=self.v)
+        for key, a, m in self.plan:
+            parent, s = key[:-1], self.strides[key[-1]]
+            x = self.sums[parent] if parent else v
+            out = self.face if a is not None else self.sums[key]
+            np.add(x[:m], x[s:s + m], out=out[:m])
+            if a is not None:
+                g, m, sa = self.grads[a], self.span, self.strides[a]
+                np.subtract(out[sa:sa + m], out[:m], out=g[:m])
+                np.copyto(g, 0.0, where=self.on_face)
+        g2 = np.einsum("ij,ij->j", self.grads, self.grads, out=self.g2)
         if eps > 0.0:
             np.add(g2, eps ** 2, out=g2)
         return self.grads, g2
 
-    def add_adjoint(self, t: np.ndarray, axis: int, out: np.ndarray):
-        """Add the adjoint of the gradient along ``axis`` at the cell weights
-        t (overwritten, 0 off the cells) to the nodes: t spreads along the
-        other axes in descending order, then adds +t/h hi and -t/h lo."""
-        np.copyto(t, 0.0, where=self.on_face)
-        half = self.tmp
-        for b in reversed(range(len(self.strides))):
-            if b != axis:
-                s = self.strides[b]
-                np.multiply(t, 0.5, out=half)
-                t[:s] = half[:s]
-                np.add(half[s:], half[:-s], out=t[s:])
-        s = self.strides[axis]
-        np.divide(t[:-s], self.h, out=half[:-s])
-        np.add(out[s:], half[:-s], out=out[s:])
-        np.subtract(out[:-s], half[:-s], out=out[:-s])
+    def adjoint(self, w: np.ndarray, out: np.ndarray):
+        """out = sum over axes a of the adjoint of g_a at the cell weights
+        w g_a / width (w finite, so 0 off the cells): the steps of
+        ``gradients`` transposed, in reverse order; the first push into
+        a sum writes it, later pushes add to it."""
+        t, written = self.t, set()
+        for key, a, _ in reversed(self.plan):
+            d = self.sums.get(key, self.face)
+            if a is not None:
+                sa = self.strides[a]
+                np.multiply(w, self.grads[a], out=t)
+                np.negative(t[:sa], out=d[:sa])
+                np.subtract(t[:-sa], t[sa:], out=d[sa:])
+            parent, s = key[:-1], self.strides[key[-1]]
+            target = self.sums[parent] if parent else out
+            if parent in written:
+                np.add(target, d, out=target)
+                np.add(target[s:], d[:-s], out=target[s:])
+            else:
+                target[:s] = d[:s]
+                np.add(d[s:], d[:-s], out=target[s:])
+                written.add(parent)
 
 
 @dataclass
@@ -153,18 +191,19 @@ class PEnergyProblem:
         """Energy and its full node gradient at u."""
         p, hn = self.p, self.grid.cell_volume
         kernel = self._cell_kernel()
-        grads, g2 = kernel.gradients(u, self.eps)
-        w, t = kernel.w, kernel.t
-        np.power(g2, p / 2.0, out=t)
-        energy = self.coef * hn * float(t[kernel.cells].sum())
+        _, g2 = kernel.gradients(u, self.eps)
+        w, t, flat = kernel.w, kernel.t, kernel.flat
+        # w = g^(p-2), 0 where g is not positive; g^p = w g^2
         with np.errstate(divide="ignore"):
             np.power(g2, (p - 2.0) / 2.0, out=w)
-        np.copyto(w, 0.0, where=~(g2 > 0.0))
-        np.multiply(w, self.coef * p * hn, out=w)
-        node_grad = np.zeros(np.shape(u))
-        for a, d in enumerate(grads):
-            kernel.add_adjoint(np.multiply(w, d, out=t), a,
-                               node_grad.reshape(-1))
+        np.logical_not(np.greater(g2, 0.0, out=flat), out=flat)
+        np.copyto(w, 0.0, where=flat)
+        np.multiply(w, g2, out=t)
+        np.copyto(t, 0.0, where=kernel.on_face)
+        energy = self.coef * hn * float(t.sum())
+        np.multiply(w, self.coef * p * hn / kernel.width, out=w)
+        node_grad = np.empty(np.shape(u))
+        kernel.adjoint(w, node_grad.reshape(-1))
         if self.load is not None:
             energy -= float((self.load * u).sum())
             node_grad -= self.load
@@ -194,13 +233,20 @@ def minimize_p_energy(problem: PEnergyProblem, u0: np.ndarray | None = None,
     next.  Every level is one call of this function; the info returned
     and ``polish`` are the finest level's.
 
-    ``polish="newton"`` follows the descent with :func:`newton_polish`
-    (sparse assembled Hessian, quadratic convergence, for grids small
-    enough to factor); the solve has converged when the polish has, and
-    raises ResolutionError with it otherwise.  Without a polish, raises
-    ResolutionError when the descent stops before reaching the
-    relative-energy-change criterion, including when it runs out of
-    iterations.
+    Each level is one L-BFGS descent on its free nodes: the two-loop
+    recursion over the newest 10 pairs (s, y), scaled by s.y / y.y (the
+    first step is -g / |g|), and Armijo backtracking from t = 1.  It
+    converges at max-norm gradient 1e-12, or once an accepted step
+    lowers the energy by at most ``REL_ENERGY_TOL`` max(|E_k|, |E_k+1|).
+    It fails when it spends ``LBFGS_MAXITER`` iterations (capped), or
+    when 40 halvings along -g / |g| find no decrease (stalled).
+
+    ``polish="newton"`` follows the descent, converged or not, with
+    :func:`newton_polish` (sparse assembled Hessian, quadratic
+    convergence, for grids small enough to factor); the solve has
+    converged when the polish has, and raises ResolutionError with it
+    otherwise.  Without a polish, a capped or stalled descent raises
+    ResolutionError.
     """
     if polish not in (None, "newton"):
         raise ValueError("polish must be 'newton' or None")
@@ -218,29 +264,87 @@ def minimize_p_energy(problem: PEnergyProblem, u0: np.ndarray | None = None,
     if u0 is None:
         u0 = problem.fixed_values.copy()
         u0[free] = float(problem.fixed_values[problem.fixed_mask].mean())
-    x0 = np.ascontiguousarray(u0[free], dtype=float)
+    idx = np.flatnonzero(free)
+    work = problem.fixed_values.astype(float).reshape(-1)
 
     def fg(x):
-        u = problem.full(x)
-        e, g = problem.energy_and_grad(u)
-        return e, np.ascontiguousarray(g[free])
+        work[idx] = x
+        e, g = problem.energy_and_grad(work.reshape(problem.grid.node_shape))
+        return e, g.reshape(-1)[idx]
 
-    res = scipy_minimize(fg, x0, jac=True, method="L-BFGS-B",
-                         options={"maxiter": LBFGS_MAXITER, "maxcor": 10,
-                                  "ftol": REL_ENERGY_TOL,
-                                  "gtol": 1e-12})
-    u = problem.full(res.x)
+    x, energy, grad, iters, failure = _lbfgs(fg, u0.reshape(-1)[idx])
+    u = problem.full(x)
     if polish == "newton":
         u, newton = newton_polish(problem, u)
-        return u, PEnergyInfo(newton.energy, int(res.nit), newton.grad_norm,
+        return u, PEnergyInfo(newton.energy, iters, newton.grad_norm,
                               "lbfgs+newton", newton.iterations)
-    if not res.success:
+    if failure is not None:
         raise ResolutionError(
-            f"p-energy descent did not converge ({res.message}); "
+            f"p-energy descent did not converge ({failure}); "
             "refine the grid or raise the iteration budget")
-    energy, grad = problem.energy_and_grad(u)
-    grad_norm = float(np.max(np.abs(grad[free])))
-    return u, PEnergyInfo(float(energy), int(res.nit), grad_norm, "lbfgs")
+    return u, PEnergyInfo(float(energy), iters, float(np.max(np.abs(grad))),
+                          "lbfgs")
+
+
+def _lbfgs(fg, x0: np.ndarray):
+    """L-BFGS descent of fg = (f, gradient) from x0 (left unchanged);
+    returns (x, f, g, iterations, failure), failure None on convergence.
+    fg returns a new gradient array on every call: the previous one is
+    overwritten with y.
+
+    The direction is the two-loop recursion over the newest 10 pairs
+    (s, y) with initial scaling s.y / y.y of the newest pair, or
+    -g / |g| when there is none.  Armijo backtracking halves the step
+    from t = 1; a pair with s.y <= 0 is not stored.  A step that finds
+    no decrease drops the pairs and retries along -g / |g|.  Converged:
+    max-norm gradient at most 1e-12, or an accepted step with
+    f_k - f_k+1 <= REL_ENERGY_TOL max(|f_k|, |f_k+1|).
+    """
+    memory = 10
+    x = np.array(x0, dtype=float)
+    f, g = fg(x)
+    S, Y = np.empty((2, memory, x.size))
+    rho, pairs, d = np.empty(memory), [], np.empty_like(x)
+    it = 0
+    while it < LBFGS_MAXITER:
+        if np.max(np.abs(g)) <= 1e-12:
+            return x, f, g, it, None
+        np.negative(g, out=d)
+        alpha = []
+        for j in reversed(pairs):
+            alpha.append(rho[j] * (S[j] @ d))
+            daxpy(Y[j], d, a=-alpha[-1])
+        d *= (1.0 / (rho[pairs[-1]] * (Y[pairs[-1]] @ Y[pairs[-1]]))
+              if pairs else 1.0 / np.linalg.norm(g))
+        for j, a in zip(pairs, reversed(alpha)):
+            daxpy(S[j], d, a=a - rho[j] * (Y[j] @ d))
+        slope, t = float(g @ d), 1.0
+        # not a descent direction (round-off): straight to the fallback
+        for _ in range(40 if slope < 0.0 else 0):
+            xt = x + t * d
+            ft, gt = fg(xt)
+            if ft <= f + 1e-4 * t * slope:
+                break
+            t *= 0.5
+        else:
+            if not pairs:
+                return x, f, g, it, f"line search stalled at iteration {it}"
+            pairs.clear()
+            continue
+        it += 1
+        y = np.subtract(gt, g, out=g)
+        sy = t * float(d @ y)
+        if sy > 0.0:
+            j = pairs.pop(0) if len(pairs) == memory else len(pairs)
+            np.multiply(d, t, out=S[j])
+            Y[j] = y
+            rho[j] = 1.0 / sy
+            pairs.append(j)
+        done = f - ft <= REL_ENERGY_TOL * max(abs(f), abs(ft))
+        x, f, g = xt, ft, gt
+        if done:
+            return x, f, g, it, None
+    return x, f, g, it, f"stopped after {LBFGS_MAXITER} iterations"
 
 
 def _nested_dissection(shape) -> np.ndarray:

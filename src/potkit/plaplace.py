@@ -140,13 +140,19 @@ def solve_p_dirichlet(grid: EvaluationGrid, mu: Measure | None, p: float,
 
     Any p > 1 is accepted without a measure; with one, p must lie in
     (1, n].  Coarse levels at pitch 2h and 4h, where the cell counts
-    allow, warm-start the fine descent, the monotone convex stage, in
+    allow, warm-start the fine descent in
     :func:`~potkit.penergy.minimize_p_energy`'s cascade from the affine
-    fit to the coarsest boundary values.  The sparse Newton refinement
-    follows it whenever the grid is small enough to factor directly; the
-    fill-in of the sparse factorization caps this at ~1.6e5 nodes in 2-D
-    but ~4e4 in higher dimensions.  The nested-dissection order of
-    :func:`~potkit.penergy.newton_polish` leaves these caps unchanged.
+    fit to the coarsest boundary values.  Each level is an L-BFGS
+    descent (two-loop recursion over 10 pairs, Armijo backtracking) that
+    stops at a relative energy change of ``penergy.REL_ENERGY_TOL``.  The
+    Newton refinement follows it whenever the grid is small enough to
+    factor directly; the fill-in of the sparse factorization caps this
+    at ~1.6e5 nodes in 2-D but ~4e4 in higher dimensions.  The
+    nested-dissection order of :func:`~potkit.penergy.newton_polish`
+    leaves these caps unchanged.  Newton finishes a descent that ran out
+    of iterations or stalled, and raises ResolutionError when it does not
+    converge itself; on a grid above the cap, a capped or stalled
+    descent raises ResolutionError.
     For p < 2 the energy is regularized by eps = 1e-12 in the gradient
     magnitude; the reported residual is that of the unregularized
     energy.  Array boundary data is given on the fine grid's nodes; the

@@ -186,6 +186,32 @@ def test_limit_subcommands_reject_bad_scene_values(tmp_path, capsys, command,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, changes, field", [
+    ("wolff", {"path": {"count": None}}, "task/path/count"),
+    ("riesz", {"path": {"count": None}}, "task/path/count"),
+    ("wolff", {"r": None}, "task/r"),
+    ("riesz", {"r": None}, None),
+    ("riesz", {"domain_diameter": None}, "task/domain_diameter"),
+    ("wolff", {"exponent": None}, "task/p"),
+    ("riesz", {"exponent": None}, "task/alpha"),
+])
+def test_limit_subcommands_reject_null_numbers(tmp_path, capsys, command,
+                                               changes, field):
+    # JSON null in a numeric task field is a scene error, not a TypeError;
+    # riesz reads no "r"
+    out = tmp_path / "out"
+    code = cli.main([command, "--scene",
+                     _limit_scene(tmp_path, command, **changes),
+                     "--out", str(out)])
+    err = capsys.readouterr().err
+    if field is None:
+        assert code == 0 and err == ""
+        return
+    assert code == 1
+    assert err == f"potkit: {field}: expected a number, got null\n"
+    assert not out.exists()
+
+
 def _write_scene(tmp_path, n, task, *, sets=(), measures=(), tolerance=None):
     doc = {"dimension": n,
            "domain": {"lo": [-1.0] * n, "hi": [1.0] * n},

@@ -63,9 +63,9 @@ def _adjoint_accumulate(w: np.ndarray, h: float, axis: int, out: np.ndarray):
     out[tuple(sl0)] -= t / h
 
 
-def _reference_energy_and_grad(problem, u):
-    """The energy and node gradient in cell shape, one temporary per
-    operation."""
+def _edge_reference_energy_and_grad(problem, u):
+    """The energy and node gradient in cell shape from edge-averaged
+    differences, one temporary per operation."""
     grid, p = problem.grid, problem.p
     n = grid.dim
     hn = grid.cell_volume
@@ -81,6 +81,65 @@ def _reference_energy_and_grad(problem, u):
     for a in range(n):
         _adjoint_accumulate(problem.coef * p * hn * gpm2 * grads[a],
                             grid.h, a, node_grad)
+    if problem.load is not None:
+        energy -= float((problem.load * u).sum())
+        node_grad = node_grad - problem.load
+    return energy, node_grad
+
+
+def _halves(axis, n):
+    """Index tuples of the lower and the upper n-1 entries along axis."""
+    lo, hi = [slice(None)] * n, [slice(None)] * n
+    lo[axis], hi[axis] = slice(None, -1), slice(1, None)
+    return tuple(lo), tuple(hi)
+
+
+def _reference_energy_and_grad(problem, u):
+    """The face-sum energy and node gradient in cell shape.
+
+    v = u / (2^(n-1) h); the sum of v over a set of axes is the sum over
+    the set without its largest axis m plus its shift along m, and S_a,
+    the sum over every axis but a, gives g_a = S_a[+1 along a] - S_a.
+    The adjoint runs the same steps transposed in reverse order.  The
+    energy density is summed zero-padded to node shape."""
+    grid, p = problem.grid, problem.p
+    n = grid.dim
+    hn, width = grid.cell_volume, 2.0 ** (n - 1) * grid.h
+    plan = []
+    for a in range(n):
+        face = tuple(b for b in range(n) if b != a)
+        plan += [face[:k] for k in range(1, n) if face[:k] not in plan]
+    sums = {(): u / width}
+    for key in plan:
+        lo, hi = _halves(key[-1], n)
+        sums[key] = sums[key[:-1]][lo] + sums[key[:-1]][hi]
+    faces = [sums[tuple(b for b in range(n) if b != a)] for a in range(n)]
+    grads = [s[_halves(a, n)[1]] - s[_halves(a, n)[0]]
+             for a, s in enumerate(faces)]
+    flat = np.stack(grads).reshape(n, -1)
+    g2 = np.einsum("ij,ij->j", flat, flat).reshape(grads[0].shape)
+    if problem.eps > 0.0:
+        g2 = g2 + problem.eps ** 2
+    with np.errstate(divide="ignore"):
+        w = np.where(g2 > 0.0, g2 ** ((p - 2.0) / 2.0), 0.0)
+    density = np.zeros(u.shape)
+    density[(slice(None, -1),) * n] = w * g2
+    energy = problem.coef * hn * float(density.sum())
+    w = w * (problem.coef * p * hn / width)
+    adj = {}
+    for a in range(n):
+        lo, hi = _halves(a, n)
+        d = np.zeros(faces[a].shape)
+        d[lo] -= w * grads[a]
+        d[hi] += w * grads[a]
+        adj[tuple(b for b in range(n) if b != a)] = d
+    for key in reversed(plan):
+        parent, (lo, hi) = key[:-1], _halves(key[-1], n)
+        if parent not in adj:
+            adj[parent] = np.zeros(sums[parent].shape)
+        adj[parent][lo] += adj[key]
+        adj[parent][hi] += adj[key]
+    node_grad = adj[()]
     if problem.load is not None:
         energy -= float((problem.load * u).sum())
         node_grad = node_grad - problem.load
@@ -104,7 +163,8 @@ def _random_problem(cells, p, eps=0.0, load=False, seed=5):
 @pytest.mark.parametrize("p", [1.5, 2.0, 2.5, 3.0])
 def test_energy_and_grad_equals_cell_shaped_reference(cells, p):
     # the same float operations in the same order: equal to the bit,
-    # with nan where the reference has nan
+    # with nan where the reference has nan; on finite values within
+    # round-off of the edge-averaged form of the same gradient
     rng = np.random.default_rng(len(cells) + int(4 * p))
     for eps, load in [(0.0, False), (1e-3, False), (0.0, True),
                       (1e-3, True)]:
@@ -120,6 +180,12 @@ def test_energy_and_grad_equals_cell_shaped_reference(cells, p):
             assert np.array_equal(energy, ref_energy, equal_nan=True)
             assert grad.shape == shape
             assert np.array_equal(grad, ref_grad, equal_nan=True)
+            if np.all(np.isfinite(u)):
+                edge_energy, edge_grad = _edge_reference_energy_and_grad(
+                    problem, u)
+                assert abs(energy - edge_energy) <= 1e-13 * abs(edge_energy)
+                assert (np.max(np.abs(grad - edge_grad))
+                        <= 1e-13 * np.max(np.abs(edge_grad)))
 
 
 def test_energy_and_grad_returns_fresh_arrays():
@@ -304,6 +370,66 @@ def test_iteration_cap_raises(monkeypatch):
                    BallDomain((0.0,) * 3, 1.0), 2.5, 1.0 / 12.0)
 
 
+@pytest.mark.parametrize("p", [1.5, 3.0])
+def test_the_energy_stop_is_relative_at_every_scale(p):
+    # f_k - f_k+1 <= REL_ENERGY_TOL max(|f_k|, |f_k+1|) with no floor of
+    # 1: the problem scaled to an energy of 1e-4 times its own reaches
+    # the same relative accuracy in as many iterations
+    grid = EvaluationGrid.from_box((0.0, 0.0), (1.0, 1.0), 1.0 / 32.0)
+    bmask = grid.boundary_node_mask()
+    X, Y = np.meshgrid(*grid.node_axes(), indexing="ij")
+    fixed = np.where(bmask, np.sin(3.0 * X) + Y * Y, 0.0)
+    runs = []
+    for coef in (1.0, 1e-4):
+        problem = PEnergyProblem(grid, p, bmask, fixed, coef=coef,
+                                 eps=(1e-12 if p < 2 else 0.0))
+        u, info = minimize_p_energy(problem)
+        _, exact = newton_polish(problem, u)
+        runs.append((info.iterations,
+                     (info.energy - exact.energy) / abs(exact.energy)))
+    (iters, err), (scaled_iters, scaled_err) = runs
+    assert abs(iters - scaled_iters) <= 2
+    assert 0.0 <= err < 1e-6 and 0.0 <= scaled_err < 1e-6
+
+
+def test_lbfgs_minimizes_a_quadratic():
+    # 1/2 x'Ax - b'x with condition number 1e3 in 40 unknowns; the start
+    # is left as it was
+    rng = np.random.default_rng(4)
+    Q, _ = np.linalg.qr(rng.normal(size=(40, 40)))
+    A = Q @ np.diag(np.geomspace(1.0, 1e3, 40)) @ Q.T
+    b = rng.normal(size=40)
+    x0 = np.zeros(40)
+    x, f, g, iters, failure = penergy._lbfgs(
+        lambda x: (0.5 * x @ A @ x - b @ x, A @ x - b), x0)
+    exact = np.linalg.solve(A, b)
+    assert failure is None and 0 < iters < 200
+    assert np.array_equal(x0, np.zeros(40))
+    assert np.array_equal(g, A @ x - b) and f == 0.5 * x @ A @ x - b @ x
+    assert abs(f + 0.5 * b @ exact) <= 1e-7 * abs(0.5 * b @ exact)
+
+
+class _PoisonedProblem(PEnergyProblem):
+    """The energy is nan everywhere but at the start, so no step passes
+    the Armijo test."""
+
+    def energy_and_grad(self, u):
+        energy, grad = super().energy_and_grad(u)
+        if not np.array_equal(u, self.fixed_values):
+            energy = math.nan
+        return energy, grad
+
+
+def test_a_stalled_descent_raises():
+    grid = EvaluationGrid.from_box((0.0, 0.0), (1.0, 1.0), 1.0 / 8.0)
+    bmask = grid.boundary_node_mask()
+    X, _ = np.meshgrid(*grid.node_axes(), indexing="ij")
+    fixed = np.where(bmask, X, 0.0)
+    problem = _PoisonedProblem(grid, 2.0, bmask, fixed, coef=0.5)
+    with pytest.raises(ResolutionError, match="line search stalled"):
+        minimize_p_energy(problem, u0=np.zeros(grid.node_shape))
+
+
 def _pole_data(pts):
     r = np.hypot(pts[..., 0] - 1.3, pts[..., 1] + 0.4)
     return r ** (1.0 / 3.0)
@@ -459,14 +585,15 @@ def test_cascade_equals_the_hand_written_loop(kind):
 def _recording_descent(monkeypatch):
     """Record (start, minimizer) of the free nodes of every descent."""
     runs = []
-    original = penergy.scipy_minimize
+    original = penergy._lbfgs
 
-    def recording(fun, x0, **kwargs):
-        res = original(fun, x0, **kwargs)
-        runs.append((x0.copy(), res.x.copy()))
-        return res
+    def recording(fg, x0, *args):
+        start = x0.copy()
+        out = original(fg, x0, *args)
+        runs.append((start, out[0].copy()))
+        return out
 
-    monkeypatch.setattr(penergy, "scipy_minimize", recording)
+    monkeypatch.setattr(penergy, "_lbfgs", recording)
     return runs
 
 

@@ -188,12 +188,14 @@ def test_load_scene_reads_a_file(tmp_path):
 def test_importing_potkit_loads_neither_scipy_stats_nor_jsonschema():
     # a fresh interpreter, so modules that other tests load do not count;
     # jsonschema arrives with the first scene parse, which still names
-    # the pointer of a schema violation
+    # the pointer of a schema violation; the p-energy descent is potkit's
+    # own, so scipy.optimize stays out too
     code = """
 import json, sys
 import potkit, potkit.cli, potkit.verify
 from potkit.errors import SceneError
-loaded = [m for m in ("scipy.stats", "jsonschema") if m in sys.modules]
+loaded = [m for m in ("scipy.stats", "jsonschema", "scipy.optimize")
+          if m in sys.modules]
 assert not loaded, loaded
 try:
     potkit.parse_scene(json.loads(sys.argv[1]))
