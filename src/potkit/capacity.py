@@ -238,25 +238,70 @@ def _sample(E: ParametricSet, pitch: float, cap: int) -> np.ndarray:
     return pts
 
 
-def _equilibrium(K: np.ndarray) -> tuple[np.ndarray, int]:
+def _mirror_upper(K: np.ndarray) -> None:
+    """Copy K's strict upper triangle onto its strict lower one, in
+    ``_block_rows`` columns at a time; no block is copied aside."""
+    rows = _block_rows(len(K))
+    for i in range(0, len(K), rows):
+        j = i + rows
+        K[j:, i:j] = K[i:j, j:].T
+        for r in range(i + 1, min(j, len(K))):
+            K[r, i:r] = K[i:r, r]
+
+
+def _charged_masses(K: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """The x with K[c, c] x = 1, by Cholesky.  With every site charged
+    the factor lives in K itself: ``potrf`` on the F-ordered K.T writes it
+    over K's lower triangle and diagonal, and both are restored from the
+    untouched upper triangle and a saved diagonal, also on a raise.  A
+    smaller block is copied, as the LAPACK wrapper would copy a
+    non-contiguous one anyway.  Raises ResolutionError when the block is
+    not positive definite."""
+    ones = np.ones(c.size)
+    try:
+        if c.size < len(K):
+            # symmetric K: the block's transpose is F-ordered, factored
+            # in place
+            return cho_solve(cho_factor(K[np.ix_(c, c)].T, overwrite_a=True,
+                                        check_finite=False),
+                             ones, check_finite=False)
+        diag = K.diagonal().copy()
+        try:
+            return cho_solve(cho_factor(K.T, overwrite_a=True,
+                                        check_finite=False),
+                             ones, check_finite=False)
+        finally:
+            _mirror_upper(K)
+            np.fill_diagonal(K, diag)
+    except np.linalg.LinAlgError as exc:
+        raise ResolutionError(
+            f"site kernel matrix is not positive definite: {exc}") from None
+
+
+def _equilibrium(K: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
     """The m >= 0 minimizing 1/2 m'Km - sum(m), so Km = 1 where m > 0 and
-    Km >= 1 elsewhere, and its pivot count.  Block principal pivoting
-    (Kim & Park, SIAM J. Sci. Comput. 33, 2011) starts with every site
-    charged; each pivot solves Km = 1 on the charged sites by Cholesky
-    and swaps every infeasible site (m < 0 or Km < 1), or only the last
-    after three swaps that did not shrink their count (Murty's rule).
-    Raises ResolutionError after one pivot per site."""
+    Km >= 1 elsewhere, with Km and the pivot count.  Block principal
+    pivoting (Kim & Park, SIAM J. Sci. Comput. 33, 2011) starts with every
+    site charged; each pivot solves Km = 1 on the charged sites by
+    Cholesky and swaps every infeasible site (m < 0 or Km < 1), or only
+    the last after three swaps that did not shrink their count (Murty's
+    rule).
+
+    K must be exactly symmetric.  A pivot that charges every site (the
+    first always does) factors K in place (``_charged_masses``), so K is
+    the only n x n matrix held; it is unchanged on return and on raise.
+    Raises ResolutionError when a charged block is not positive definite,
+    or after one pivot per site."""
     charged = np.ones(len(K), dtype=bool)
     fewest, backup = len(K) + 1, 3
     for pivot in range(1, len(K) + 1):
         c = np.flatnonzero(charged)
         m = np.zeros(len(K))
-        # symmetric K: the block's transpose is F-ordered, factored in place
-        m[c] = cho_solve(cho_factor(K[np.ix_(c, c)].T, overwrite_a=True),
-                         np.ones(c.size))
-        bad = np.flatnonzero(np.where(charged, m < 0.0, K @ m < 1.0))
+        m[c] = _charged_masses(K, c)
+        Km = K @ m
+        bad = np.flatnonzero(np.where(charged, m < 0.0, Km < 1.0))
         if bad.size == 0:
-            return m, pivot
+            return m, Km, pivot
         backup = 3 if bad.size < fewest else backup - 1
         fewest = min(fewest, bad.size)
         if backup < 0:
@@ -274,7 +319,11 @@ def riesz_capacity(E: ParametricSet, omega: Domain, alpha: float,
     The site masses are the exact equilibrium (``_equilibrium``, whose
     pivots ``iterations`` counts), scaled so the least potential over
     sites and constraint points is 1: their total is ``value`` and
-    ``upper``.  ``lower`` scales them so the largest is 1 instead."""
+    ``upper``.  ``lower`` scales them so the largest is 1 instead.  The
+    site kernel matrix is the one n x n matrix held: the equilibrium's
+    first Cholesky factor lives inside it and its product Km gives the
+    site potentials.  Raises ResolutionError when the equilibrium meets a
+    block of it that is not positive definite."""
     n = E.dim
     if not 1.0 < alpha <= n:
         raise HypothesisViolation(f"alpha must lie in (1, n], got {alpha}")
@@ -289,11 +338,11 @@ def riesz_capacity(E: ParametricSet, omega: Domain, alpha: float,
     fine = _sample(E, h / 2.0, 12 * _SITE_CAP)
     r_moll = 0.5 * h
     K = _site_kernel_matrix(sites, alpha, n, diam, r_moll)
-    m, pivots = _equilibrium(K)
+    m, site_pot, pivots = _equilibrium(K)
     # site potentials, then constraint points in row blocks of about
     # _BLOCK_ENTRIES kernel entries, so each block stays in cache
     pot = np.concatenate([
-        K @ m, _kernel_potentials(fine, sites, m, alpha, n, diam, r_moll)])
+        site_pot, _kernel_potentials(fine, sites, m, alpha, n, diam, r_moll)])
     min_pot = float(pot.min())
     if min_pot <= 0:
         raise ResolutionError("potential vanished on a constraint point")

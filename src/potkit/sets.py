@@ -3,9 +3,9 @@ lists and power cusps, and their restrictions to closed shells.
 
 Every set answers containment for batches of points, produces a
 deterministic sample cloud at a requested pitch (lattices are anchored
-to each primitive's own bounding box, so scaled copies of a set yield
-exactly scaled clouds), reports which grid cells it meets, and supports
-segment-intersection queries.  Segment and cell tests are exact for
+to the set's bounding box, or to each box's in a box union, so scaled
+copies of a set yield exactly scaled clouds), reports which grid cells it
+meets, and supports segment-intersection queries.  Segment and cell tests are exact for
 balls, boxes and spheres; the cusp kind falls back to dense sampling
 and says so in its docstring.  A cell that touches a ball or a sphere
 meets it: cell tests compare squared radii with the relative slack
@@ -37,9 +37,10 @@ def _as_points(pts, n):
     return pts
 
 
-def _lattice(lo, hi, pitch):
-    """Cell-centered lattice filling [lo, hi]; degenerate axes collapse
-    to a single layer at their coordinate."""
+def _lattice_axes(lo, hi, pitch):
+    """Coordinates of the cell-centered lattice filling [lo, hi], one
+    array per axis; a degenerate axis is a single layer at lo.  Along an
+    axis of positive extent they lie more than pitch/2 apart."""
     axes = []
     for a in range(lo.size):
         extent = hi[a] - lo[a]
@@ -49,8 +50,18 @@ def _lattice(lo, hi, pitch):
         count = max(1, int(math.ceil(extent / pitch)))
         step = extent / count
         axes.append(lo[a] + step * (np.arange(count) + 0.5))
+    return axes
+
+
+def _mesh(axes):
     mesh = np.meshgrid(*axes, indexing="ij")
     return np.stack([m.ravel() for m in mesh], axis=1)
+
+
+def _lattice(lo, hi, pitch):
+    """Cell-centered lattice filling [lo, hi]; degenerate axes collapse
+    to a single layer at their coordinate."""
+    return _mesh(_lattice_axes(lo, hi, pitch))
 
 
 def _cell_dist2_range(grid: EvaluationGrid, center):
@@ -151,16 +162,29 @@ class BallUnion(ParametricSet):
         return out
 
     def sample_points(self, pitch: float) -> np.ndarray:
-        chunks = []
+        """The points of one lattice over the union's bounding box (see
+        ``_lattice``) that lie in a ball wider than the pitch.  A ball
+        that is no wider, or that holds no such point, adds its centre
+        unless a point already kept lies within pitch/2 of it; the
+        points are then pairwise more than pitch/2 apart, so no two of
+        them fall within one mollification radius in ``capacity``."""
+        axes = _lattice_axes(*self.bounding_box(), pitch)
+        chunks, centres = [], []
         for c, r in zip(self.centers, self.radii):
-            if 2.0 * r <= pitch:
-                chunks.append(c[None, :])
-                continue
-            cand = _lattice(c - r, c + r, pitch)
-            keep = dist2(cand, c) <= r * r
-            sel = cand[keep]
-            chunks.append(sel if sel.shape[0] else c[None, :])
-        return _dedupe(np.concatenate(chunks, axis=0))
+            if 2.0 * r > pitch:
+                # the lattice points in the ball's bounding box
+                cand = _mesh([ax[(ax >= c[a] - r) & (ax <= c[a] + r)]
+                              for a, ax in enumerate(axes)])
+                sel = cand[dist2(cand, c) <= r * r]
+                if sel.shape[0]:
+                    chunks.append(sel)
+                    continue
+            centres.append(c)
+        pts = np.concatenate(chunks or [np.empty((0, self.dim))])
+        for c in centres:
+            if not np.any(dist2(pts, c) <= 0.25 * pitch * pitch):
+                pts = np.concatenate([pts, c[None, :]])
+        return _dedupe(pts)
 
     def segment_hits(self, a, b) -> bool:
         a = _as_vec(a, self.dim)

@@ -4,11 +4,14 @@ the discrete p- and Riesz capacities, and the Riesz equilibrium solve."""
 import functools
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
-from scipy.linalg import cholesky, solve_triangular
+from hypothesis import given, settings, strategies as st
+from scipy.linalg import cho_factor, cho_solve, cholesky, solve_triangular
 from scipy.optimize import nnls
+from scipy.spatial import cKDTree
 
 from potkit import capacity
 from potkit.capacity import (BallDomain, BoxDomain, ShellDomain,
@@ -174,7 +177,7 @@ def test_equilibrium_is_the_nonnegative_least_squares_minimizer(K):
     # with K = L L', 1/2 m'Km - sum(m) = 1/2 |L'm - L^-1 1|^2 + const
     L = cholesky(K, lower=True)
     want, _ = nnls(L.T, solve_triangular(L, np.ones(len(K)), lower=True))
-    m, _ = _equilibrium(K)
+    m, _, _ = _equilibrium(K)
     pot = K @ m
     assert np.all(m >= 0.0)
     assert np.max(np.abs(pot[m > 0] - 1.0)) <= 1e-12
@@ -183,9 +186,99 @@ def test_equilibrium_is_the_nonnegative_least_squares_minimizer(K):
 
 
 def test_sphere_equilibrium_charges_every_site_in_one_pivot():
-    m, pivots = _equilibrium(_site_kernel(Sphere(np.zeros(3), 0.5), 1.5,
-                                          1 / 8))
+    m, _, pivots = _equilibrium(_site_kernel(Sphere(np.zeros(3), 0.5), 1.5,
+                                             1 / 8))
     assert pivots == 1 and np.all(m > 0.0)
+
+
+def _copying_equilibrium(K):
+    """``_equilibrium`` as it was before it factored K in place: every
+    pivot factors a copy of its block."""
+    charged = np.ones(len(K), dtype=bool)
+    fewest, backup = len(K) + 1, 3
+    for pivot in range(1, len(K) + 1):
+        c = np.flatnonzero(charged)
+        m = np.zeros(len(K))
+        m[c] = cho_solve(cho_factor(K[np.ix_(c, c)].T, overwrite_a=True),
+                         np.ones(c.size))
+        Km = K @ m
+        bad = np.flatnonzero(np.where(charged, m < 0.0, Km < 1.0))
+        if bad.size == 0:
+            return m, Km, pivot
+        backup = 3 if bad.size < fewest else backup - 1
+        fewest = min(fewest, bad.size)
+        if backup < 0:
+            bad = bad[-1:]
+        charged[bad] = ~charged[bad]
+    raise AssertionError("no equilibrium")
+
+
+@pytest.mark.parametrize("E, alpha, h, sites, pivots", [
+    (Sphere(np.zeros(3), 0.5), 1.5, 1 / 16, 805, 1),
+    (BallUnion([np.zeros(3)], [0.3]), 2.0, 0.1, 136, 3),
+], ids=["sphere", "solid-ball"])
+def test_equilibrium_in_place_is_the_copying_solve_bit_for_bit(
+        E, alpha, h, sites, pivots):
+    K = _site_kernel(E, alpha, h)
+    assert len(K) == sites
+    saved = K.copy()
+    m, Km, got = _equilibrium(K)
+    assert np.array_equal(K, saved)
+    want = _copying_equilibrium(saved)
+    assert got == want[2] == pivots
+    assert np.array_equal(m, want[0]) and np.array_equal(Km, want[1])
+    assert np.array_equal(Km, K @ m)
+
+
+def test_equilibrium_holds_no_second_kernel_matrix():
+    # the first pivot charges all 805 sites and factors K inside K
+    K = _site_kernel(Sphere(np.zeros(3), 0.5), 1.5, 1 / 16)
+    tracemalloc.start()
+    try:
+        _, _, pivots = _equilibrium(K)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert pivots == 1
+    assert peak < 0.05 * K.nbytes
+
+
+def test_equilibrium_leaves_k_unchanged_when_it_is_not_positive_definite():
+    K = _site_kernel(Sphere(np.zeros(3), 0.5), 1.5, 1 / 8)
+    K[100, 100] = -K[100, 100]
+    saved = K.copy()
+    with pytest.raises(ResolutionError, match="not positive definite"):
+        _equilibrium(K)
+    assert np.array_equal(K, saved)
+
+
+# each ball used to sample its own lattice, and the union kept sites
+# about 6e-17 apart, whose mollified kernel rows are equal
+@pytest.mark.parametrize("E", [
+    BallUnion([[0.0, 0.0], [0.45, 0.0]], [0.3, 0.2]),
+    BallUnion([[0.0, 0.0, 0.0], [0.45, 0.0, 0.0]], [0.3, 0.2]),
+], ids=["2d", "3d"])
+def test_riesz_capacity_of_two_overlapping_balls(E):
+    omega = BoxDomain((-1.0,) * E.dim, (1.0,) * E.dim)
+    est = riesz_capacity(E, omega, 1.5, 0.05)
+    assert math.isfinite(est.value) and 0.0 < est.lower <= est.value
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(n=st.sampled_from([2, 3]), pitch=st.sampled_from([0.2, 0.1, 0.05]),
+       balls=st.lists(st.tuples(st.floats(-0.3, 0.3), st.floats(-0.3, 0.3),
+                                st.floats(-0.3, 0.3), st.floats(0.005, 0.3)),
+                      min_size=2, max_size=4))
+def test_union_sites_are_more_than_half_a_pitch_apart(n, pitch, balls):
+    b = np.array(balls)
+    E = BallUnion(b[:, :n], b[:, 3])
+    pts = E.sample_points(pitch)
+    assert E.contains(pts).all()
+    assert not cKDTree(pts).query_pairs(pitch / 2.0)
+    # every ball has a site in it or within half a pitch of its centre
+    for c, r in zip(E.centers, E.radii):
+        d = np.sqrt(((pts - c) ** 2).sum(axis=1))
+        assert np.any(d <= r) or d.min() <= pitch / 2.0
 
 
 def test_solid_ball_riesz_capacity_is_the_same_at_any_centre():
@@ -230,7 +323,7 @@ def _one_shot_riesz_capacity(E, omega, alpha, h):
     fine = _sample(E, h / 2.0, 12 * capacity._SITE_CAP)
     args = (alpha, E.dim, omega.diameter, 0.5 * h)
     K = _riesz_kernel_matrix(sites, sites, *args)
-    m, _ = _equilibrium(K)
+    m, _, _ = _equilibrium(K)
     Kf = _riesz_kernel_matrix(fine, sites, *args)
     rows = capacity._block_rows(len(sites))
     pot = np.concatenate([K @ m] + [Kf[i:i + rows] @ m
