@@ -192,8 +192,8 @@ def test_sphere_equilibrium_charges_every_site_in_one_pivot():
 
 
 def _copying_equilibrium(K):
-    """``_equilibrium`` as it was before it factored K in place: every
-    pivot factors a copy of its block."""
+    """``_equilibrium`` with every pivot factoring a copy of its block,
+    the reference for the in-place first pivot."""
     charged = np.ones(len(K), dtype=bool)
     fewest, backup = len(K) + 1, 3
     for pivot in range(1, len(K) + 1):
@@ -252,8 +252,8 @@ def test_equilibrium_leaves_k_unchanged_when_it_is_not_positive_definite():
     assert np.array_equal(K, saved)
 
 
-# each ball used to sample its own lattice, and the union kept sites
-# about 6e-17 apart, whose mollified kernel rows are equal
+# two balls sampled on lattices of their own share sites up to about
+# 6e-17, whose kernel rows agree to round-off, so K is singular
 @pytest.mark.parametrize("E", [
     BallUnion([[0.0, 0.0], [0.45, 0.0]], [0.3, 0.2]),
     BallUnion([[0.0, 0.0, 0.0], [0.45, 0.0, 0.0]], [0.3, 0.2]),
