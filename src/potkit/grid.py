@@ -6,6 +6,10 @@ cells carry densities and gradient samples (measures and energies).
 Coordinates are never materialised as a full point array unless a caller
 asks for them; axis vectors are enough for most operations and keep the
 memory footprint linear.
+The geometry of cells and point meshes lives here: ``_mesh`` is the one
+tensor point array (nodes, cell centres, the lattices of ``sets``), and
+``EvaluationGrid.cell_dist2_range`` the cell distance ranges behind the
+cell marks of balls, spheres and shells.
 """
 
 from __future__ import annotations
@@ -40,6 +44,13 @@ def _dist2(axes, x) -> np.ndarray:
         shape[a] = ax.size
         parts.append(((ax - x[a]) ** 2).reshape(shape))
     return reduce(np.add, parts)
+
+
+def _mesh(axes) -> np.ndarray:
+    """All points of the tensor grid of the coordinate ``axes``, shape
+    (points, dim), in the order of ``ravel`` on the grid's shape."""
+    mesh = np.meshgrid(*axes, indexing="ij")
+    return np.stack([m.ravel() for m in mesh], axis=1)
 
 
 @dataclass(frozen=True)
@@ -98,14 +109,10 @@ class EvaluationGrid:
     def node_points(self) -> np.ndarray:
         """All node coordinates, shape (n_nodes, dim).  Materialises the
         full array; prefer :meth:`node_axes` for large grids."""
-        axes = self.node_axes()
-        mesh = np.meshgrid(*axes, indexing="ij")
-        return np.stack([m.ravel() for m in mesh], axis=1)
+        return _mesh(self.node_axes())
 
     def cell_center_points(self, mask=None) -> np.ndarray:
-        axes = self.cell_center_axes()
-        mesh = np.meshgrid(*axes, indexing="ij")
-        pts = np.stack([m.ravel() for m in mesh], axis=1)
+        pts = _mesh(self.cell_center_axes())
         if mask is not None:
             pts = pts[np.asarray(mask, dtype=bool).ravel()]
         return pts
@@ -118,6 +125,17 @@ class EvaluationGrid:
     def node_dist2(self, x) -> np.ndarray:
         """Squared distances from ``x`` to every node, in node shape."""
         return _dist2(self.node_axes(), _as_vec(x, self.dim))
+
+    def cell_dist2_range(self, x):
+        """Least and greatest squared distance from ``x`` to each closed
+        cell, both in cell shape: the distances to the point of the cell
+        nearest ``x`` and to its corner farthest from ``x``."""
+        x = _as_vec(x, self.dim)
+        corners = [ax[:-1] for ax in self.node_axes()]
+        nearest = [np.clip(x[a], c, c + self.h) for a, c in enumerate(corners)]
+        far = [np.where(np.abs(c - x[a]) >= np.abs(c + self.h - x[a]),
+                        c, c + self.h) for a, c in enumerate(corners)]
+        return _dist2(nearest, x), _dist2(far, x)
 
     def contains(self, x, slack=0.0) -> bool:
         x = _as_vec(x, self.dim)

@@ -599,9 +599,7 @@ def affine_fill(grid: EvaluationGrid, boundary_values: np.ndarray,
                 fixed_mask: np.ndarray) -> np.ndarray:
     """Initial guess: least-squares affine fit to the pinned values,
     evaluated on all nodes.  Cheap and exact for affine boundary data."""
-    axes = grid.node_axes()
-    mesh = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([m.ravel() for m in mesh], axis=1)
+    pts = grid.node_points()
     pinned = fixed_mask.ravel()
     A = np.concatenate([pts[pinned], np.ones((int(pinned.sum()), 1))], axis=1)
     coef, *_ = np.linalg.lstsq(A, boundary_values.ravel()[pinned], rcond=None)

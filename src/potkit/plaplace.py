@@ -121,8 +121,7 @@ def _boundary_values(grid: EvaluationGrid, boundary_data,
                      mask: np.ndarray) -> np.ndarray:
     vals = np.zeros(grid.node_shape)
     if callable(boundary_data):
-        axes = np.meshgrid(*grid.node_axes(), indexing="ij")
-        pts = np.stack([a[mask] for a in axes], axis=1)
+        pts = grid.node_points()[mask.ravel()]
         vals[mask] = np.asarray(boundary_data(pts), dtype=float)
     elif np.isscalar(boundary_data):
         vals[mask] = float(boundary_data)

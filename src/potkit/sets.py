@@ -3,15 +3,15 @@ lists and power cusps, and their restrictions to closed shells.
 
 Every set answers containment for batches of points, produces a
 deterministic sample cloud at a requested pitch (lattices are anchored
-to the set's bounding box, or to each box's in a box union, so scaled
-copies of a set yield exactly scaled clouds), reports which grid cells it
-meets, and supports segment-intersection queries.  Segment and cell tests are exact for
-balls, boxes and spheres; the cusp kind falls back to dense sampling
-and says so in its docstring.  A cell that touches a ball or a sphere
-meets it: cell tests compare squared radii with the relative slack
-``TIE_REL_TOL``, so round-off in the cell corners lo + h i never
-decides a tie and the marks of a mirror-symmetric set are
-mirror-symmetric.
+to the set's bounding box, a union's pieces all reading one lattice,
+so scaled copies of a set yield exactly scaled clouds), reports which
+grid cells it meets, and supports segment-intersection queries.  Segment
+and cell tests are exact for balls, boxes and spheres; the cusp kind
+falls back to dense sampling and says so in its docstring.  A cell that
+touches a ball or a sphere meets it: ``EvaluationGrid.cell_dist2_range``
+is compared with squared radii under the relative slack ``TIE_REL_TOL``,
+so round-off in the cell corners lo + h i never decides a tie and the
+marks of a mirror-symmetric set are mirror-symmetric.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import numpy as np
 from scipy.special import ndtri
 
 from .geometry import dist2, sphere_area
-from .grid import EvaluationGrid, _as_vec
+from .grid import EvaluationGrid, _as_vec, _mesh
 
 _SEGMENT_SAMPLES = 2048
 # relative slack of every ball and sphere tie: cell marks here and the
@@ -53,39 +53,41 @@ def _lattice_axes(lo, hi, pitch):
     return axes
 
 
-def _mesh(axes):
-    mesh = np.meshgrid(*axes, indexing="ij")
-    return np.stack([m.ravel() for m in mesh], axis=1)
-
-
 def _lattice(lo, hi, pitch):
     """Cell-centered lattice filling [lo, hi]; degenerate axes collapse
     to a single layer at their coordinate."""
     return _mesh(_lattice_axes(lo, hi, pitch))
 
 
-def _cell_dist2_range(grid: EvaluationGrid, center):
-    """Least and greatest squared distance from ``center`` to each
-    closed grid cell, in cell shape."""
-    lo = np.asarray(grid.lo)
-    d2min = 0.0
-    d2max = 0.0
-    for a in range(grid.dim):
-        cell_lo = lo[a] + grid.h * np.arange(grid.cell_shape[a])
-        nearest = np.clip(center[a], cell_lo, cell_lo + grid.h)
-        far = np.maximum(np.abs(cell_lo - center[a]),
-                         np.abs(cell_lo + grid.h - center[a]))
-        sh = [1] * grid.dim
-        sh[a] = cell_lo.size
-        d2min = d2min + ((nearest - center[a]) ** 2).reshape(sh)
-        d2max = d2max + (far ** 2).reshape(sh)
-    return d2min, d2max
-
-
 def _dedupe(points):
     if points.shape[0] <= 1:
         return points
     return np.unique(points, axis=0)
+
+
+def _union_sample(box, pitch, pieces):
+    """Sample of a union on one lattice over its bounding ``box`` (see
+    ``_lattice``).  Each piece is ``(lo, hi, inside, fallback)``: it
+    keeps the lattice points of its window [lo, hi] where ``inside``
+    holds, and a piece that keeps none adds its ``fallback()`` points,
+    each unless a point already kept lies within pitch/2 of it.  The
+    points are then pairwise more than pitch/2 apart, so no two of them
+    fall within one mollification radius in ``capacity``."""
+    axes = _lattice_axes(*box, pitch)
+    chunks, extra = [], []
+    for lo, hi, inside, fallback in pieces:
+        cand = _mesh([ax[(ax >= lo[a]) & (ax <= hi[a])]
+                      for a, ax in enumerate(axes)])
+        sel = cand[inside(cand)]
+        if sel.shape[0]:
+            chunks.append(sel)
+        else:
+            extra.extend(fallback())
+    pts = np.concatenate(chunks or [np.empty((0, len(axes)))])
+    for q in extra:
+        if not np.any(dist2(pts, q) <= 0.25 * pitch * pitch):
+            pts = np.concatenate([pts, q[None, :]])
+    return _dedupe(pts)
 
 
 class ParametricSet:
@@ -162,29 +164,14 @@ class BallUnion(ParametricSet):
         return out
 
     def sample_points(self, pitch: float) -> np.ndarray:
-        """The points of one lattice over the union's bounding box (see
-        ``_lattice``) that lie in a ball wider than the pitch.  A ball
-        that is no wider, or that holds no such point, adds its centre
-        unless a point already kept lies within pitch/2 of it; the
-        points are then pairwise more than pitch/2 apart, so no two of
-        them fall within one mollification radius in ``capacity``."""
-        axes = _lattice_axes(*self.bounding_box(), pitch)
-        chunks, centres = [], []
-        for c, r in zip(self.centers, self.radii):
-            if 2.0 * r > pitch:
-                # the lattice points in the ball's bounding box
-                cand = _mesh([ax[(ax >= c[a] - r) & (ax <= c[a] + r)]
-                              for a, ax in enumerate(axes)])
-                sel = cand[dist2(cand, c) <= r * r]
-                if sel.shape[0]:
-                    chunks.append(sel)
-                    continue
-            centres.append(c)
-        pts = np.concatenate(chunks or [np.empty((0, self.dim))])
-        for c in centres:
-            if not np.any(dist2(pts, c) <= 0.25 * pitch * pitch):
-                pts = np.concatenate([pts, c[None, :]])
-        return _dedupe(pts)
+        """The union lattice points (see ``_union_sample``) in a ball
+        wider than the pitch; a ball that is no wider, or that holds no
+        lattice point, falls back to its centre."""
+        return _union_sample(self.bounding_box(), pitch, [
+            (c - r, c + r,
+             lambda p, c=c, r=r: (dist2(p, c) <= r * r) & (2.0 * r > pitch),
+             lambda c=c: [c])
+            for c, r in zip(self.centers, self.radii)])
 
     def segment_hits(self, a, b) -> bool:
         a = _as_vec(a, self.dim)
@@ -200,26 +187,8 @@ class BallUnion(ParametricSet):
 
     def meets_cells(self, grid: EvaluationGrid) -> np.ndarray:
         mask = np.zeros(grid.cell_shape, dtype=bool)
-        lo = np.asarray(grid.lo)
-        shape = np.asarray(grid.cell_shape)
         for c, r in zip(self.centers, self.radii):
-            # window widened by one cell so exactly-touching cells survive
-            # the floor; the d2 test below is the authoritative filter
-            lo_i = np.clip(np.floor((c - r - lo) / grid.h).astype(int) - 1,
-                           0, shape - 1)
-            hi_i = np.clip(np.floor((c + r - lo) / grid.h).astype(int) + 1,
-                           0, shape - 1)
-            axes = [np.arange(lo_i[a], hi_i[a] + 1) for a in range(self.dim)]
-            d2 = 0.0
-            for a in range(self.dim):
-                cell_lo = lo[a] + grid.h * axes[a]
-                nearest = np.clip(c[a], cell_lo, cell_lo + grid.h)
-                term = (nearest - c[a]) ** 2
-                sh = [1] * self.dim
-                sh[a] = term.size
-                d2 = d2 + term.reshape(sh)
-            sub = d2 <= r * r * (1.0 + TIE_REL_TOL)
-            mask[tuple(np.ix_(*axes))] |= sub
+            mask |= grid.cell_dist2_range(c)[0] <= r * r * (1.0 + TIE_REL_TOL)
         return mask
 
     def scaled(self, lam: float) -> "BallUnion":
@@ -255,8 +224,13 @@ class BoxUnion(ParametricSet):
         return out
 
     def sample_points(self, pitch: float) -> np.ndarray:
-        chunks = [_lattice(lo, hi, pitch) for lo, hi in zip(self.los, self.his)]
-        return _dedupe(np.concatenate(chunks, axis=0))
+        """The union lattice points (see ``_union_sample``) in a box; a
+        box that holds none, such as a segment off the lattice's layers,
+        falls back to its own lattice."""
+        return _union_sample(self.bounding_box(), pitch, [
+            (lo, hi, lambda p: np.ones(len(p), dtype=bool),
+             lambda lo=lo, hi=hi: _lattice(lo, hi, pitch))
+            for lo, hi in zip(self.los, self.his)])
 
     def segment_hits(self, a, b) -> bool:
         a = _as_vec(a, self.dim)
@@ -285,21 +259,11 @@ class BoxUnion(ParametricSet):
 
     def meets_cells(self, grid: EvaluationGrid) -> np.ndarray:
         mask = np.zeros(grid.cell_shape, dtype=bool)
-        glo = np.asarray(grid.lo)
-        shape = np.asarray(grid.cell_shape)
+        corners = [ax[:-1] for ax in grid.node_axes()]
         for lo, hi in zip(self.los, self.his):
-            lo_i = np.clip(np.floor((lo - glo) / grid.h).astype(int) - 1,
-                           0, shape - 1)
-            hi_i = np.clip(np.floor((hi - glo) / grid.h).astype(int) + 1,
-                           0, shape - 1)
-            # keep only cells whose closed extent meets the closed box
-            keep = []
-            for a in range(self.dim):
-                ks = np.arange(lo_i[a], hi_i[a] + 1)
-                cl = glo[a] + grid.h * ks
-                keep.append(ks[(cl + grid.h >= lo[a]) & (cl <= hi[a])])
-            if all(k.size for k in keep):
-                mask[tuple(np.ix_(*keep))] = True
+            # the cells whose closed extent meets the closed box, per axis
+            mask[np.ix_(*[(c + grid.h >= lo[a]) & (c <= hi[a])
+                          for a, c in enumerate(corners)])] = True
         return mask
 
     def scaled(self, lam: float) -> "BoxUnion":
@@ -400,7 +364,7 @@ class Sphere(ParametricSet):
         return fmin <= TIE_REL_TOL * r2 and fmax >= -TIE_REL_TOL * r2
 
     def meets_cells(self, grid: EvaluationGrid) -> np.ndarray:
-        d2min, d2max = _cell_dist2_range(grid, self.center)
+        d2min, d2max = grid.cell_dist2_range(self.center)
         r2 = self.radius ** 2
         return ((d2min <= r2 * (1.0 + TIE_REL_TOL))
                 & (d2max >= r2 * (1.0 - TIE_REL_TOL)))
@@ -550,7 +514,7 @@ class RestrictedSet(ParametricSet):
 
     def meets_cells(self, grid: EvaluationGrid) -> np.ndarray:
         mask = self.base.meets_cells(grid)
-        d2min, d2max = _cell_dist2_range(grid, self.center)
+        d2min, d2max = grid.cell_dist2_range(self.center)
         return (mask & (d2min <= self.r_out ** 2 * (1.0 + TIE_REL_TOL))
                 & (d2max >= self.r_in ** 2 * (1.0 - TIE_REL_TOL)))
 

@@ -281,6 +281,45 @@ def test_union_sites_are_more_than_half_a_pitch_apart(n, pitch, balls):
         assert np.any(d <= r) or d.min() <= pitch / 2.0
 
 
+# two boxes sampled on lattices of their own put sites 0.03 apart, closer
+# than the mollification radius h/2
+@pytest.mark.parametrize("h", [0.1, 0.05])
+def test_riesz_capacity_of_two_boxes(h):
+    E = BoxUnion([[0.0, 0.0], [0.03, 0.0]], [[0.5, 0.5], [0.53, 0.5]])
+    est = riesz_capacity(E, BoxDomain((-1.0, -1.0), (1.0, 1.0)), 1.5, h)
+    assert math.isfinite(est.value) and 0.0 < est.lower <= est.value
+
+
+# a point list is the caller's own sample and is kept as given: a pitch
+# that cannot separate two of its points is a resolution error
+def test_point_list_closer_than_the_pitch_is_a_resolution_error():
+    E = PointList([[0.0, 0.0], [0.01, 0.0]])
+    with pytest.raises(ResolutionError) as info:
+        riesz_capacity(E, BoxDomain((-1.0, -1.0), (1.0, 1.0)), 1.5, 0.1)
+    assert not isinstance(info.value, np.linalg.LinAlgError)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(n=st.sampled_from([2, 3]), pitch=st.sampled_from([0.2, 0.1, 0.05]),
+       boxes=st.lists(st.tuples(
+           st.lists(st.floats(-0.3, 0.3), min_size=3, max_size=3),
+           st.lists(st.one_of(st.just(0.0), st.floats(0.0, 0.3)),
+                    min_size=3, max_size=3)), min_size=2, max_size=4))
+def test_box_union_sites_are_more_than_half_a_pitch_apart(n, pitch, boxes):
+    los = np.array([lo for lo, _ in boxes])[:, :n]
+    E = BoxUnion(los, los + np.array([ext for _, ext in boxes])[:, :n])
+    pts = E.sample_points(pitch)
+    assert E.contains(pts).all()
+    assert not cKDTree(pts).query_pairs(pitch / 2.0)
+    # every box has a site in it, or each point of its own lattice lies
+    # within half a pitch of a site
+    for lo, hi in zip(E.los, E.his):
+        box = BoxUnion(lo[None, :], hi[None, :])
+        if not box.contains(pts).any():
+            own = box.sample_points(pitch)
+            assert cKDTree(pts).query(own)[0].max() <= pitch / 2.0
+
+
 def test_solid_ball_riesz_capacity_is_the_same_at_any_centre():
     omega = BoxDomain((-1.0,) * 3, (1.0,) * 3)
     got = [riesz_capacity(BallUnion([c], [0.3]), omega, 2.0, 0.1)

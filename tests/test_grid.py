@@ -65,12 +65,20 @@ def test_contains_with_slack():
     assert g.contains((1.05, 0.5), slack=0.1)
 
 
+def _meshgrid_stack(axes):
+    return np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")],
+                    axis=1)
+
+
 def test_node_points_order_matches_ravel():
-    g = EvaluationGrid.from_box((0.0, 0.0), (1.0, 1.0), 0.5)
-    pts = g.node_points()
-    X, Y = np.meshgrid(*g.node_axes(), indexing="ij")
-    assert np.allclose(pts[:, 0], X.ravel())
-    assert np.allclose(pts[:, 1], Y.ravel())
+    for g in (EvaluationGrid.from_box((0.0, 0.0), (1.0, 1.0), 0.5),
+              EvaluationGrid.from_box((-1.0, 0.0, 0.5), (0.5, 1.0, 1.0), 0.25)):
+        assert np.array_equal(g.node_points(), _meshgrid_stack(g.node_axes()))
+        centres = _meshgrid_stack(g.cell_center_axes())
+        assert np.array_equal(g.cell_center_points(), centres)
+        mask = np.random.default_rng(3).random(g.cell_shape) < 0.3
+        assert np.array_equal(g.cell_center_points(mask),
+                              centres[mask.ravel()])
 
 
 def test_cell_center_dist2():
@@ -79,3 +87,45 @@ def test_cell_center_dist2():
     assert d2.shape == g.cell_shape
     assert d2[0, 0] == pytest.approx(0.0)
     assert d2[1, 1] == pytest.approx(0.5)
+
+
+def _brute_cell_dist2_range(g, x):
+    """Cell by cell: the least squared distance is to x clipped to the
+    closed cell [c, c + h], the greatest the largest over its corners;
+    squares are summed axis by axis, first axis first."""
+    corners = [ax[:-1] for ax in g.node_axes()]
+    d2min, d2max = np.empty(g.cell_shape), np.empty(g.cell_shape)
+    for idx in np.ndindex(*g.cell_shape):
+        lo = [corners[a][k] for a, k in enumerate(idx)]
+        near = 0.0
+        for a in range(g.dim):
+            near += (min(max(x[a], lo[a]), lo[a] + g.h) - x[a]) ** 2
+        far = 0.0
+        for bits in np.ndindex(*(2,) * g.dim):
+            d2 = 0.0
+            for a in range(g.dim):
+                d2 += (lo[a] + g.h * bits[a] - x[a]) ** 2
+            far = max(far, d2)
+        d2min[idx], d2max[idx] = near, far
+    return d2min, d2max
+
+
+@pytest.mark.parametrize("lo, hi, h, x", [
+    ((-1.0, 0.0), (1.0, 1.5), 0.25, (0.1, 0.7)),            # inside
+    ((-1.0, 0.0), (1.0, 1.5), 0.25, (-0.5, 0.3)),           # on a node
+    ((-1.0, 0.0), (1.0, 1.5), 0.25, (-1.0, 0.9)),           # on a face
+    ((-1.0, 0.0), (1.0, 1.5), 0.25, (1.7, -0.3)),           # outside
+    ((0.0, -0.3, 0.1), (0.6, 0.3, 0.5), 0.1, (0.33, 0.05, 0.2)),
+    ((0.0, -0.3, 0.1), (0.6, 0.3, 0.5), 0.1, (0.2, 0.3, 0.27)),
+    ((0.0, -0.3, 0.1), (0.6, 0.3, 0.5), 0.1, (-0.4, 0.9, 0.0)),
+], ids=["2d-inside", "2d-node", "2d-face", "2d-outside",
+        "3d-inside", "3d-face", "3d-outside"])
+def test_cell_dist2_range_is_the_brute_force_bit_for_bit(lo, hi, h, x):
+    g = EvaluationGrid.from_box(lo, hi, h)
+    d2min, d2max = g.cell_dist2_range(x)
+    want_min, want_max = _brute_cell_dist2_range(g, x)
+    assert d2min.shape == d2max.shape == g.cell_shape
+    assert np.array_equal(d2min, want_min)
+    assert np.array_equal(d2max, want_max)
+    # the cells holding x are the ones at distance 0
+    assert (d2min == 0.0).any() == g.contains(x)

@@ -4,9 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from potkit.grid import EvaluationGrid
 from potkit.sets import (
+    TIE_REL_TOL,
     BallUnion,
     BoxUnion,
     Cusp,
@@ -15,6 +17,7 @@ from potkit.sets import (
     Sphere,
     cantor_dust,
     _halton,
+    _lattice,
     segment_set,
     sphere_directions,
 )
@@ -199,3 +202,121 @@ def test_bounding_box_covers_set():
     lo, hi = E.bounding_box()
     assert np.allclose(lo, [-1.0, -1.0])
     assert np.allclose(hi, [2.5, 1.5])
+
+
+# the cell marks of ball and box unions as they were computed before
+# the grid answered cell distances: each piece scanned an index window
+# around its bounding box, widened by one cell
+def _windowed_ball_marks(E, grid):
+    mask = np.zeros(grid.cell_shape, dtype=bool)
+    lo = np.asarray(grid.lo)
+    shape = np.asarray(grid.cell_shape)
+    for c, r in zip(E.centers, E.radii):
+        lo_i = np.clip(np.floor((c - r - lo) / grid.h).astype(int) - 1,
+                       0, shape - 1)
+        hi_i = np.clip(np.floor((c + r - lo) / grid.h).astype(int) + 1,
+                       0, shape - 1)
+        axes = [np.arange(lo_i[a], hi_i[a] + 1) for a in range(E.dim)]
+        d2 = 0.0
+        for a in range(E.dim):
+            cell_lo = lo[a] + grid.h * axes[a]
+            nearest = np.clip(c[a], cell_lo, cell_lo + grid.h)
+            sh = [1] * E.dim
+            sh[a] = cell_lo.size
+            d2 = d2 + ((nearest - c[a]) ** 2).reshape(sh)
+        mask[tuple(np.ix_(*axes))] |= d2 <= r * r * (1.0 + TIE_REL_TOL)
+    return mask
+
+
+def _windowed_box_marks(E, grid):
+    mask = np.zeros(grid.cell_shape, dtype=bool)
+    glo = np.asarray(grid.lo)
+    shape = np.asarray(grid.cell_shape)
+    for lo, hi in zip(E.los, E.his):
+        lo_i = np.clip(np.floor((lo - glo) / grid.h).astype(int) - 1,
+                       0, shape - 1)
+        hi_i = np.clip(np.floor((hi - glo) / grid.h).astype(int) + 1,
+                       0, shape - 1)
+        keep = []
+        for a in range(E.dim):
+            ks = np.arange(lo_i[a], hi_i[a] + 1)
+            cl = glo[a] + grid.h * ks
+            keep.append(ks[(cl + grid.h >= lo[a]) & (cl <= hi[a])])
+        if all(k.size for k in keep):
+            mask[tuple(np.ix_(*keep))] = True
+    return mask
+
+
+@st.composite
+def _grid_and_pieces(draw, kind):
+    """A small grid and 1-3 pieces placed in cell units: centres and
+    corners on nodes, cell centres or off the lattice, also outside the
+    grid; radii and box extents whole numbers of cells or not, boxes
+    also degenerate."""
+    n = draw(st.sampled_from([2, 3]))
+    h = draw(st.sampled_from([0.25, 0.1, 1.0 / 3.0]))
+    lo = np.array(draw(st.lists(st.sampled_from([0.0, -0.5, 0.3]),
+                                min_size=n, max_size=n)))
+    cells = draw(st.lists(st.integers(1, 6), min_size=n, max_size=n))
+    grid = EvaluationGrid.from_box(lo, lo + h * np.array(cells), h)
+    units = st.builds(lambda i, f: i + f, st.integers(-2, 7),
+                      st.sampled_from([0.0, 0.5, 0.137]))
+    sizes = st.one_of(st.integers(0, 3).map(float), st.floats(0.01, 3.0))
+    pieces = []
+    for _ in range(draw(st.integers(1, 3))):
+        corner = lo + h * np.array(draw(st.lists(units, min_size=n,
+                                                 max_size=n)))
+        if kind == "ball":
+            pieces.append((corner, h * max(draw(sizes), 0.01)))
+        else:
+            ext = h * np.array(draw(st.lists(sizes, min_size=n, max_size=n)))
+            pieces.append((corner, corner + ext))
+    a, b = (np.array(v) for v in zip(*pieces))
+    return grid, (BallUnion(a, b) if kind == "ball" else BoxUnion(a, b))
+
+
+def _ball_touching_cells_by_round_off():
+    # a ball one cell wide centred on a node, whose touching cells lie
+    # above r^2 by round-off in the corners 0.3 + h i
+    h = 1.0 / 3.0
+    lo = np.array([0.3, 0.0])
+    grid = EvaluationGrid.from_box(lo, lo + h * np.array([2, 4]), h)
+    return grid, BallUnion([lo + h * np.array([1.0, 2.0])], [h])
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(case=_grid_and_pieces("ball"))
+@example(case=_ball_touching_cells_by_round_off())
+def test_ball_union_marks_are_the_windowed_marks(case):
+    grid, E = case
+    assert np.array_equal(E.meets_cells(grid), _windowed_ball_marks(E, grid))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(case=_grid_and_pieces("box"))
+def test_box_union_marks_are_the_windowed_marks(case):
+    grid, E = case
+    assert np.array_equal(E.meets_cells(grid), _windowed_box_marks(E, grid))
+
+
+@pytest.mark.parametrize("lo, hi", [
+    ((0.0, 0.0), (1.0, 0.5)),
+    ((-0.3, 0.1, 0.0), (0.2, 0.1, 0.7)),
+    ((0.0, 0.0, 0.0), (0.0, 0.0, 0.5)),
+], ids=["box", "plate", "segment"])
+def test_one_box_samples_its_own_lattice(lo, hi):
+    lo, hi = np.array(lo), np.array(hi)
+    got = BoxUnion(lo[None, :], hi[None, :]).sample_points(0.1)
+    assert np.array_equal(got, np.unique(_lattice(lo, hi, 0.1), axis=0))
+
+
+def test_a_segment_between_the_layers_keeps_its_own_lattice():
+    # the union lattice has layers at y = 0.125, ..., 0.875, of which the
+    # box keeps the first; the segment at y = 1 meets none, so it falls
+    # back to its own points
+    E = BoxUnion([[0.0, 0.0], [0.0, 1.0]], [[1.0, 0.3], [1.0, 1.0]])
+    pts = E.sample_points(0.25)
+    assert E.contains(pts).all()
+    assert np.array_equal(np.unique(pts[:, 1]), [0.125, 1.0])
+    on_segment = pts[pts[:, 1] == 1.0]
+    assert np.array_equal(on_segment[:, 0], [0.125, 0.375, 0.625, 0.875])

@@ -60,6 +60,31 @@ def test_quick_small_ball_law_keeps_a_divergent_family_from_thin():
     assert classify_thinness(terms).verdict != "thin"
 
 
+def _balls_off_the_4th_annulus():
+    i = np.arange(1, 4)
+    return BallUnion(np.stack([1.5 * 2.0 ** -i, 0.0 * i], axis=1),
+                     2.0 ** -i / 4.0)
+
+
+def test_riesz_wiener_term_of_an_annulus_the_set_misses_is_zero():
+    # the Riesz quotient samples E instead of marking cells
+    terms = wiener_terms(_balls_off_the_4th_annulus(), [0.0, 0.0],
+                         index=1.5, count=4, weighting="riesz-alpha",
+                         pitch_rel=0.5)
+    assert terms[3] == 0.0 and np.all(terms[:3] > 0.0)
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "RestrictedSet.meets_cells marks cells that meet the base set and the "
+    "shell separately, not their intersection, so a ball within a cell of "
+    "the 4th annulus gives it a capacity of 2.0044"))
+def test_capacity_wiener_term_of_an_annulus_the_set_misses_is_zero():
+    terms = wiener_terms(_balls_off_the_4th_annulus(), [0.0, 0.0],
+                         index=1.5, count=4, weighting="cap-p",
+                         pitch_rel=0.5)
+    assert terms[3] == 0.0
+
+
 def test_witness_without_an_escaping_ray_is_a_resolution_error(monkeypatch):
     monkeypatch.setattr(thinness, "escaping_ray", lambda *args: None)
     with pytest.raises(ResolutionError, match="no escaping ray"):
