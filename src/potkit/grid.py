@@ -8,8 +8,8 @@ asks for them; axis vectors are enough for most operations and keep the
 memory footprint linear.
 The geometry of cells and point meshes lives here: ``_mesh`` is the one
 tensor point array (nodes, cell centres, the lattices of ``sets``), and
-``EvaluationGrid.cell_dist2_range`` the cell distance ranges behind the
-cell marks of balls, spheres and shells.
+``EvaluationGrid.cell_dist2_range`` and ``cells_within`` the cell
+distance ranges behind the cell marks of balls, spheres and shells.
 """
 
 from __future__ import annotations
@@ -46,11 +46,11 @@ def _dist2(axes, x) -> np.ndarray:
     return reduce(np.add, parts)
 
 
-def _mesh(axes) -> np.ndarray:
-    """All points of the tensor grid of the coordinate ``axes``, shape
-    (points, dim), in the order of ``ravel`` on the grid's shape."""
-    mesh = np.meshgrid(*axes, indexing="ij")
-    return np.stack([m.ravel() for m in mesh], axis=1)
+def _mesh(axes, mask=None) -> np.ndarray:
+    """Points of the tensor grid of the coordinate ``axes``, all or where
+    ``mask`` (grid shape) holds, as (points, dim) in the grid's ravel order."""
+    sel = slice(None) if mask is None else np.asarray(mask, dtype=bool).ravel()
+    return np.stack([m.ravel()[sel] for m in np.meshgrid(*axes, indexing="ij")], 1)
 
 
 @dataclass(frozen=True)
@@ -112,10 +112,7 @@ class EvaluationGrid:
         return _mesh(self.node_axes())
 
     def cell_center_points(self, mask=None) -> np.ndarray:
-        pts = _mesh(self.cell_center_axes())
-        if mask is not None:
-            pts = pts[np.asarray(mask, dtype=bool).ravel()]
-        return pts
+        return _mesh(self.cell_center_axes(), mask)
 
     def cell_center_dist2(self, x) -> np.ndarray:
         """Squared distances from ``x`` to every cell center, in cell
@@ -136,6 +133,20 @@ class EvaluationGrid:
         far = [np.where(np.abs(c - x[a]) >= np.abs(c + self.h - x[a]),
                         c, c + self.h) for a, c in enumerate(corners)]
         return _dist2(nearest, x), _dist2(far, x)
+
+    def cells_within(self, centers, r2) -> np.ndarray:
+        """Cell-shape mask of the cells whose least squared distance (see
+        :meth:`cell_dist2_range`) from a row of ``centers`` is at most its
+        ``r2``.  A row sums only where each axis term is within its ``r2``;
+        a float sum of non-negative terms is never below one of them."""
+        mask = np.zeros(self.cell_shape, dtype=bool)
+        corners = [ax[:-1] for ax in self.node_axes()]
+        for x, t in zip(centers, r2):
+            near = [np.clip(x[a], c, c + self.h) for a, c in enumerate(corners)]
+            keep = [(p - x[a]) ** 2 <= t for a, p in enumerate(near)]
+            near = [p[k] for p, k in zip(near, keep)]
+            mask[np.ix_(*keep)] |= _dist2(near, x) <= t
+        return mask
 
     def contains(self, x, slack=0.0) -> bool:
         x = _as_vec(x, self.dim)

@@ -24,7 +24,7 @@ import numpy as np
 from .errors import HypothesisViolation, ResolutionError
 from .fitting import ApproachPath, LimitReport, singular_limit
 from .geometry import dist2, kappa_exponent, sphere_area
-from .grid import EvaluationGrid, _as_vec
+from .grid import EvaluationGrid, _as_vec, _mesh
 from .measures import Measure
 from .penergy import (PEnergyProblem, affine_fill, minimize_p_energy,
                       scatter_cells_to_nodes)
@@ -121,7 +121,7 @@ def _boundary_values(grid: EvaluationGrid, boundary_data,
                      mask: np.ndarray) -> np.ndarray:
     vals = np.zeros(grid.node_shape)
     if callable(boundary_data):
-        pts = grid.node_points()[mask.ravel()]
+        pts = _mesh(grid.node_axes(), mask)
         vals[mask] = np.asarray(boundary_data(pts), dtype=float)
     elif np.isscalar(boundary_data):
         vals[mask] = float(boundary_data)

@@ -54,25 +54,17 @@ def _lattice_axes(lo, hi, pitch):
 
 
 def _lattice(lo, hi, pitch):
-    """Cell-centered lattice filling [lo, hi]; degenerate axes collapse
-    to a single layer at their coordinate."""
+    """All points of the lattice of ``_lattice_axes``."""
     return _mesh(_lattice_axes(lo, hi, pitch))
-
-
-def _dedupe(points):
-    if points.shape[0] <= 1:
-        return points
-    return np.unique(points, axis=0)
 
 
 def _union_sample(box, pitch, pieces):
     """Sample of a union on one lattice over its bounding ``box`` (see
-    ``_lattice``).  Each piece is ``(lo, hi, inside, fallback)``: it
-    keeps the lattice points of its window [lo, hi] where ``inside``
-    holds, and a piece that keeps none adds its ``fallback()`` points,
-    each unless a point already kept lies within pitch/2 of it.  The
-    points are then pairwise more than pitch/2 apart, so no two of them
-    fall within one mollification radius in ``capacity``."""
+    ``_lattice_axes``).  Each piece ``(lo, hi, inside, fallback)`` keeps
+    the lattice points of its window [lo, hi] where ``inside`` holds; a
+    piece that keeps none adds its ``fallback()`` points, each unless a
+    kept point lies within pitch/2.  No two points are then within one
+    mollification radius in ``capacity``: they lie more than pitch/2 apart."""
     axes = _lattice_axes(*box, pitch)
     chunks, extra = [], []
     for lo, hi, inside, fallback in pieces:
@@ -87,7 +79,7 @@ def _union_sample(box, pitch, pieces):
     for q in extra:
         if not np.any(dist2(pts, q) <= 0.25 * pitch * pitch):
             pts = np.concatenate([pts, q[None, :]])
-    return _dedupe(pts)
+    return np.unique(pts, axis=0) if pts.shape[0] > 1 else pts
 
 
 class ParametricSet:
@@ -186,10 +178,8 @@ class BallUnion(ParametricSet):
         return False
 
     def meets_cells(self, grid: EvaluationGrid) -> np.ndarray:
-        mask = np.zeros(grid.cell_shape, dtype=bool)
-        for c, r in zip(self.centers, self.radii):
-            mask |= grid.cell_dist2_range(c)[0] <= r * r * (1.0 + TIE_REL_TOL)
-        return mask
+        return grid.cells_within(self.centers,
+                                 self.radii * self.radii * (1.0 + TIE_REL_TOL))
 
     def scaled(self, lam: float) -> "BallUnion":
         return BallUnion(self.centers * lam, self.radii * lam)

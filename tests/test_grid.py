@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from potkit.grid import EvaluationGrid
+from potkit.grid import EvaluationGrid, _mesh
 
 
 def test_from_box_counts_cells():
@@ -79,6 +79,9 @@ def test_node_points_order_matches_ravel():
         mask = np.random.default_rng(3).random(g.cell_shape) < 0.3
         assert np.array_equal(g.cell_center_points(mask),
                               centres[mask.ravel()])
+        nodes = g.boundary_node_mask()
+        assert np.array_equal(_mesh(g.node_axes(), nodes),
+                              g.node_points()[nodes.ravel()])
 
 
 def test_cell_center_dist2():
@@ -129,3 +132,23 @@ def test_cell_dist2_range_is_the_brute_force_bit_for_bit(lo, hi, h, x):
     assert np.array_equal(d2max, want_max)
     # the cells holding x are the ones at distance 0
     assert (d2min == 0.0).any() == g.contains(x)
+
+
+def test_cells_within_is_the_whole_grid_least_distance_test():
+    """Each row's sub-block holds every cell it can reach, so the mask is
+    the union of ``cell_dist2_range(x)[0] <= r2`` over the rows, also for
+    radii of whole cells, rows on faces and rows far outside the grid."""
+    rng = np.random.default_rng(5)
+    for g in (EvaluationGrid.from_box((-1.0, 0.0), (1.0, 1.5), 0.25),
+              EvaluationGrid.from_box((0.0, -0.3, 0.1), (0.6, 0.3, 0.5), 0.1)):
+        lo, hi = np.asarray(g.lo), np.asarray(g.hi)
+        centers = np.concatenate([lo + (hi - lo) * rng.uniform(-0.5, 1.5, (40, g.dim)),
+                                  [lo, hi, lo - 3.0, lo + g.h]])
+        r2 = np.concatenate([rng.uniform(0.0, 0.3, 40),
+                             [g.h ** 2, (2 * g.h) ** 2, 0.01, 0.0]])
+        want = np.zeros(g.cell_shape, dtype=bool)
+        for x, t in zip(centers, r2):
+            want |= g.cell_dist2_range(x)[0] <= t
+            assert np.array_equal(g.cells_within([x], [t]),
+                                  g.cell_dist2_range(x)[0] <= t)
+        assert np.array_equal(g.cells_within(centers, r2), want)
