@@ -14,7 +14,8 @@ module owns it, in two forms:
   integrates in closed form by ``power_integral`` as
   scale c^(1/d) t^(e-1), e = (m - s) / d, and at d = 1 every term of
   every interval does.  A step profile, with no power of t, as every
-  atomic and grid profile is, takes that form directly.  Intervals with
+  atomic and grid profile is, takes that form directly, each breakpoint's
+  power t^e taken once for the two intervals it ends.  Intervals with
   several terms at d != 1 go through the tanh-sinh rule; one that
   reaches t = 0 is cut at 1e-12 of its length, and below the cut its
   smallest power, a constant counting as power 0, integrates in closed
@@ -101,21 +102,24 @@ def _kernel(s: float, d: float, scale: float):
     return lambda mass, t: scale * ((mass / t ** s) ** (1.0 / d) / t)
 
 
-def _step_integral(c, s: float, d: float, a, b, scale: float) -> float:
-    """``profile_integral`` of a step profile, c on each live interval
-    (a, b): ``power_integral``'s terms and float operations, in one array
-    of the same length, so that the sum is the same."""
-    if a.size and a[0] == 0.0 and c[0] != 0.0:
+def _step_integral(c, s: float, d: float, ends, scale: float) -> float:
+    """``profile_integral`` of a step profile, c[k] on each live interval
+    (ends[k], ends[k+1]): ``power_integral``'s terms and float operations
+    in one array as long as c, so that the sum is the same.  Each end's
+    power is taken once, with an array exponent (numpy takes a scalar -1
+    as a reciprocal, which can differ in the last bit)."""
+    if ends[0] == 0.0 and c[0] != 0.0:
         return math.inf  # an atom at x
     coef = scale * (c if d == 1.0 else c ** (1.0 / d))
-    start = int(a.size > 0 and a[0] == 0.0)  # skip a massless (0, b)
-    a, b, coef = a[start:], b[start:], coef[start:]
-    e = np.full(a.size, -s / d)
-    value = np.zeros(start + a.size)
+    start = int(ends[0] == 0.0)  # skip a massless (0, ends[1])
+    t = ends[start:]
+    value = np.zeros(c.size)
     if s == 0.0:
-        value[start:] = coef * np.log(b / a)
+        value[start:] = coef[start:] * np.log(t[1:] / t[:-1])
     else:
-        value[start:] = coef * (b ** e - a ** e) / e
+        e = np.full(t.size, -s / d)
+        power = t ** e
+        value[start:] = coef[start:] * (power[1:] - power[:-1]) / e[1:]
     return float(value.sum())
 
 
@@ -123,16 +127,19 @@ def profile_integral(prof, s: float, d: float, lo: float, hi: float,
                      scale: float = 1.0) -> float:
     """The integral I over (lo, hi) of the closed profile ``prof`` of M,
     its intervals clipped to (lo, hi) and integrated in one array
-    expression per form (see the module docstring)."""
+    expression per form (see the module docstring); they are one run of
+    the profile's, found by two binary searches."""
+    if hi <= lo:
+        return 0.0
     bp = prof.breakpoints
-    a = np.maximum(bp, lo)
-    b = np.minimum(np.append(bp[1:], math.inf), hi)
-    live = b > a
-    a, b = a[live], b[live]
+    i = np.searchsorted(bp, lo, side="right") - 1
+    j = np.searchsorted(bp, hi)
+    ends = np.concatenate([[lo], bp[i + 1:j], [hi]])
     if not prof.powers:
-        return _step_integral(prof.constant[live], s, d, a, b, scale)
-    terms = [(0.0, prof.constant[live])] + [(m, c[live])
-                                           for m, c in prof.powers]
+        return _step_integral(prof.constant[i:j], s, d, ends, scale)
+    a, b = ends[:-1], ends[1:]
+    terms = [(0.0, prof.constant[i:j])] + [(m, c[i:j])
+                                          for m, c in prof.powers]
     if d == 1.0:
         coef = np.concatenate([scale * c for _, c in terms])
         e = np.concatenate([np.full(a.size, m - s) for m, _ in terms])

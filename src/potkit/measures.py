@@ -11,10 +11,11 @@ measures at their center), ``radial_mass_profile`` exposes it as a
 coefficients, so that potential integrals can be evaluated over all
 intervals at once.  Atomic ball masses are read off that profile, and a
 grid measure's are those of point masses at its loaded cell centers, so
-grids and atoms share one code path; asked for a ``reach``, they read
-only the atoms closer than it.  Off its center, a radial-profile
-measure integrates its profile against the covered fraction of each
-sphere by the tanh-sinh rule of ``integrate``.
+grids and atoms share one code path; asked for a ``reach`` (a ball mass
+asks for just past its largest radius), they read only the atoms closer
+than it.  Off its center, a radial-profile measure integrates its
+profile against the covered fraction of each sphere by the tanh-sinh
+rule of ``integrate``.
 
 The same ``RadialMassFunction`` is the one profile type of radially
 symmetric measures: ``PowerLawProfile``, ``AtomPlusPowerProfile`` and
@@ -39,7 +40,7 @@ BALL_REL_TOL = 1e-12
 def _radii(t) -> np.ndarray:
     """Ball radii as an array; each must be positive."""
     t = np.asarray(t, dtype=float)
-    if np.any(t <= 0):
+    if not np.all(t > 0):
         raise ValueError("ball radius must be positive")
     return t
 
@@ -129,17 +130,17 @@ class RadialMassFunction:
                 for a, b, c in zip(self.breakpoints, ends, coefs) if c != 0.0]
 
 
-def _step_profile(d, cum):
+def _step_profile(d, cum, tie):
     """Step profile of masses at the sorted distances ``d`` with running
-    totals ``cum``: each run of equal distances is one jump."""
-    if d.size == 0:
-        return RadialMassFunction(np.zeros(1), np.zeros(1))
-    end = np.append(np.flatnonzero(np.diff(d)), d.size - 1)
-    radii, totals = d[end], cum[end]
-    if radii[0] == 0.0:
-        return RadialMassFunction(radii, totals)
-    return RadialMassFunction(np.concatenate([[0.0], radii]),
-                              np.concatenate([[0.0], totals]))
+    totals ``cum``: each run of equal distances, ``tie`` marking each
+    distance equal to the one before it, is one jump."""
+    if tie.any():
+        end = np.append(np.flatnonzero(~tie), d.size - 1)
+        d, cum = d[end], cum[end]
+    start = int(d.size > 0 and d[0] == 0.0)  # a jump at 0 is an atom at x
+    bp, const = np.zeros(d.size + 1), np.zeros(d.size + 1)
+    bp[1:], const[1:] = d, cum
+    return RadialMassFunction(bp[start:], const[start:])
 
 
 def _merge_profiles(parts):
@@ -219,6 +220,7 @@ class AtomicMeasure(Measure):
         # one contiguous column per coordinate, as ``dist2`` reads them
         self._loc = np.asfortranarray(locations)
         self._mass = masses
+        self._positive = None if masses.all() else masses > 0
 
     @property
     def dim(self) -> int:
@@ -240,23 +242,29 @@ class AtomicMeasure(Measure):
         return np.sqrt(dist2(self._loc, _as_vec(x, self.dim)))
 
     def ball_mass(self, x, t):
-        return self.radial_mass_profile(x).eval(_radii(t))
+        t = _radii(t)  # the profile to just past every breakpoint eval counts
+        reach = np.max(t, initial=0.0) * (1.0 + BALL_REL_TOL)
+        return self.radial_mass_profile(
+            x, np.nextafter(reach, math.inf)).eval(t)
 
     def atom_mass_at(self, x) -> float:
         d = self._dists(x)
         return float(self._mass[d == 0.0].sum())
 
     def radial_mass_profile(self, x, reach=math.inf):
+        """Step profile of the positive atoms closer than ``reach``, from
+        one ``argsort`` of their distances; a prefix of the full one."""
         d = self._dists(x)
-        keep = (d < reach) & (self._mass > 0)
-        d, w = d[keep], self._mass[keep]
+        keep = np.flatnonzero(d < reach if self._positive is None
+                              else (d < reach) & self._positive)
+        d, w = d.take(keep), self._mass.take(keep)
         order = np.argsort(d)
-        d = d[order]
+        d = d.take(order)
         tie = d[1:] == d[:-1]
         if tie.any():  # tied atoms in index order: every reach sums alike
             run = np.append(0, np.cumsum(~tie))
             order = order[np.argsort(run * order.size + order)]
-        return _step_profile(d, np.cumsum(w[order]))
+        return _step_profile(d, np.cumsum(w.take(order)), tie)
 
     def atoms(self):
         keep = self._mass > 0
@@ -307,7 +315,7 @@ def TableProfile(radii, values) -> RadialMassFunction:
         raise ValueError("table radii must be nonnegative and increasing")
     if np.any(v < 0) or np.any(np.diff(v) < 0):
         raise ValueError("table values must be nonnegative and nondecreasing")
-    return _step_profile(r, v)
+    return _step_profile(r, v, r[1:] == r[:-1])
 
 
 def _is_center(rho: float) -> bool:

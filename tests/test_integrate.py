@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from potkit.integrate import (ball_mass_integral, power_integral,
                               profile_integral, tanh_sinh)
@@ -217,3 +218,51 @@ def test_step_profiles_integrate_term_by_term(s, d, scale):
     assert profile_integral(on_atom, s, d, 0.0, 0.4, scale) == math.inf
     assert profile_integral(on_atom, s, d, 0.01, 0.4, scale) == \
         _power_integral_sum(on_atom, s, d, 0.01, 0.4, scale)
+
+
+@st.composite
+def _step_cases(draw):
+    """A step profile of random or lattice atoms seen from a random
+    point, a lattice node (tied distances) or an atom, and (lo, hi)
+    drawn from its breakpoints: on one, one ulp either side of one, below
+    the first positive one and beyond the last."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 16)))
+    count = draw(st.integers(1, 40))
+    if draw(st.booleans()):
+        locs = rng.uniform(-0.5, 0.5, (count, 3))
+    else:  # cell centres of a 4^3 lattice of pitch 1/4
+        cells = rng.choice(64, count, replace=False)
+        locs = (np.stack(np.unravel_index(cells, (4, 4, 4)), axis=1)
+                - 1.5) / 4.0
+    mu = AtomicMeasure(locs, rng.uniform(0.1, 1.0, count))
+    at = draw(st.sampled_from(["off", "node", "atom"]))
+    x = {"off": rng.uniform(-0.6, 0.6, 3), "node": np.zeros(3),
+         "atom": locs[0]}[at]
+    bp = mu.radial_mass_profile(x).breakpoints
+    k = st.integers(0, bp.size - 1)
+    ends = st.one_of(
+        k.map(lambda i: bp[i]),
+        st.tuples(k, st.sampled_from([-math.inf, math.inf])).map(
+            lambda i: float(np.nextafter(bp[i[0]], i[1]))),
+        st.floats(0.0, 0.999).map(lambda f: f * bp[min(1, bp.size - 1)]),
+        st.floats(1.001, 3.0).map(lambda f: f * bp[-1]))
+    lo, hi = sorted(draw(st.lists(ends, min_size=2, max_size=2)))
+    lo = max(lo, 0.0)  # one ulp below the breakpoint 0
+    if at == "atom" and lo == 0.0:
+        lo = bp[1] if bp.size > 1 and bp[1] < hi else 0.5 * hi
+    return mu.radial_mass_profile(x), lo, hi
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(case=_step_cases(), s=st.sampled_from([0.5, 1.0, 2.0]),
+       d=st.sampled_from([0.5, 1.0, 2.0]), scale=st.sampled_from([1.0, 1.5]))
+def test_step_profile_integral_is_the_term_by_term_sum(case, s, d, scale):
+    # the two searched ends of the live run and one power per end give
+    # power_integral's terms bit for bit, s = d (an exponent of -1)
+    # included; on an atom, t_min > 0
+    prof, lo, hi = case
+    if hi <= lo:
+        assert profile_integral(prof, s, d, lo, hi, scale) == 0.0
+        return
+    assert profile_integral(prof, s, d, lo, hi, scale) == \
+        _power_integral_sum(prof, s, d, lo, hi, scale)

@@ -13,6 +13,7 @@ from potkit.fitting import ApproachPath
 from potkit.grid import EvaluationGrid
 from potkit.integrate import ball_mass_integral, profile_integral
 from potkit.measures import (
+    BALL_REL_TOL,
     AtomicMeasure,
     AtomPlusPowerProfile,
     GridMeasure,
@@ -295,6 +296,58 @@ def test_reach_edge_cases_bit_for_bit(kind):
             _unreached(mu, params, centre)
         assert wolff_potential(mu, params, centre, t_min=0.05) == \
             _unreached(mu, params, centre, t_min=0.05)
+
+
+@pytest.mark.parametrize("kind", ["atomic", "grid", "sum"])
+def test_ball_mass_reads_a_cut_profile_bit_for_bit(kind):
+    # ball_mass asks for the profile only just past its largest radius;
+    # at an atom's distance, and within the relative ball tolerance of
+    # it on either side, it reads what the full profile's eval reads
+    mu = _reach_cases()[kind]
+    x = np.array([0.43, 0.52, 0.61])
+    full = mu.radial_mass_profile(x)
+    for r in full.breakpoints[[1, 5, 40]]:
+        radii = [r, r * (1.0 - 0.5e-12), r * (1.0 + 0.5e-12),
+                 r * (1.0 - 2e-12), np.nextafter(r, 0.0), 0.5 * r]
+        # t whose t (1 + BALL_REL_TOL) is r exactly, and its neighbours
+        u = r / (1.0 + BALL_REL_TOL)
+        radii += [np.nextafter(u, 0.0), u, np.nextafter(u, 1.0)]
+        for t in radii:
+            assert mu.ball_mass(x, t) == full.eval(t)
+        t = np.array(radii)
+        assert np.array_equal(mu.ball_mass(x, t), full.eval(t))
+        assert np.array_equal(mu.ball_mass(x, t[1:]), full.eval(t[1:]))
+    scales = 0.5 * 2.0 ** -np.arange(16)
+    assert np.array_equal(mu.ball_mass(x, scales), full.eval(scales))
+    assert mu.ball_mass(x, np.empty(0)).shape == (0,)
+
+
+@pytest.mark.parametrize("at", ["off", "node"])
+def test_massless_atoms_change_no_bit(at):
+    # zero masses mixed in give the profile and the values of the
+    # measure without them, also where distances tie at a lattice node
+    rng = np.random.default_rng(23)
+    locs = (np.argwhere(np.ones((6, 6, 6))) + 0.5) / 6.0
+    masses = np.where(rng.random(216) < 0.3, 0.0, rng.uniform(0.1, 1.0, 216))
+    with_zeros = AtomicMeasure(locs, masses)
+    without = AtomicMeasure(locs[masses > 0], masses[masses > 0])
+    x = {"off": np.array([0.4137, 0.5291, 0.3683]),
+         "node": np.full(3, 0.5)}[at]
+    for reach in (0.3, math.inf):
+        got = with_zeros.radial_mass_profile(x, reach)
+        want = without.radial_mass_profile(x, reach)
+        assert np.array_equal(got.breakpoints, want.breakpoints)
+        assert np.array_equal(got.constant, want.constant)
+    # one jump per atom off the lattice, far fewer where distances tie
+    jumps = want.breakpoints.size - 1
+    assert (jumps == without.masses.size) == (at == "off")
+    for p in (2.0, 2.5, 3.0):
+        for r in (0.3, 2.0):
+            params = WolffParams(p, r)
+            assert wolff_potential(with_zeros, params, x) == \
+                wolff_potential(without, params, x)
+    t = np.array([0.1, 0.2, 0.3])
+    assert np.array_equal(with_zeros.ball_mass(x, t), without.ball_mass(x, t))
 
 
 def test_grid_values_carry_no_state_between_points():
