@@ -1,7 +1,11 @@
 """Batch front-end: scene ingestion, subcommand dispatch, deterministic
 CSV/JSON emission.
 
-Exit codes: 0 on success; 1 on usage or scene/schema errors and on scene
+Task fields are read by ``potkit.scene``'s typed readers, the one scene
+validator, under its type rules; a bad field is reported with its path,
+as in ``potkit: task/path/count: expected an integer, got 8.7``.
+
+Exit codes: 0 on success; 1 on usage or scene errors and on scene
 values a computation rejects with a plain ``ValueError`` (a path too
 short or through an atom), printed as ``potkit: <msg>`` on stderr; 2
 when a run completes but an assertion-style outcome fails (an inclusion
@@ -11,13 +15,14 @@ temp files, so a failed run never leaves partial outputs.  Every
 subcommand takes ``--out``; ``--scene`` all but ``verify-all``, ``--seed``
 only ``cones include`` and ``verify-all``, ``--tol`` only ``cones
 pgamma``.  A flag falls back to its ``POTKIT_``-prefixed environment
-variable, then to its default, only on the subcommands that take it.
+variable, then to the scene's value or its default, only on the
+subcommands that take it.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
+import dataclasses
 import os
 import sys
 
@@ -32,7 +37,8 @@ from .fitting import ApproachPath
 from .grid import EvaluationGrid
 from .plaplace import solve_p_dirichlet
 from .riesz import RieszParams, riesz_asymptotic_report
-from .scene import Scene, load_scene
+from .scene import (Scene, load_scene, read_field, read_int, read_number,
+                    read_object, read_vector)
 from .thinness import classify_thinness, wiener_terms
 from .verify import (CHECK_NAMES, csv_text, json_text, render_artifacts,
                      run_all, write_files)
@@ -86,78 +92,46 @@ def _load(args) -> Scene:
     if path is None:
         raise SceneError("a scene file is required (--scene or POTKIT_SCENE)")
     scene = load_scene(path)
-    seed = _resolve(args, "seed", int)
-    tol = _resolve(args, "tol", float)
-    if seed is not None or tol is not None:
-        scene = Scene(scene.dimension, scene.lo, scene.hi, scene.measures,
-                      scene.sets, scene.task,
-                      scene.seed if seed is None else seed,
-                      scene.tolerance if tol is None else tol)
-    return scene
-
-
-def _need(task: dict, key: str):
-    if key not in task:
-        raise SceneError(f"task: missing field {key!r}")
-    return task[key]
-
-
-_REQUIRED = object()
-
-
-def _number(spec: dict, key: str, default=_REQUIRED, *, cast=float,
-            where: str = "task"):
-    """Field ``key`` of the scene object at ``where`` through ``cast``;
-    ``default`` when absent.  A missing required field, or a value that
-    is not a number (JSON null included), raises SceneError."""
-    if key not in spec:
-        if default is _REQUIRED:
-            raise SceneError(f"{where}: missing field {key!r}")
-        return default
-    try:
-        return cast(spec[key])
-    except (TypeError, ValueError):
-        raise SceneError(f"{where}/{key}: expected a number, got "
-                         f"{json.dumps(spec[key])}") from None
+    return dataclasses.replace(
+        scene, seed=_resolve(args, "seed", int, scene.seed),
+        tolerance=_resolve(args, "tol", float, scene.tolerance))
 
 
 def _task_path(task: dict, n: int) -> ApproachPath:
-    spec = _need(task, "path")
-    anchor = np.asarray(_need(task, "anchor"), dtype=float)
-    direction = np.asarray(spec.get("direction", [1.0] + [0.0] * (n - 1)),
-                           dtype=float)
+    spec = read_object(task, "path")
+    where = "task/path"
     return ApproachPath.geometric(
-        anchor, direction, r0=_number(spec, "r0", 0.5, where="task/path"),
-        ratio=_number(spec, "ratio", 0.5, where="task/path"),
-        count=_number(spec, "count", 20, cast=int, where="task/path"))
+        read_vector(task, "anchor"),
+        read_vector(spec, "direction", np.eye(n)[0], where=where),
+        r0=read_number(spec, "r0", 0.5, where=where),
+        ratio=read_number(spec, "ratio", 0.5, where=where),
+        count=read_int(spec, "count", 20, where=where))
 
 
 def _domain_from(task: dict, scene: Scene):
-    spec = task.get("omega")
+    spec = read_object(task, "omega", None)
     if spec is None:
         return BoxDomain(scene.lo, scene.hi)
-    kind = spec.get("kind", "box")
+    kind = read_field(spec, "kind", "box", where="task/omega")
     if kind == "ball":
-        return BallDomain(tuple(spec["center"]),
-                          _number(spec, "radius", where="task/omega"))
+        return BallDomain(read_vector(spec, "center", where="task/omega"),
+                          read_number(spec, "radius", where="task/omega"))
     if kind == "box":
-        return BoxDomain(tuple(spec["lo"]), tuple(spec["hi"]))
+        return BoxDomain(read_vector(spec, "lo", where="task/omega"),
+                         read_vector(spec, "hi", where="task/omega"))
     raise SceneError(f"task/omega: unknown domain kind {kind!r}")
 
 
-def _cone_from(spec, where: str) -> Cone:
-    if not isinstance(spec, dict) or "kind" not in spec:
-        raise SceneError(f"{where}: cone spec needs a 'kind'")
-    kind = str(spec["kind"]).lower()
-    param = spec.get("param")
-    if kind in ("a", "r", "gamma") and param is None:
-        raise SceneError(f"{where}: cone spec needs 'param'")
+def _cone_from(task: dict, key: str) -> Cone:
+    spec = read_object(task, key)
+    where = f"task/{key}"
+    kind = str(read_field(spec, "kind", where=where)).lower()
     if kind == "a":
-        return Cone.a(_number(spec, "param", where=where))
+        return Cone.a(read_number(spec, "param", where=where))
     if kind == "r":
-        return Cone.r(_number(spec, "param", cast=int, where=where))
+        return Cone.r(read_int(spec, "param", where=where))
     if kind == "gamma":
-        return Cone.gamma(_number(spec, "param", cast=int, where=where))
+        return Cone.gamma(read_int(spec, "param", where=where))
     raise SceneError(f"{where}: unknown cone kind {spec['kind']!r}")
 
 
@@ -176,12 +150,11 @@ _LIMITS = {
 }
 
 
-def _run_limit(args, outdir: str) -> int:
+def _run_limit(args, scene: Scene, outdir: str) -> int:
     kind, first, second, default, report, columns = _LIMITS[args.command]
-    scene = _load(args)
     task = scene.task
-    mu = scene.measure(_need(task, "measure"))
-    params = kind(_number(task, first), _number(task, second, default))
+    mu = scene.measure(read_field(task, "measure"))
+    params = kind(read_number(task, first), read_number(task, second, default))
     path = _task_path(task, scene.dimension)
     rep = report(mu, params, path.anchor, path)
     files = {
@@ -199,21 +172,20 @@ def _run_limit(args, outdir: str) -> int:
     return 0
 
 
-def _run_capacity(args, outdir: str) -> int:
+def _run_capacity(args, scene: Scene, outdir: str) -> int:
     """The p task's optional ``fold_center`` is a checked claim: p_capacity
     folds every mirror plane it finds and raises when the set and domain
     are not mirror-symmetric about that point."""
-    scene = _load(args)
     task = scene.task
-    E = scene.set(_need(task, "set"))
+    E = scene.set(read_field(task, "set"))
     omega = _domain_from(task, scene)
-    h = _number(task, "h")
-    kind = task.get("kind", "p")
+    h = read_number(task, "h")
+    kind = read_field(task, "kind", "p")
     if kind == "riesz":
-        est = riesz_capacity(E, omega, _number(task, "alpha"), h)
+        est = riesz_capacity(E, omega, read_number(task, "alpha"), h)
     elif kind == "p":
-        est = p_capacity(E, omega, _number(task, "p"), h,
-                         fold_center=task.get("fold_center"))
+        est = p_capacity(E, omega, read_number(task, "p"), h,
+                         fold_center=read_vector(task, "fold_center", None))
     else:
         raise SceneError(f"task/kind: expected 'riesz' or 'p', got {kind!r}")
     files = {"report.json": json_text({
@@ -224,17 +196,16 @@ def _run_capacity(args, outdir: str) -> int:
     return 0
 
 
-def _run_thin(args, outdir: str) -> int:
-    scene = _load(args)
+def _run_thin(args, scene: Scene, outdir: str) -> int:
     task = scene.task
-    E = scene.set(_need(task, "set"))
-    x0 = np.asarray(_need(task, "point"), dtype=float)
-    weighting = task.get("weighting", "cap-p")
-    terms = wiener_terms(E, x0, index=_number(task, "index"),
-                         count=_number(task, "count", 8, cast=int),
-                         weighting=weighting,
-                         delta=_number(task, "delta", 1.0),
-                         pitch_rel=_number(task, "pitch_rel", 1.0 / 8.0))
+    E = scene.set(read_field(task, "set"))
+    terms = wiener_terms(
+        E, read_vector(task, "point"),
+        index=read_number(task, "index"),
+        count=read_int(task, "count", 8),
+        weighting=read_field(task, "weighting", "cap-p"),
+        delta=read_number(task, "delta", 1.0),
+        pitch_rel=read_number(task, "pitch_rel", 1.0 / 8.0))
     rep = classify_thinness(terms)
     partial = np.cumsum(terms)
     files = {
@@ -253,25 +224,22 @@ def _run_thin(args, outdir: str) -> int:
 
 
 def _boundary_from(task):
-    spec = task.get("boundary", 0.0)
-    if isinstance(spec, (int, float)):
-        return float(spec)
+    spec = read_field(task, "boundary", 0.0)
     if not isinstance(spec, dict):
-        raise SceneError("task/boundary: expected a number or an object")
-    kind = spec.get("kind")
+        return read_number(task, "boundary", 0.0)
+    kind = read_field(spec, "kind", None, where="task/boundary")
     if kind == "affine":
-        grad = np.asarray(_need(spec, "gradient"), dtype=float)
-        off = _number(spec, "offset", 0.0, where="task/boundary")
+        grad = read_vector(spec, "gradient", where="task/boundary")
+        off = read_number(spec, "offset", 0.0, where="task/boundary")
         return lambda pts: pts @ grad + off
     raise SceneError(f"task/boundary/kind: unsupported {kind!r}")
 
 
-def _run_plaplace(args, outdir: str) -> int:
-    scene = _load(args)
+def _run_plaplace(args, scene: Scene, outdir: str) -> int:
     task = scene.task
-    name = task.get("measure")
+    name = read_field(task, "measure", None)
     mu = None if name is None else scene.measure(name)
-    p, h = _number(task, "p"), _number(task, "h")
+    p, h = read_number(task, "p"), read_number(task, "h")
     grid = EvaluationGrid.from_box(scene.lo, scene.hi, h)
     sol = solve_p_dirichlet(grid, mu, p, _boundary_from(task))
     flat = sol.values.ravel()
@@ -288,11 +256,10 @@ def _run_plaplace(args, outdir: str) -> int:
     return 0
 
 
-def _run_cones_member(args, outdir: str) -> int:
-    scene = _load(args)
+def _run_cones_member(args, scene: Scene, outdir: str) -> int:
     task = scene.task
-    cone = _cone_from(_need(task, "cone"), "task/cone")
-    lam = np.asarray(_need(task, "lambda"), dtype=float)
+    cone = _cone_from(task, "cone")
+    lam = read_vector(task, "lambda")
     inside = bool(cone.contains(lam))
     write_files(outdir, {"report.json": json_text({
         "cone": cone.label(), "lambda": lam, "member": inside})})
@@ -300,13 +267,12 @@ def _run_cones_member(args, outdir: str) -> int:
     return 0
 
 
-def _run_cones_include(args, outdir: str) -> int:
-    scene = _load(args)
+def _run_cones_include(args, scene: Scene, outdir: str) -> int:
     task = scene.task
-    inner = _cone_from(_need(task, "inner"), "task/inner")
-    outer = _cone_from(_need(task, "outer"), "task/outer")
-    n = _number(task, "n", cast=int)
-    samples = _number(task, "samples", 100_000, cast=int)
+    inner = _cone_from(task, "inner")
+    outer = _cone_from(task, "outer")
+    n = read_int(task, "n")
+    samples = read_int(task, "samples", 100_000)
     rep = inclusion_check(inner, outer, n, samples=samples,
                           seed=scene.require_seed())
     write_files(outdir, {"report.json": json_text({
@@ -322,11 +288,10 @@ def _run_cones_include(args, outdir: str) -> int:
     return 2
 
 
-def _run_cones_pgamma(args, outdir: str) -> int:
-    scene = _load(args)
+def _run_cones_pgamma(args, scene: Scene, outdir: str) -> int:
     task = scene.task
-    cone = _cone_from(_need(task, "cone"), "task/cone")
-    n = _number(task, "n", cast=int)
+    cone = _cone_from(task, "cone")
+    n = read_int(task, "n")
     tol = scene.tolerance if scene.tolerance is not None else 1e-10
     value = p_gamma(cone, n, tol=tol)
     write_files(outdir, {"report.json": json_text({
@@ -335,19 +300,19 @@ def _run_cones_pgamma(args, outdir: str) -> int:
     return 0
 
 
-def _run_density(args, outdir: str) -> int:
-    scene = _load(args)
+def _run_density(args, scene: Scene, outdir: str) -> int:
     task = scene.task
-    mode = task.get("mode", "upper")
+    mode = read_field(task, "mode", "upper")
     if mode == "upper":
-        mu = scene.measure(_need(task, "measure"))
-        x = np.asarray(_need(task, "point"), dtype=float)
-        d = _number(task, "d")
-        spec = task.get("ladder", {})
+        mu = scene.measure(read_field(task, "measure"))
+        x = read_vector(task, "point")
+        d = read_number(task, "d")
+        spec = read_object(task, "ladder", {})
+        where = "task/ladder"
         radii = geometric_ladder(
-            _number(spec, "r_max", 0.5, where="task/ladder"),
-            _number(spec, "r_min", 0.5 * 2.0 ** -15, where="task/ladder"),
-            _number(spec, "rungs", 16, cast=int, where="task/ladder"))
+            read_number(spec, "r_max", 0.5, where=where),
+            read_number(spec, "r_min", 0.5 * 2.0 ** -15, where=where),
+            read_int(spec, "rungs", 16, where=where))
         prof = upper_density(mu, x, d, radii)
         files = {
             "density.csv": csv_text(("r", "value"),
@@ -359,8 +324,8 @@ def _run_density(args, outdir: str) -> int:
         print(f"density: limsup estimate {prof.limsup_estimate} -> {outdir}")
         return 0
     if mode == "boxcount":
-        E = scene.set(_need(task, "set"))
-        scales = np.asarray(_need(task, "scales"), dtype=float)
+        E = scene.set(read_field(task, "set"))
+        scales = read_vector(task, "scales")
         counts = covering_counts(E, scales)
         dim = box_counting_dimension(E, scales)
         files = {
@@ -440,7 +405,6 @@ _RUNNERS = {
     "wolff": _run_limit,
     "plaplace": _run_plaplace,
     "density": _run_density,
-    "verify-all": _run_verify_all,
 }
 
 _CONE_RUNNERS = {
@@ -455,9 +419,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         outdir = _resolve(args, "out", str, "potkit-out")
+        if args.command == "verify-all":
+            return _run_verify_all(args, outdir)
+        scene = _load(args)
         if args.command == "cones":
-            return _CONE_RUNNERS[args.verb](args, outdir)
-        return _RUNNERS[args.command](args, outdir)
+            return _CONE_RUNNERS[args.verb](args, scene, outdir)
+        return _RUNNERS[args.command](args, scene, outdir)
     except SceneError as exc:
         print(f"potkit: {exc}", file=sys.stderr)
         return 1

@@ -1,15 +1,25 @@
 """Scene files: a JSON description of a domain box, named measures and
-sets, and task parameters, validated against a published schema.
+sets, and task parameters.
 
-Violations are reported with JSON-pointer paths so batch users can fix
-scenes without reading tracebacks.
+One validator checks a scene and its task: the typed field readers
+below.  A number is a JSON number and never a bool, an integer is an
+integral number (``2.0`` reads as 2), a vector is a list of numbers.
+Every SceneError names the JSON pointer of the offending value
+(``/measures/4``, ``task/path/count``), so batch users can fix scenes
+without reading tracebacks; a violation of the top-level layout reads
+``scene schema violation at <pointer>: ...``.  A ValueError, TypeError,
+IndexError or OverflowError of a measure or set constructor becomes a
+SceneError naming its entry.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 import json
 from pathlib import Path
+import re
+import sys
 
 import numpy as np
 
@@ -25,45 +35,9 @@ MEASURE_KINDS = ("atoms", "power-profile", "atom-plus-power",
 SET_KINDS = ("balls", "boxes", "sphere", "points", "segment",
              "cantor-dust", "cusp", "restricted")
 
-_VECTOR = {"type": "array", "items": {"type": "number"}, "minItems": 2}
-_NAME = {"type": "string", "pattern": "^[A-Za-z][A-Za-z0-9_-]*$"}
-
-SCENE_SCHEMA = {
-    "$schema": "https://json-schema.org/draft/2020-12/schema",
-    "type": "object",
-    "required": ["dimension", "domain"],
-    "additionalProperties": False,
-    "properties": {
-        "dimension": {"type": "integer", "minimum": 2, "maximum": 12},
-        "domain": {
-            "type": "object",
-            "required": ["lo", "hi"],
-            "additionalProperties": False,
-            "properties": {"lo": _VECTOR, "hi": _VECTOR},
-        },
-        "seed": {"type": "integer", "minimum": 0},
-        "tolerance": {"type": "number", "exclusiveMinimum": 0},
-        "measures": {
-            "type": "array",
-            "items": {
-                "type": "object",
-                "required": ["name", "kind"],
-                "properties": {"name": _NAME,
-                               "kind": {"enum": list(MEASURE_KINDS)}},
-            },
-        },
-        "sets": {
-            "type": "array",
-            "items": {
-                "type": "object",
-                "required": ["name", "kind"],
-                "properties": {"name": _NAME,
-                               "kind": {"enum": list(SET_KINDS)}},
-            },
-        },
-        "task": {"type": "object"},
-    },
-}
+_SCENE_FIELDS = ("dimension", "domain", "seed", "tolerance", "measures",
+                 "sets", "task")
+_NAME = "^[A-Za-z][A-Za-z0-9_-]*$"
 
 
 @dataclass(frozen=True)
@@ -81,12 +55,12 @@ class Scene:
     tolerance: float | None = None
 
     def measure(self, name: str) -> Measure:
-        if name not in self.measures:
+        if not isinstance(name, str) or name not in self.measures:
             raise SceneError(f"unknown measure name {name!r}")
         return self.measures[name]
 
     def set(self, name: str) -> ParametricSet:
-        if name not in self.sets:
+        if not isinstance(name, str) or name not in self.sets:
             raise SceneError(f"unknown set name {name!r}")
         return self.sets[name]
 
@@ -96,82 +70,125 @@ class Scene:
         return self.seed
 
 
-def _pointer(error: jsonschema.ValidationError) -> str:
-    return "/" + "/".join(str(p) for p in error.absolute_path)
+_REQUIRED = object()
 
 
-def _need(spec: dict, key: str, where: str):
-    if key not in spec:
-        raise SceneError(f"{where}: missing field {key!r}")
-    return spec[key]
+def _reader(check, convert=lambda value: value):
+    """A typed field reader: it returns ``convert`` of field ``key`` of
+    the object at pointer ``where`` (the task block by default, "" for
+    the document), or ``default`` when the field is absent.  A missing
+    required field, or a value for which ``check`` names what the field
+    expects instead, raises SceneError naming its pointer."""
+    def read(spec: dict, key: str, default=_REQUIRED, where: str = "task"):
+        if key not in spec:
+            if default is _REQUIRED:
+                raise SceneError(f"{where or '/'}: missing field {key!r}")
+            return default
+        expected = check(spec[key])
+        if expected:
+            raise SceneError(f"{where}/{key}: expected {expected}, got "
+                             f"{json.dumps(spec[key])}")
+        return convert(spec[key])
+    return read
+
+
+def _number(value):
+    # a bool is no number, nor an integer literal beyond the float range
+    if isinstance(value, float) or (type(value) is int
+                                    and abs(value) <= sys.float_info.max):
+        return None
+    return "a number"
+
+
+def _integer(value):
+    if isinstance(value, float):
+        return None if value.is_integer() else "an integer"
+    return None if type(value) is int else "a number"
+
+
+read_field = _reader(lambda v: None)
+read_number = _reader(_number, float)
+read_int = _reader(_integer, int)
+read_object = _reader(lambda v: None if isinstance(v, dict) else "an object")
+read_list = _reader(lambda v: None if isinstance(v, list) else "a list")
+read_vector = _reader(
+    lambda v: None if isinstance(v, list) and not any(map(_number, v))
+    else "a list of numbers", lambda v: np.asarray(v, dtype=float))
+
+
+def _only(spec: dict, keys: tuple, where: str) -> None:
+    extra = sorted(set(spec) - set(keys))
+    if extra:
+        raise SceneError(f"{where or '/'}: unexpected field {extra[0]!r}")
+
+
+def _read_entries(obj: dict, section: str, kinds: tuple) -> list:
+    """The objects of ``section``, each with a valid name and kind."""
+    entries = read_list(obj, section, [], where="")
+    for i, spec in enumerate(entries):
+        where = f"/{section}/{i}"
+        if not isinstance(spec, dict):
+            raise SceneError(f"{where}: expected an object, got "
+                             f"{json.dumps(spec)}")
+        name = read_field(spec, "name", where=where)
+        if not (isinstance(name, str) and re.match(_NAME, name)):
+            raise SceneError(f"{where}/name: expected a name matching "
+                             f"{_NAME}, got {json.dumps(name)}")
+        kind = read_field(spec, "kind", where=where)
+        if kind not in kinds:
+            raise SceneError(f"{where}/kind: expected one of "
+                             f"{', '.join(kinds)}, got {json.dumps(kind)}")
+    return entries
 
 
 def _build_measure(spec: dict, n: int, built: dict, where: str) -> Measure:
+    get = partial(read_field, spec, where=where)
     kind = spec["kind"]
-    try:
-        if kind == "atoms":
-            return AtomicMeasure(_need(spec, "locations", where),
-                                 _need(spec, "masses", where))
-        if kind == "power-profile":
-            prof = PowerLawProfile(_need(spec, "coef", where),
-                                   _need(spec, "exponent", where),
-                                   spec.get("radius"))
-            return RadialProfileMeasure(_need(spec, "center", where), prof)
-        if kind == "atom-plus-power":
-            prof = AtomPlusPowerProfile(_need(spec, "atom", where),
-                                        _need(spec, "coef", where),
-                                        _need(spec, "exponent", where),
-                                        spec.get("radius"))
-            return RadialProfileMeasure(_need(spec, "center", where), prof)
-        if kind == "uniform-ball":
-            return lebesgue_ball_measure(_need(spec, "center", where),
-                                         _need(spec, "radius", where),
-                                         spec.get("density", 1.0))
-        if kind == "sphere-shell":
-            return normalized_sphere_shell(_need(spec, "center", where),
-                                           _need(spec, "radius", where),
-                                           _need(spec, "mass", where))
-        parts = [built[p] if p in built else None
-                 for p in _need(spec, "parts", where)]
-        if any(p is None for p in parts):
-            raise SceneError(f"{where}: sum parts must name earlier measures")
-        return SumMeasure(parts)
-    except (ValueError, TypeError) as exc:
-        raise SceneError(f"{where}: {exc}") from exc
+    if kind == "atoms":
+        return AtomicMeasure(get("locations"), get("masses"))
+    if kind == "power-profile":
+        prof = PowerLawProfile(get("coef"), get("exponent"),
+                               get("radius", None))
+        return RadialProfileMeasure(get("center"), prof)
+    if kind == "atom-plus-power":
+        prof = AtomPlusPowerProfile(get("atom"), get("coef"),
+                                    get("exponent"), get("radius", None))
+        return RadialProfileMeasure(get("center"), prof)
+    if kind == "uniform-ball":
+        return lebesgue_ball_measure(get("center"), get("radius"),
+                                     get("density", 1.0))
+    if kind == "sphere-shell":
+        return normalized_sphere_shell(get("center"), get("radius"),
+                                       get("mass"))
+    parts = [built[p] if p in built else None for p in get("parts")]
+    if any(p is None for p in parts):
+        raise SceneError(f"{where}: sum parts must name earlier measures")
+    return SumMeasure(parts)
 
 
 def _build_set(spec: dict, n: int, built: dict, where: str) -> ParametricSet:
+    get = partial(read_field, spec, where=where)
     kind = spec["kind"]
-    try:
-        if kind == "balls":
-            return BallUnion(_need(spec, "centers", where),
-                             _need(spec, "radii", where))
-        if kind == "boxes":
-            return BoxUnion(_need(spec, "los", where),
-                            _need(spec, "his", where))
-        if kind == "sphere":
-            return Sphere(_need(spec, "center", where),
-                          _need(spec, "radius", where))
-        if kind == "points":
-            return PointList(_need(spec, "points", where))
-        if kind == "segment":
-            return segment_set(_need(spec, "a", where), _need(spec, "b", where))
-        if kind == "cantor-dust":
-            return cantor_dust(_need(spec, "depth", where), dim=n,
-                               axis=spec.get("axis", 0))
-        if kind == "cusp":
-            return Cusp(_need(spec, "gamma", where),
-                        _need(spec, "length", where), n,
-                        vertex=spec.get("vertex"),
-                        axis=spec.get("axis", 0))
-        base = _need(spec, "base", where)
-        if base not in built:
-            raise SceneError(f"{where}: restricted base must name an earlier set")
-        return RestrictedSet(built[base], _need(spec, "center", where),
-                             _need(spec, "r_in", where),
-                             _need(spec, "r_out", where))
-    except (ValueError, TypeError) as exc:
-        raise SceneError(f"{where}: {exc}") from exc
+    if kind == "balls":
+        return BallUnion(get("centers"), get("radii"))
+    if kind == "boxes":
+        return BoxUnion(get("los"), get("his"))
+    if kind == "sphere":
+        return Sphere(get("center"), get("radius"))
+    if kind == "points":
+        return PointList(get("points"))
+    if kind == "segment":
+        return segment_set(get("a"), get("b"))
+    if kind == "cantor-dust":
+        return cantor_dust(get("depth"), dim=n, axis=get("axis", 0))
+    if kind == "cusp":
+        return Cusp(get("gamma"), get("length"), n,
+                    vertex=get("vertex", None), axis=get("axis", 0))
+    base = get("base")
+    if base not in built:
+        raise SceneError(f"{where}: restricted base must name an earlier set")
+    return RestrictedSet(built[base], get("center"), get("r_in"),
+                         get("r_out"))
 
 
 def _check_dim(obj, n: int, where: str) -> None:
@@ -181,50 +198,65 @@ def _check_dim(obj, n: int, where: str) -> None:
         raise SceneError(f"{where}: expected dimension {n}, got {width}")
 
 
-_MEASURE_DIM_FIELDS = ("locations", "center")
-_SET_DIM_FIELDS = ("centers", "los", "his", "center", "points", "a", "b",
-                   "vertex")
+_BUILDERS = (
+    ("measures", MEASURE_KINDS, ("locations", "center"), _build_measure),
+    ("sets", SET_KINDS, ("centers", "los", "his", "center", "points", "a",
+                         "b", "vertex"), _build_set),
+)
 
 
 def parse_scene(obj: dict) -> Scene:
     """Validate a decoded scene document and resolve all named objects."""
-    import jsonschema  # loaded here, off the cold start of every import
     try:
-        jsonschema.validate(obj, SCENE_SCHEMA)
-    except jsonschema.ValidationError as exc:
-        raise SceneError(f"scene schema violation at {_pointer(exc)}: "
-                         f"{exc.message}") from exc
-    n = obj["dimension"]
-    lo = np.asarray(obj["domain"]["lo"], dtype=float)
-    hi = np.asarray(obj["domain"]["hi"], dtype=float)
-    if lo.size != n or hi.size != n:
-        raise SceneError("/domain: lo and hi must have length `dimension`")
+        _only(obj, _SCENE_FIELDS, "")
+        n = read_int(obj, "dimension", where="")
+        if not 2 <= n <= 12:
+            raise SceneError(f"/dimension: expected 2 to 12, got {n}")
+        domain = read_object(obj, "domain", where="")
+        _only(domain, ("lo", "hi"), "/domain")
+        lo, hi = (read_vector(domain, key, where="/domain")
+                  for key in ("lo", "hi"))
+        for key, vec in (("lo", lo), ("hi", hi)):
+            if vec.size != n:
+                raise SceneError(f"/domain/{key}: expected /dimension = {n} "
+                                 f"numbers, got {vec.size}")
+        seed = read_int(obj, "seed", None, where="")
+        if seed is not None and seed < 0:
+            raise SceneError(f"/seed: expected at least 0, got {seed}")
+        tolerance = read_number(obj, "tolerance", None, where="")
+        if tolerance is not None and tolerance <= 0:
+            raise SceneError(f"/tolerance: expected above 0, got {tolerance}")
+        task = read_object(obj, "task", {}, where="")
+        entries = [_read_entries(obj, section, kinds)
+                   for section, kinds, _, _ in _BUILDERS]
+    except SceneError as exc:
+        raise SceneError(f"scene schema violation at {exc}") from None
     if not np.all(hi > lo):
         raise SceneError("/domain: hi must exceed lo on every axis")
-    measures: dict = {}
-    for i, spec in enumerate(obj.get("measures", [])):
-        where = f"/measures/{i}"
-        if spec["name"] in measures:
-            raise SceneError(f"{where}: duplicate measure name {spec['name']!r}")
-        for key in _MEASURE_DIM_FIELDS:
-            if key in spec:
-                _check_dim(spec[key], n, f"{where}/{key}")
-        measures[spec["name"]] = _build_measure(spec, n, measures, where)
-    sets: dict = {}
-    for i, spec in enumerate(obj.get("sets", [])):
-        where = f"/sets/{i}"
-        if spec["name"] in sets:
-            raise SceneError(f"{where}: duplicate set name {spec['name']!r}")
-        for key in _SET_DIM_FIELDS:
-            if key in spec:
-                _check_dim(spec[key], n, f"{where}/{key}")
-        sets[spec["name"]] = _build_set(spec, n, sets, where)
-    for name, obj_built in list(measures.items()) + list(sets.items()):
-        if obj_built.dim != n:
-            raise SceneError(f"{name!r} has dimension {obj_built.dim}, "
-                             f"scene declares {n}")
-    return Scene(n, tuple(lo), tuple(hi), measures, sets,
-                 obj.get("task", {}), obj.get("seed"), obj.get("tolerance"))
+    built = []
+    for specs, (section, _, dim_fields, build) in zip(entries, _BUILDERS):
+        named: dict = {}
+        for i, spec in enumerate(specs):
+            where = f"/{section}/{i}"
+            if spec["name"] in named:
+                raise SceneError(f"{where}: duplicate {section[:-1]} name "
+                                 f"{spec['name']!r}")
+            try:
+                for key in dim_fields:
+                    if key in spec:
+                        _check_dim(spec[key], n, f"{where}/{key}")
+                made = build(spec, n, named, where)
+            except SceneError:
+                raise
+            except (ValueError, TypeError, IndexError,
+                    OverflowError) as exc:
+                raise SceneError(f"{where}: {exc}") from exc
+            if made.dim != n:
+                raise SceneError(f"{where}: has dimension {made.dim}, "
+                                 f"the scene declares {n}")
+            named[spec["name"]] = made
+        built.append(named)
+    return Scene(n, tuple(lo), tuple(hi), *built, task, seed, tolerance)
 
 
 def load_scene(path) -> Scene:

@@ -8,7 +8,7 @@ import pytest
 
 from potkit import cli
 from potkit.capacity import BallDomain, BoxDomain, p_capacity, riesz_capacity
-from potkit.cones import Cone, p_gamma
+from potkit.cones import Cone, inclusion_check, p_gamma
 from potkit.density import box_counting_dimension, covering_counts
 from potkit.grid import EvaluationGrid
 from potkit.sets import BallUnion, Sphere, segment_set
@@ -212,12 +212,15 @@ def test_limit_subcommands_reject_null_numbers(tmp_path, capsys, command,
     assert not out.exists()
 
 
-def _write_scene(tmp_path, n, task, *, sets=(), measures=(), tolerance=None):
+def _write_scene(tmp_path, n, task, *, sets=(), measures=(), tolerance=None,
+                 seed=None):
     doc = {"dimension": n,
            "domain": {"lo": [-1.0] * n, "hi": [1.0] * n},
            "sets": list(sets), "measures": list(measures), "task": task}
     if tolerance is not None:
         doc["tolerance"] = tolerance
+    if seed is not None:
+        doc["seed"] = seed
     scene = tmp_path / "scene.json"
     scene.write_text(json.dumps(doc))
     return str(scene)
@@ -358,3 +361,119 @@ def test_p_capacity_with_a_fold_center_that_fails_exits_two(tmp_path,
     assert code == 2
     assert "mirror-symmetric" in capsys.readouterr().err
     assert not out.exists()
+
+
+# a valid 2-D task per subcommand, on an atom "a" and a ball "k"
+_TASKS = {
+    "wolff": {"measure": "a", "p": 1.5, "anchor": [0.0, 0.0],
+              "path": {"count": 8}},
+    "capacity": {"kind": "p", "set": "k", "p": 2.5, "h": 0.25},
+    "density": {"mode": "upper", "measure": "a", "point": [0.0, 0.0],
+                "d": 0.0},
+    "plaplace": {"p": 2.5, "h": 0.25},
+    "thin": {"set": "k", "point": [0.0, 0.0], "index": 1.5},
+}
+
+
+def _task_scene(tmp_path, command, **changes):
+    return _write_scene(
+        tmp_path, 2, dict(_TASKS[command], **changes),
+        measures=[{"name": "a", "kind": "atoms", "locations": [[0.0, 0.0]],
+                   "masses": [1.0]}],
+        sets=[{"name": "k", "kind": "balls", "centers": [[0.0, 0.0]],
+               "radii": [0.25]}])
+
+
+@pytest.mark.parametrize("command, changes, message", [
+    ("capacity", {"omega": {"kind": "ball", "radius": 0.9}},
+     "task/omega: missing field 'center'"),
+    ("capacity", {"omega": "ball"},
+     'task/omega: expected an object, got "ball"'),
+    ("wolff", {"path": 3}, "task/path: expected an object, got 3"),
+    ("density", {"ladder": 3}, "task/ladder: expected an object, got 3"),
+    ("plaplace", {"boundary": {"kind": "affine"}},
+     "task/boundary: missing field 'gradient'"),
+    ("wolff", {"path": {"count": 8.7}},
+     "task/path/count: expected an integer, got 8.7"),
+    ("wolff", {"p": "2.5"}, 'task/p: expected a number, got "2.5"'),
+    ("thin", {"index": True}, "task/index: expected a number, got true"),
+    ("wolff", {"anchor": {}},
+     "task/anchor: expected a list of numbers, got {}"),
+    ("density", {"measure": ["a"]}, "unknown measure name ['a']"),
+], ids=["omega-without-center", "omega-string", "path-number",
+        "ladder-number", "boundary-without-gradient", "fractional-count",
+        "string-number", "bool-number", "anchor-object", "measure-list"])
+def test_bad_task_fields_name_their_path(tmp_path, capsys, command, changes,
+                                         message):
+    out = tmp_path / "out"
+    code = cli.main([command, "--scene",
+                     _task_scene(tmp_path, command, **changes),
+                     "--out", str(out)])
+    assert (code, capsys.readouterr().err) == (1, f"potkit: {message}\n")
+    assert not out.exists()
+
+
+def test_integral_floats_read_as_integers(tmp_path):
+    # "dimension": 2.0 and "seed": 1.0 are the ints 2 and 1
+    def run(name, argv, **doc):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / name
+        assert cli.main(argv + ["--scene", str(path), "--out", str(out)]) == 0
+        return {p.name: p.read_text() for p in out.iterdir()}
+
+    atom = {"name": "a", "kind": "atoms", "locations": [[0.0, 0.0]],
+            "masses": [1.0]}
+    cones = {"inner": {"kind": "gamma", "param": 2},
+             "outer": {"kind": "gamma", "param": 1}, "n": 3, "samples": 500}
+    for argv, doc, key, value in (
+            (["wolff"], {"measures": [atom], "task": _TASKS["wolff"]},
+             "dimension", 2),
+            (["cones", "include"], {"dimension": 2, "seed": 1,
+                                    "task": cones}, "seed", 1)):
+        doc = dict(doc, dimension=2,
+                   domain={"lo": [-1.0, -1.0], "hi": [1.0, 1.0]})
+        files = run("int", argv, **doc)
+        assert run("float", argv, **dict(doc, **{key: float(value)})) == files
+
+
+@pytest.mark.parametrize("inner, outer, code", [(3, 1, 0), (1, 3, 2)])
+def test_cones_include_reports_the_seeded_check(tmp_path, capsys, inner,
+                                                outer, code):
+    # Gamma(3) lies inside Gamma(1) in R^3, not the other way round
+    scene = _write_scene(tmp_path, 3, {
+        "inner": {"kind": "gamma", "param": inner},
+        "outer": {"kind": "gamma", "param": outer}, "n": 3, "samples": 500},
+        seed=7)
+    out = tmp_path / "out"
+    assert cli.main(["cones", "include", "--scene", scene,
+                     "--out", str(out)]) == code
+    rep = inclusion_check(Cone.gamma(inner), Cone.gamma(outer), 3,
+                          samples=500, seed=7)
+    assert rep.passed == (code == 0)
+    report = json.loads((out / "report.json").read_text())
+    assert report == {
+        "inner": f"Gamma({inner})", "outer": f"Gamma({outer})", "n": 3,
+        "tested": rep.tested, "passed": rep.passed,
+        "counterexamples": [list(v) for v in rep.counterexamples]}
+    stream = capsys.readouterr()
+    if code == 0:
+        assert stream.out.startswith("cones include: Gamma(3) inside Gamma(1)")
+    else:
+        assert stream.err.startswith("cones include: counterexample [")
+
+
+def test_verify_all_runs_the_chosen_checks(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert cli.main(["verify-all", "--profile", "quick", "--checks",
+                     "determinism", "--seed", "0", "--out", str(out)]) == 0
+    assert sorted(p.name for p in out.iterdir()) == ["criteria.csv",
+                                                     "report.json"]
+    report = json.loads((out / "report.json").read_text())
+    assert (report["profile"], report["seed"], report["passed"]) == (
+        "quick", 0, True)
+    check = report["checks"]["determinism"]
+    assert list(report["checks"]) == ["determinism"] and check["passed"]
+    assert check["metrics"]["artifacts-identical"]["observed"] == 1.0
+    assert capsys.readouterr().out.splitlines()[-1] == (
+        f"verify-all: PASS (1/1 checks) -> {out}")

@@ -7,6 +7,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+from hypothesis import example, given, settings, strategies as st
 import numpy as np
 import pytest
 
@@ -171,6 +172,50 @@ def test_forward_references_raise():
     _raises_at(doc, "/sets/7")
 
 
+def _field_pointers():
+    """(path, pointer) of every field of the tests' scene but the
+    names: the path to replace the field, the pointer that a SceneError
+    about it names (the field's object, for a domain or entry field)."""
+    doc = _scene(seed=4, tolerance=1e-3, task={"p": 2.5})
+    out = [((key,), f"/{key}") for key in doc]
+    out += [(("domain", key), "/domain") for key in doc["domain"]]
+    for section in ("measures", "sets"):
+        out += [((section, i, key), f"/{section}/{i}")
+                for i, spec in enumerate(doc[section])
+                for key in spec if key != "name"]
+    return out
+
+
+# integers stay small: a cantor-dust depth builds 2**depth boxes
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.text(max_size=4)
+    | st.integers(-3, 8) | st.just(1e308)
+    | st.floats(allow_nan=False, allow_infinity=False),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=8)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(st.sampled_from(_field_pointers()), _JSON)
+@example((("measures", 3, "radius"), "/measures/3"), 1e308)
+@example((("sets", 5, "axis"), "/sets/5"), "x")
+@example((("sets", 5, "axis"), "/sets/5"), 7)
+@example((("measures", 0, "locations"), "/measures/0"), {})
+@example((("sets", 4, "b"), "/sets/4"), "x")
+def test_any_bad_field_is_a_scene_error_naming_its_pointer(where, value):
+    (*path, key), pointer = where
+    doc = _scene(seed=4, tolerance=1e-3, task={"p": 2.5})
+    spec = doc
+    for step in path:
+        spec = spec[step]
+    spec[key] = value
+    try:
+        parse_scene(doc)
+    except SceneError as exc:
+        assert pointer in str(exc), (where, value, str(exc))
+
+
 def test_load_scene_reads_a_file(tmp_path):
     path = tmp_path / "scene.json"
     path.write_text(json.dumps(_scene()))
@@ -187,18 +232,20 @@ def test_load_scene_reads_a_file(tmp_path):
 
 def test_importing_potkit_loads_neither_scipy_stats_nor_jsonschema():
     # a fresh interpreter, so modules that other tests load do not count;
-    # jsonschema arrives with the first scene parse, which still names
-    # the pointer of a schema violation; the p-energy descent is potkit's
-    # own, so scipy.optimize stays out too
+    # every import of jsonschema fails there, and a scene still parses or
+    # names the pointer of a schema violation; the p-energy descent is
+    # potkit's own, so scipy.optimize stays out too
     code = """
 import json, sys
+sys.modules["jsonschema"] = None
 import potkit, potkit.cli, potkit.verify
 from potkit.errors import SceneError
-loaded = [m for m in ("scipy.stats", "jsonschema", "scipy.optimize")
-          if m in sys.modules]
+loaded = [m for m in ("scipy.stats", "scipy.optimize") if m in sys.modules]
 assert not loaded, loaded
+good, bad = (json.loads(arg) for arg in sys.argv[1:])
+assert potkit.parse_scene(good).dimension == 3
 try:
-    potkit.parse_scene(json.loads(sys.argv[1]))
+    potkit.parse_scene(bad)
 except SceneError as exc:
     assert "schema violation at /dimension" in str(exc), exc
 else:
@@ -206,6 +253,7 @@ else:
 """
     src = str(Path(potkit.__file__).resolve().parents[1])
     run = subprocess.run(
-        [sys.executable, "-c", code, json.dumps(_scene(dimension="three"))],
+        [sys.executable, "-c", code, json.dumps(_scene()),
+         json.dumps(_scene(dimension="three"))],
         env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True)
     assert run.returncode == 0, run.stderr
