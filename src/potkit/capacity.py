@@ -327,6 +327,8 @@ def riesz_capacity(E: ParametricSet, omega: Domain, alpha: float,
     n = E.dim
     if not 1.0 < alpha <= n:
         raise HypothesisViolation(f"alpha must lie in (1, n], got {alpha}")
+    if not h > 0.0:
+        raise ValueError("pitch h must be positive")
     lo, hi = omega.box
     elo, ehi = E.bounding_box()
     if np.any(elo < lo - 1e-9) or np.any(ehi > hi + 1e-9):

@@ -19,9 +19,11 @@ optional Newton polish: on grids small enough for a sparse direct
 solve, damped Newton steps with the exact Hessian (nested-dissection
 order, pattern built once per call) push the gradient to machine level.
 
-One coarse-to-fine cascade serves every caller: ``minimize_p_energy``
-solves the coarser levels of a problem coarsest first and starts the
-free nodes of each finer level from the prolonged minimizer below it.
+A coarse-to-fine cascade serves every caller but a p = 2 Dirichlet
+solve small enough to factor (one Newton step from any start minimizes
+its quadratic energy): ``minimize_p_energy`` solves the coarser levels
+of a problem coarsest first and starts the free nodes of each finer
+level from the prolonged minimizer below it.
 Without a load that start is clipped to the range of the pinned values,
 which the continuum minimizer never leaves (the maximum principle) but
 a coarse grid minimizer can.
@@ -212,8 +214,8 @@ class PEnergyProblem:
 
 @dataclass
 class PEnergyInfo:
-    """``iterations`` counts the steps of the method; after a polish,
-    ``newton_steps`` counts the polish's steps (0 without one)."""
+    """``iterations`` counts the steps of the method; ``newton_steps``
+    counts its Newton steps (0 without a polish)."""
 
     energy: float
     iterations: int
@@ -554,13 +556,13 @@ def newton_polish(problem: PEnergyProblem, u: np.ndarray):
                 if g1max < gmax:
                     break
                 flat[order] = x0
-                return u, PEnergyInfo(e0, steps, gmax, "newton")
+                return u, PEnergyInfo(e0, steps, gmax, "newton", steps)
             if e1 <= e0 + 1e-4 * t * slope:
                 break
             t *= 0.5
         steps += 1
         e0, gf, gmax = e1, g1, g1max
-    return u, PEnergyInfo(e0, steps, gmax, "newton")
+    return u, PEnergyInfo(e0, steps, gmax, "newton", steps)
 
 
 def refine_nodes(u: np.ndarray) -> np.ndarray:

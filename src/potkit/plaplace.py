@@ -27,7 +27,7 @@ from .geometry import dist2, kappa_exponent, sphere_area
 from .grid import EvaluationGrid, _as_vec, _mesh
 from .measures import Measure
 from .penergy import (PEnergyProblem, affine_fill, minimize_p_energy,
-                      scatter_cells_to_nodes)
+                      newton_polish, scatter_cells_to_nodes)
 from .sets import sphere_directions
 from .wolff import WolffParams, wolff_potential
 
@@ -138,7 +138,10 @@ def solve_p_dirichlet(grid: EvaluationGrid, mu: Measure | None, p: float,
     """Minimize the discrete measure-data functional with Dirichlet data.
 
     Any p > 1 is accepted without a measure; with one, p must lie in
-    (1, n].  Coarse levels at pitch 2h and 4h, where the cell counts
+    (1, n].  At p = 2 within the cap below, the energy is quadratic:
+    :func:`~potkit.penergy.newton_polish` alone minimizes it from the
+    affine fit to the boundary values, in one step (``method="newton"``).
+    Otherwise coarse levels at pitch 2h and 4h, where the cell counts
     allow, warm-start the fine descent in
     :func:`~potkit.penergy.minimize_p_energy`'s cascade from the affine
     fit to the coarsest boundary values.  Each level is an L-BFGS
@@ -189,17 +192,22 @@ def solve_p_dirichlet(grid: EvaluationGrid, mu: Measure | None, p: float,
         return PEnergyProblem(g, p, bmask, bvals, coef=1.0 / p, load=load,
                               eps=(1e-12 if p < 2 else 0.0))
 
-    # levels, finest first: each coarse grid halves the cell counts
+    # levels, finest first: each coarse grid halves the cell counts; the
+    # quadratic energy at p = 2 needs none within the cap
+    newton_only = p == 2.0 and polish is not None
     problems = [build(grid, 0)]
     g = grid
-    while (not np.any(np.asarray(g.cells) % 2)
+    while (not newton_only and not np.any(np.asarray(g.cells) % 2)
            and min(g.cells) >= 8 and len(problems) < 3):
         g = EvaluationGrid.from_box(g.lo, g.hi, g.h * 2)
         problems.append(build(g, len(problems)))
     prob, top = problems[0], problems[-1]
-    u, info = minimize_p_energy(
-        prob, affine_fill(top.grid, top.fixed_values, top.fixed_mask),
-        coarse=problems[:0:-1], polish=polish)
+    u0 = affine_fill(top.grid, top.fixed_values, top.fixed_mask)
+    if newton_only:
+        u, info = newton_polish(prob, u0)
+    else:
+        u, info = minimize_p_energy(prob, u0, coarse=problems[:0:-1],
+                                    polish=polish)
     residual = info.grad_norm
     if prob.eps > 0.0:
         _, grad = replace(prob, eps=0.0).energy_and_grad(u)

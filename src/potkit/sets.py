@@ -37,6 +37,14 @@ def _as_points(pts, n):
     return pts
 
 
+def _axis(axis, dim: int) -> int:
+    """``axis`` as an int in [0, dim); a bool or a non-integer raises."""
+    if (isinstance(axis, bool) or not isinstance(axis, (int, np.integer))
+            or not 0 <= axis < dim):
+        raise ValueError(f"axis must be an integer in [0, {dim}), got {axis!r}")
+    return int(axis)
+
+
 def _lattice_axes(lo, hi, pitch):
     """Coordinates of the cell-centered lattice filling [lo, hi], one
     array per axis; a degenerate axis is a single layer at lo.  Along an
@@ -416,13 +424,11 @@ class Cusp(ParametricSet):
             raise ValueError("gamma and length must be positive")
         if dim < 2:
             raise ValueError("dimension must be at least 2")
-        if not 0 <= axis < dim:
-            raise ValueError("axis out of range")
         self.gamma = float(gamma)
         self.length = float(length)
         self._dim = dim
         self.vertex = np.zeros(dim) if vertex is None else _as_vec(vertex, dim)
-        self.axis = axis
+        self.axis = _axis(axis, dim)
 
     @property
     def dim(self) -> int:
@@ -514,6 +520,7 @@ def cantor_dust(depth: int, dim: int = 3, axis: int = 0) -> BoxUnion:
     union of degenerate boxes in R^dim."""
     if depth < 0:
         raise ValueError("depth must be nonnegative")
+    axis = _axis(axis, dim)
     intervals = [(0.0, 1.0)]
     for _ in range(depth):
         nxt = []

@@ -290,6 +290,13 @@ def test_riesz_capacity_of_two_boxes(h):
     assert math.isfinite(est.value) and 0.0 < est.lower <= est.value
 
 
+@pytest.mark.parametrize("h", [0.0, -0.3, math.nan])
+def test_riesz_capacity_rejects_a_pitch_that_is_not_positive(h):
+    with pytest.raises(ValueError, match="pitch h must be positive"):
+        riesz_capacity(Sphere(np.zeros(3), 0.5),
+                       BoxDomain((-1.0,) * 3, (1.0,) * 3), 1.5, h)
+
+
 # a point list is the caller's own sample and is kept as given: a pitch
 # that cannot separate two of its points is a resolution error
 def test_point_list_closer_than_the_pitch_is_a_resolution_error():

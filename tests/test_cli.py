@@ -114,6 +114,20 @@ def test_riesz_capacity_writes_its_report(tmp_path):
                       "upper": est.upper, "h": 0.125, "iterations": 1}
 
 
+@pytest.mark.parametrize("h", [0.0, -0.3])
+def test_riesz_capacity_of_a_pitch_not_positive_is_an_input_error(
+        tmp_path, capsys, h):
+    scene = _write_scene(
+        tmp_path, 3, {"kind": "riesz", "set": "s", "alpha": 1.5, "h": h},
+        sets=[{"name": "s", "kind": "sphere", "center": [0.0, 0.0, 0.0],
+               "radius": 0.5}])
+    out = tmp_path / "out"
+    code = cli.main(["capacity", "--scene", scene, "--out", str(out)])
+    assert (code, capsys.readouterr().err) == (
+        1, "potkit: pitch h must be positive\n")
+    assert not out.exists()
+
+
 def test_riesz_at_alpha_equal_n_reports_the_atom_mass(tmp_path):
     scene = tmp_path / "scene.json"
     scene.write_text(json.dumps({

@@ -5,14 +5,17 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from potkit import penergy
 from potkit.errors import HypothesisViolation
 from potkit.fitting import ApproachPath
 from potkit.grid import EvaluationGrid
 from potkit.measures import AtomicMeasure
-from potkit.penergy import PEnergyProblem
-from potkit.plaplace import (FundamentalSolution, solve_p_dirichlet,
-                             super_asymptotic_report)
+from potkit.penergy import (PEnergyProblem, affine_fill, minimize_p_energy,
+                            scatter_cells_to_nodes)
+from potkit.plaplace import (FundamentalSolution, _boundary_values,
+                             solve_p_dirichlet, super_asymptotic_report)
 
 
 def _radial_p_harmonic(p):
@@ -52,6 +55,79 @@ def test_residual_is_the_unregularized_defect():
     assert sol.residual == float(np.max(np.abs(grad[~mask])))
     _, reg = replace(problem, eps=1e-12).energy_and_grad(sol.values)
     assert sol.residual > 1e3 * float(np.max(np.abs(reg[~mask])))
+
+
+def _cascade_solve(grid, mu, data):
+    """The p = 2 solve by the L-BFGS cascade: levels at 2h and 4h while
+    the cell counts are even and at least 8, the fine descent, then the
+    Newton polish."""
+    def level(g):
+        mask = g.boundary_node_mask()
+        load = (None if mu is None
+                else scatter_cells_to_nodes(mu.cell_masses(g), g))
+        return PEnergyProblem(g, 2.0, mask, _boundary_values(g, data, mask),
+                              coef=0.5, load=load)
+    levels, g = [level(grid)], grid
+    while (not np.any(np.asarray(g.cells) % 2) and min(g.cells) >= 8
+           and len(levels) < 3):
+        g = EvaluationGrid.from_box(g.lo, g.hi, 2.0 * g.h)
+        levels.append(level(g))
+    top = levels[-1]
+    u, _ = minimize_p_energy(
+        levels[0], affine_fill(top.grid, top.fixed_values, top.fixed_mask),
+        coarse=levels[:0:-1], polish="newton")
+    return u
+
+
+def _check_newton_only(grid, mu, data):
+    """A p = 2 solve takes at most 2 Newton steps and no descent, its
+    residual is at round-off of the data range, and its values are the
+    cascade's."""
+    def no_descent(*args):
+        raise AssertionError("a p = 2 solve ran the L-BFGS descent")
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(penergy, "_lbfgs", no_descent)
+        sol = solve_p_dirichlet(grid, mu, 2.0, data)
+    span = np.ptp(sol.values[grid.boundary_node_mask()])
+    assert sol.extras == {"method": "newton",
+                          "newton_steps": sol.iterations}
+    assert sol.iterations <= 2
+    assert sol.residual <= 1e-12 * span
+    ref = _cascade_solve(grid, mu, data)
+    assert np.max(np.abs(sol.values - ref)) <= 1e-10 * max(1.0, span)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(st.integers(16, 64),
+       st.lists(st.floats(-2.0, 2.0), min_size=5, max_size=5),
+       st.floats(0.5, 2.0), st.floats(0.0, 6.0),
+       st.none() | st.tuples(st.floats(0.1, 0.9), st.floats(0.1, 0.9),
+                             st.floats(0.1, 3.0)))
+@example(64, [0.3, -1.0, 0.5, 1.2, 0.4], 1.0, 5.0, (0.37, 0.61, 1.5))
+@example(32, [0.0, 0.0, 0.0, 2.0, -1.0], 0.5, 6.0, None)
+def test_p2_solve_is_one_newton_step(cells, coef, amp, freq, atom):
+    grid = EvaluationGrid.from_box((0.0, 0.0), (1.0, 1.0), 1.0 / cells)
+    a, b, c, d, phase = coef
+
+    def data(pts):
+        # the x^2 term spreads the data by at least amp / 4 on y = 0
+        x, y = pts[..., 0], pts[..., 1]
+        return (a + b * x + c * y + amp * x * x
+                + d * np.sin(freq * (x - 0.3 * y) + phase) * np.cosh(y))
+
+    mu = None if atom is None else AtomicMeasure([atom[:2]], [atom[2]])
+    _check_newton_only(grid, mu, data)
+
+
+@pytest.mark.parametrize("cells", [(2, 2), (9, 7)])
+def test_p2_solve_without_a_coarse_level(cells):
+    # odd or tiny cell counts leave the cascade no coarse level either
+    grid = EvaluationGrid.from_box((0.0, 0.0), np.multiply(cells, 0.125),
+                                   0.125)
+    assert grid.cells == cells
+    _check_newton_only(grid, None, lambda pts: np.exp(pts[..., 0])
+                       * np.cos(2.0 * pts[..., 1]))
 
 
 def test_super_asymptotic_limit_at_p_equal_n():

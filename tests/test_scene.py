@@ -216,6 +216,16 @@ def test_any_bad_field_is_a_scene_error_naming_its_pointer(where, value):
         assert pointer in str(exc), (where, value, str(exc))
 
 
+# null would set every coordinate of a dust's boxes, and true read as axis 1
+@pytest.mark.parametrize("axis", [None, True, 1.5])
+@pytest.mark.parametrize("index", [5, 6], ids=["cantor-dust", "cusp"])
+def test_an_axis_that_is_not_an_integer_is_a_scene_error(index, axis):
+    doc = _scene()
+    doc["sets"][index]["axis"] = axis
+    message = _raises_at(doc, f"/sets/{index}")
+    assert "axis must be an integer in [0, 3)" in message
+
+
 def test_load_scene_reads_a_file(tmp_path):
     path = tmp_path / "scene.json"
     path.write_text(json.dumps(_scene()))
