@@ -385,7 +385,7 @@ def p_capacity(K: ParametricSet, omega: Domain, p: float, h: float, *,
     when the point is not the middle of the domain box or an axis does
     not fold.
     """
-    if p <= 1.0:
+    if not p > 1.0:
         raise HypothesisViolation(f"p must exceed 1, got {p}")
     n = K.dim
 

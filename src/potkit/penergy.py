@@ -18,6 +18,9 @@ recursion over the newest 10 pairs, Armijo backtracking) with an
 optional Newton polish: on grids small enough for a sparse direct
 solve, damped Newton steps with the exact Hessian (nested-dissection
 order, pattern built once per call) push the gradient to machine level.
+Up to 2-D each step factors its Hessian; above 2-D one factor is kept
+and preconditions conjugate gradients on the later steps' Hessians,
+and a step refactors only when CG does not converge in 25 solves.
 
 A coarse-to-fine cascade serves every caller but a p = 2 Dirichlet
 solve small enough to factor (one Newton step from any start minimizes
@@ -169,7 +172,7 @@ class PEnergyProblem:
                                         repr=False, compare=False)
 
     def __post_init__(self):
-        if self.p <= 1.0:
+        if not self.p > 1.0:
             raise ValueError("p must exceed 1")
         shape = self.grid.node_shape
         if self.fixed_mask.shape != shape or self.fixed_values.shape != shape:
@@ -215,13 +218,16 @@ class PEnergyProblem:
 @dataclass
 class PEnergyInfo:
     """``iterations`` counts the steps of the method; ``newton_steps``
-    counts its Newton steps (0 without a polish)."""
+    counts its Newton steps and ``factorizations`` the sparse
+    factorizations they made, damping retries included (both 0 without
+    a polish)."""
 
     energy: float
     iterations: int
     grad_norm: float
     method: str
     newton_steps: int = 0
+    factorizations: int = 0
 
 
 def minimize_p_energy(problem: PEnergyProblem, u0: np.ndarray | None = None,
@@ -279,7 +285,8 @@ def minimize_p_energy(problem: PEnergyProblem, u0: np.ndarray | None = None,
     if polish == "newton":
         u, newton = newton_polish(problem, u)
         return u, PEnergyInfo(newton.energy, iters, newton.grad_norm,
-                              "lbfgs+newton", newton.iterations)
+                              "lbfgs+newton", newton.iterations,
+                              newton.factorizations)
     if failure is not None:
         raise ResolutionError(
             f"p-energy descent did not converge ({failure}); "
@@ -484,17 +491,55 @@ class _FrozenHessian:
         return sp.csc_matrix((data, self.indices, self.indptr), shape=(m, m))
 
 
+def _pcg(H, b: np.ndarray, precond):
+    """Conjugate gradients on H x = b, preconditioned by ``precond`` (a
+    solve with a factor of a nearby matrix) and started from
+    precond(b); returns x once max|b - H x| <= 1e-10 max|b|, or None
+    when 25 preconditioner solves do not reach that or H shows a
+    direction of nonpositive curvature."""
+    tol = 1e-10 * float(np.max(np.abs(b)))
+    x = precond(b)
+    r = b - H @ x
+    solves = 1
+    d = rz = None
+    while not float(np.max(np.abs(r))) <= tol:
+        if solves == 25:
+            return None
+        z = precond(r)
+        solves += 1
+        rz, rz_old = float(r @ z), rz
+        d = z if d is None else z + (rz / rz_old) * d
+        Hd = H @ d
+        curv = float(d @ Hd)
+        if not curv > 0.0:
+            return None
+        a = rz / curv
+        x += a * d
+        r -= a * Hd
+    return x
+
+
 def newton_polish(problem: PEnergyProblem, u: np.ndarray):
     """Damped Newton refinement with the exact sparse Hessian; returns
-    (u, PEnergyInfo) with the number of Newton steps as ``iterations``.
+    (u, PEnergyInfo) with the number of Newton steps as ``iterations``
+    and the number of sparse factorizations as ``factorizations``.
 
     The Hessian weights per cell are g^(p-2) I + (p-2) g^(p-4) D D^T
     (eigenvalues g^(p-2) and (p-1) g^(p-2), so it is positive definite
     wherever the gradient magnitude g is nonzero).  Its pattern is built
     once per call, in nested-dissection order of the node lattice, and
-    each iteration only refills the values and factors them in that
-    order (``permc_spec="NATURAL"``); nothing outlives the call.  Tiny
-    diagonal damping covers cells where the energy degenerates.
+    each iteration only refills the values.  A factorization runs in
+    that order (``permc_spec="NATURAL"``).  Up to 2-D every iteration
+    factors its Hessian.  Above 2-D one factor serves many iterations:
+    the first iteration factors its Hessian and keeps the factor, and
+    each later one solves its Newton system H_k d = -g_k by conjugate
+    gradients, preconditioned by that factor and started from its
+    solve of -g_k.  CG stops at max|H_k d + g_k| <= 1e-10 max|g_k|;
+    when 25 preconditioner solves do not reach that, or the step is not
+    finite or no descent direction, the iteration factors H_k instead
+    and keeps the new factor.  Nothing outlives the call.  Tiny
+    diagonal damping covers cells where the energy degenerates; a
+    factorization that gives no descent direction is retried with more.
 
     The line search backtracks from the full step under the Armijo
     test on the true energy.  Once the predicted decrease drops below
@@ -514,7 +559,16 @@ def newton_polish(problem: PEnergyProblem, u: np.ndarray):
     e0, grad = problem.energy_and_grad(u)
     gf = grad.reshape(-1)[order]
     gmax = float(np.max(np.abs(gf)))
-    steps = 0
+    steps = factorizations = 0
+    factor = None
+
+    def damped(H, lam):
+        if lam == 0.0:
+            return H
+        M = H.copy()
+        M.data[hess.diag] += lam
+        return M
+
     while gmax >= NEWTON_GTOL:
         if steps == NEWTON_ITERS:
             raise ResolutionError(
@@ -524,25 +578,31 @@ def newton_polish(problem: PEnergyProblem, u: np.ndarray):
         # a free node whose cells are all flat has a zero row: damp from
         # the start rather than factor an exactly singular matrix
         lam = 1e-10 if np.any(H.data[hess.diag] == 0.0) else 0.0
-        step = None
-        for _attempt in range(8):
-            M = H
-            if lam > 0.0:
-                M = H.copy()
-                M.data[hess.diag] += lam
+        step = (None if factor is None
+                else _pcg(damped(H, lam), -gf, factor.solve))
+        attempts = 0
+        while (step is None or not np.all(np.isfinite(step))
+               or not float(gf @ step) < 0.0):
+            if attempts == 8:
+                raise ResolutionError(
+                    f"Newton polish found no descent direction at gradient "
+                    f"{gmax:.3g}")
+            attempts += 1
+            factorizations += 1
+            M = damped(H, lam)
             try:
-                cand = spla.spsolve(M, -gf, permc_spec="NATURAL")
+                # above 2-D the factor is kept to precondition the CG
+                # solves of later systems; 2-D solves every Newton
+                # system with one spsolve (the benchmark's tracer counts
+                # these calls, and a banded Cholesky is planned there)
+                if problem.grid.dim > 2:
+                    factor = spla.splu(M, permc_spec="NATURAL")
+                    step = factor.solve(-gf)
+                else:
+                    step = spla.spsolve(M, -gf, permc_spec="NATURAL")
             except RuntimeError:
-                cand = None
-            if (cand is not None and np.all(np.isfinite(cand))
-                    and float(gf @ cand) < 0.0):
-                step = cand
-                break
+                step = None
             lam = 1e-10 if lam == 0.0 else lam * 100.0
-        if step is None:
-            raise ResolutionError(
-                f"Newton polish found no descent direction at gradient "
-                f"{gmax:.3g}")
         slope = float(gf @ step)
         rounding = 64.0 * np.finfo(float).eps * max(1.0, abs(e0))
         x0 = flat[order]
@@ -556,13 +616,14 @@ def newton_polish(problem: PEnergyProblem, u: np.ndarray):
                 if g1max < gmax:
                     break
                 flat[order] = x0
-                return u, PEnergyInfo(e0, steps, gmax, "newton", steps)
+                return u, PEnergyInfo(e0, steps, gmax, "newton", steps,
+                                      factorizations)
             if e1 <= e0 + 1e-4 * t * slope:
                 break
             t *= 0.5
         steps += 1
         e0, gf, gmax = e1, g1, g1max
-    return u, PEnergyInfo(e0, steps, gmax, "newton", steps)
+    return u, PEnergyInfo(e0, steps, gmax, "newton", steps, factorizations)
 
 
 def refine_nodes(u: np.ndarray) -> np.ndarray:

@@ -149,12 +149,15 @@ def solve_p_dirichlet(grid: EvaluationGrid, mu: Measure | None, p: float,
     stops at a relative energy change of ``penergy.REL_ENERGY_TOL``.  The
     Newton refinement follows it whenever the grid is small enough to
     factor directly; the fill-in of the sparse factorization caps this
-    at ~1.6e5 nodes in 2-D but ~4e4 in higher dimensions.  The
+    at ~1.6e5 nodes in 2-D but ~4e4 in higher dimensions.  In 2-D each
+    Newton step factors its Hessian; above 2-D one factor usually serves
+    the whole polish, preconditioning CG on the later steps.  One
+    factor's memory sets the caps, so neither that nor the
     nested-dissection order of :func:`~potkit.penergy.newton_polish`
-    leaves these caps unchanged.  Newton finishes a descent that ran out
-    of iterations or stalled, and raises ResolutionError when it does not
-    converge itself; on a grid above the cap, a capped or stalled
-    descent raises ResolutionError.
+    changes them.  Newton finishes a descent that ran out of iterations
+    or stalled, and raises ResolutionError when it does not converge
+    itself; on a grid above the cap, a capped or stalled descent raises
+    ResolutionError.
     For p < 2 the energy is regularized by eps = 1e-12 in the gradient
     magnitude; the reported residual is that of the unregularized
     energy.  Array boundary data is given on the fine grid's nodes; the
@@ -162,7 +165,7 @@ def solve_p_dirichlet(grid: EvaluationGrid, mu: Measure | None, p: float,
     rejected when their containing cell touches the Dirichlet layer,
     since the projection would alter the pinned data.
     """
-    if p <= 1.0 or (mu is not None and p > grid.dim):
+    if not p > 1.0 or (mu is not None and p > grid.dim):
         raise HypothesisViolation(
             f"p must exceed 1, and lie in (1, n] with a measure; got {p}")
     mask = grid.boundary_node_mask()
@@ -215,7 +218,8 @@ def solve_p_dirichlet(grid: EvaluationGrid, mu: Measure | None, p: float,
     return PSolution(grid, u, p, residual, info.energy,
                      iterations=info.iterations,
                      extras={"method": info.method,
-                             "newton_steps": info.newton_steps})
+                             "newton_steps": info.newton_steps,
+                             "factorizations": info.factorizations})
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,10 @@
 sets, and task parameters.
 
 One validator checks a scene and its task: the typed field readers
-below.  A number is a JSON number and never a bool, an integer is an
-integral number (``2.0`` reads as 2), a vector is a list of numbers.
+below.  A number is a finite JSON number and never a bool (nor the
+``NaN``, ``Infinity`` or ``-Infinity`` that Python's json reads), an
+integer is an integral number (``2.0`` reads as 2), a vector is a list
+of numbers.
 Every SceneError names the JSON pointer of the offending value
 (``/measures/4``, ``task/path/count``), so batch users can fix scenes
 without reading tracebacks; a violation of the top-level layout reads
@@ -17,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import partial
 import json
+import math
 from pathlib import Path
 import re
 import sys
@@ -93,9 +96,11 @@ def _reader(check, convert=lambda value: value):
 
 
 def _number(value):
-    # a bool is no number, nor an integer literal beyond the float range
-    if isinstance(value, float) or (type(value) is int
-                                    and abs(value) <= sys.float_info.max):
+    # a bool is no number, nor an integer literal beyond the float range;
+    # json reads NaN, Infinity and -Infinity as floats that are not finite
+    if isinstance(value, float):
+        return None if math.isfinite(value) else "a finite number"
+    if type(value) is int and abs(value) <= sys.float_info.max:
         return None
     return "a number"
 

@@ -96,6 +96,13 @@ def test_folded_capacity_equals_unfolded(monkeypatch, K, omega, p, h, axes):
                                       rel=1e-12)
 
 
+@pytest.mark.parametrize("p", [1.0, math.nan])
+def test_a_p_capacity_with_p_not_above_1_names_p(p):
+    with pytest.raises(HypothesisViolation, match="p must exceed 1"):
+        p_capacity(BallUnion([np.zeros(3)], [0.25]),
+                   BallDomain((0.0,) * 3, 1.0), p, 1 / 8)
+
+
 def test_fold_center_is_a_checked_claim():
     ball = BallDomain((0.0,) * 3, 1.0)
     off = BallUnion([[0.3, 0.0, 0.0]], [0.2])

@@ -2,6 +2,7 @@
 outcome through the exit code."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -414,9 +415,17 @@ def _task_scene(tmp_path, command, **changes):
     ("wolff", {"anchor": {}},
      "task/anchor: expected a list of numbers, got {}"),
     ("density", {"measure": ["a"]}, "unknown measure name ['a']"),
+    ("plaplace", {"p": math.nan}, "task/p: expected a finite number, got NaN"),
+    ("capacity", {"p": math.nan},
+     "task/p: expected a finite number, got NaN"),
+    ("wolff", {"p": math.inf},
+     "task/p: expected a finite number, got Infinity"),
+    ("plaplace", {"h": -math.inf},
+     "task/h: expected a finite number, got -Infinity"),
 ], ids=["omega-without-center", "omega-string", "path-number",
         "ladder-number", "boundary-without-gradient", "fractional-count",
-        "string-number", "bool-number", "anchor-object", "measure-list"])
+        "string-number", "bool-number", "anchor-object", "measure-list",
+        "nan-p", "nan-capacity-p", "infinite-p", "infinite-h"])
 def test_bad_task_fields_name_their_path(tmp_path, capsys, command, changes,
                                          message):
     out = tmp_path / "out"

@@ -12,11 +12,13 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg
+from hypothesis import example, given, settings, strategies as st
 
 from potkit import penergy
 from potkit.capacity import BallDomain, p_capacity
 from potkit.errors import ResolutionError
 from potkit.grid import EvaluationGrid
+from potkit.measures import AtomicMeasure
 from potkit.penergy import (PEnergyProblem, _FrozenHessian, affine_fill,
                             minimize_p_energy, newton_polish, refine_nodes,
                             scatter_cells_to_nodes)
@@ -523,6 +525,115 @@ def test_polish_without_descent_direction_raises(monkeypatch):
     grid = EvaluationGrid.from_box((0.0, 0.0), (1.0, 1.0), 1.0 / 16.0)
     with pytest.raises(ResolutionError):
         solve_p_dirichlet(grid, None, 2.0, _pole_data)
+
+
+def _polish_3d(cells, p, coef, atom):
+    """A 3-D Dirichlet problem on a box of pitch 1/8 and a start from a
+    loose descent: boundary data a + b.x + c |x|^2 + d sin(3x - y + 2z),
+    with one interior atom of mass atom[3] at atom[:3] (fractions of
+    the interior cells) or none."""
+    h = 0.125
+    grid = EvaluationGrid.from_box((0.0,) * 3, np.multiply(cells, h), h)
+    bmask = grid.boundary_node_mask()
+    X, Y, Z = np.meshgrid(*grid.node_axes(), indexing="ij")
+    a, bx, by, bz, c, d = coef
+    data = (a + bx * X + by * Y + bz * Z + c * (X * X + Y * Y + Z * Z)
+            + d * np.sin(3.0 * X - Y + 2.0 * Z))
+    load = None
+    if atom is not None:
+        # within [h, (c - 1) h) the atom's cell is off the boundary
+        point = [h * (1.0 + t * (n - 2.0)) for t, n in zip(atom[:3], cells)]
+        mu = AtomicMeasure([point], [atom[3]])
+        load = scatter_cells_to_nodes(mu.cell_masses(grid), grid)
+    problem = PEnergyProblem(grid, p, bmask, np.where(bmask, data, 0.0),
+                             coef=1.0 / p, load=load,
+                             eps=(1e-12 if p < 2 else 0.0))
+    # a loose descent leaves the polish several steps
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(penergy, "REL_ENERGY_TOL", 1e-4)
+        u, _ = minimize_p_energy(
+            problem, affine_fill(grid, problem.fixed_values, bmask))
+    return problem, u
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(st.tuples(*[st.integers(4, 8)] * 3), st.floats(1.5, 3.0),
+       st.lists(st.floats(-1.0, 1.0), min_size=6, max_size=6),
+       st.none() | st.tuples(*[st.floats(0.0, 0.999)] * 3,
+                             st.floats(0.05, 2.0)))
+@example((8, 8, 8), 2.5, [0.0] * 6, (0.4, 0.5, 0.5, 1.0))
+@example((4, 7, 5), 1.5, [0.3, -1.0, 0.5, 0.2, 1.0, 0.7], None)
+def test_3d_polish_with_one_factor_equals_refactoring(cells, p, coef, atom):
+    problem, u0 = _polish_3d(cells, p, coef, atom)
+    u, info = newton_polish(problem, u0)
+    # the reference factors every Newton system: CG gives up at once
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(penergy, "_pcg", lambda H, b, precond: None)
+        ref, ref_info = newton_polish(problem, u0)
+    assert ref_info.factorizations >= ref_info.newton_steps
+    assert info.factorizations <= max(1, info.newton_steps)
+    assert np.max(np.abs(u - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_3d_flat_start_factors_no_singular_matrix(monkeypatch):
+    # the 3-D form of test_flat_start_factors_no_singular_matrix: every
+    # splu succeeds and its solve is finite
+    results = []
+    original = scipy.sparse.linalg.splu
+
+    class Recording:
+        def __init__(self, *args, **kwargs):
+            try:
+                self.lu = original(*args, **kwargs)
+            except RuntimeError:
+                results.append(False)
+                raise
+
+        def solve(self, b):
+            out = self.lu.solve(b)
+            results.append(bool(np.all(np.isfinite(out))))
+            return out
+
+    monkeypatch.setattr(scipy.sparse.linalg, "splu", Recording)
+    grid = EvaluationGrid.from_box((0.0,) * 3, (1.0,) * 3, 1.0 / 8.0)
+    bmask = grid.boundary_node_mask()
+    X, _, _ = np.meshgrid(*grid.node_axes(), indexing="ij")
+    problem = PEnergyProblem(grid, 3.0, bmask, np.where(bmask, X * X, 0.0),
+                             coef=1.0 / 3.0)
+    monkeypatch.setattr(penergy, "LBFGS_MAXITER", 3)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        _, info = minimize_p_energy(problem, polish="newton")
+    assert not [w for w in caught
+                if issubclass(w.category,
+                              scipy.sparse.linalg.MatrixRankWarning)]
+    assert results and all(results)
+    assert info.grad_norm < 1e-12
+    # the later steps ran CG on the kept factor
+    assert info.factorizations < info.newton_steps
+
+
+def test_3d_polish_without_descent_direction_raises(monkeypatch):
+    # the 3-D form of test_polish_without_descent_direction_raises: a
+    # factor whose solve points uphill is never kept, and every damping
+    # retry factors again
+    original = scipy.sparse.linalg.splu
+    factored = []
+
+    class Ascent:
+        def __init__(self, *args, **kwargs):
+            factored.append(1)
+            self.lu = original(*args, **kwargs)
+
+        def solve(self, b):
+            return -self.lu.solve(b)
+
+    monkeypatch.setattr(scipy.sparse.linalg, "splu", Ascent)
+    grid = EvaluationGrid.from_box((0.0,) * 3, (1.0,) * 3, 1.0 / 8.0)
+    with pytest.raises(ResolutionError, match="no descent direction"):
+        solve_p_dirichlet(grid, None, 2.0,
+                          lambda pts: np.sin(pts @ [3.0, -1.0, 2.0]))
+    assert len(factored) == 8
 
 
 def _hand_cascade(levels, u0, polish=None):

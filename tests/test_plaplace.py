@@ -42,6 +42,18 @@ def test_measure_solve_above_dimension_raises():
         solve_p_dirichlet(grid, mu, 3.0, 0.0)
 
 
+@pytest.mark.parametrize("p", [1.0, 0.5, float("nan")])
+def test_a_p_that_does_not_exceed_1_names_p(p):
+    # NaN fails every comparison, so it reached the descent as a p that
+    # passed the guard and stalled its line search at iteration 0
+    grid = EvaluationGrid.from_box((0.0, 0.0), (1.0, 1.0), 1.0 / 8.0)
+    with pytest.raises(HypothesisViolation, match="p must exceed 1"):
+        solve_p_dirichlet(grid, None, p, 0.0)
+    with pytest.raises(ValueError, match="p must exceed 1"):
+        PEnergyProblem(grid, p, grid.boundary_node_mask(),
+                       np.zeros(grid.node_shape), coef=1.0)
+
+
 def test_residual_is_the_unregularized_defect():
     # at amplitude 1e-9 the cell gradients are small enough for the
     # solver's eps = 1e-12 to move the defect by orders of magnitude
@@ -90,8 +102,10 @@ def _check_newton_only(grid, mu, data):
         mp.setattr(penergy, "_lbfgs", no_descent)
         sol = solve_p_dirichlet(grid, mu, 2.0, data)
     span = np.ptp(sol.values[grid.boundary_node_mask()])
+    # in 2-D every Newton step factors its Hessian once
     assert sol.extras == {"method": "newton",
-                          "newton_steps": sol.iterations}
+                          "newton_steps": sol.iterations,
+                          "factorizations": sol.iterations}
     assert sol.iterations <= 2
     assert sol.residual <= 1e-12 * span
     ref = _cascade_solve(grid, mu, data)

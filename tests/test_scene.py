@@ -226,6 +226,28 @@ def test_an_axis_that_is_not_an_integer_is_a_scene_error(index, axis):
     assert "axis must be an integer in [0, 3)" in message
 
 
+@pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+@pytest.mark.parametrize("key", ["tolerance", "lo"])
+def test_a_non_finite_number_is_a_scene_error(tmp_path, literal, key):
+    # Python's json reads these literals as floats; a range check such as
+    # tolerance <= 0 lets NaN through
+    doc = _scene(seed=4, tolerance=1e-3)
+    value = json.loads(literal)
+    if key == "lo":
+        doc["domain"]["lo"] = [-1.0, value, -1.0]
+        pointer, expected = "/domain/lo", "expected a list of numbers"
+    else:
+        doc["tolerance"] = value
+        pointer, expected = "/tolerance", "expected a finite number"
+    message = _raises_at(doc, pointer)
+    assert f"{pointer}: {expected}, got " in message and literal in message
+    file = tmp_path / "scene.json"
+    file.write_text(json.dumps(doc))
+    assert literal in file.read_text()
+    with pytest.raises(SceneError, match=pointer):
+        load_scene(file)
+
+
 def test_load_scene_reads_a_file(tmp_path):
     path = tmp_path / "scene.json"
     path.write_text(json.dumps(_scene()))
