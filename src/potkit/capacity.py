@@ -6,8 +6,8 @@ The Riesz capacity of E inside a region Omega is the least total mass m
 whose potential integral k_alpha * m is >= 1 everywhere on E, with
 kernel k_alpha(x,y) = |x-y|^(alpha-n) for alpha < n and log(D/|x-y|)
 for alpha = n (D = diameter of Omega).  The discretization places mass
-sites on E itself, solves their equilibrium exactly by block principal
-pivoting, and scales it to meet the constraint on a finer sample of E.
+sites on E itself and solves their equilibrium exactly by block
+principal pivoting; its total mass is the capacity.
 
 The variational p-capacity of a compact K inside Omega is the minimum
 of sum over cells |grad u|^p h^n over grid functions with u = 1 on the
@@ -150,11 +150,12 @@ class ShellDomain(Domain):
 
 @dataclass
 class CapacityEstimate:
-    """Capacity value with optional estimates bracketing it.
+    """Capacity value with optional proved bounds on the continuum one.
 
-    ``value`` always sits between ``lower`` and ``upper`` when both are
-    present.  ``iterations`` counts the solver's steps: the block pivots
-    of the Riesz equilibrium, the minimizer iterations of the p-energy.
+    ``value`` sits between ``lower`` and ``upper`` when both are present;
+    no estimator claims a bound today.  ``iterations`` counts the solver's
+    steps: the block pivots of the Riesz equilibrium, the minimizer
+    iterations of the p-energy.
     """
 
     value: float
@@ -197,10 +198,7 @@ def _riesz_kernel_matrix(x, y, alpha, n, diam, r_moll):
 
 def _block_rows(cols: int) -> int:
     """Rows of a kernel-matrix block with ``cols`` columns: the largest
-    power of two that keeps it within ``_BLOCK_ENTRIES`` entries.  Blocks
-    then start at multiples of 4, where BLAS starts its groups of rows,
-    so on one BLAS thread each row of ``block @ m`` sums as it would in
-    one product over all rows."""
+    power of two that keeps it within ``_BLOCK_ENTRIES`` entries."""
     return 1 << max(0, (_BLOCK_ENTRIES // cols).bit_length() - 1)
 
 
@@ -217,25 +215,17 @@ def _site_kernel_matrix(sites, alpha, n, diam, r_moll):
     return K
 
 
-def _kernel_potentials(x, sites, m, alpha, n, diam, r_moll):
-    """The potential of masses m on the sites at each point of x, from
-    ``_block_rows`` rows of the kernel matrix at a time."""
-    rows = _block_rows(len(sites))
-    return np.concatenate([
-        _riesz_kernel_matrix(x[i:i + rows], sites, alpha, n, diam,
-                             r_moll) @ m for i in range(0, len(x), rows)])
-
-
-def _sample(E: ParametricSet, pitch: float, cap: int) -> np.ndarray:
+def _sample(E: ParametricSet, pitch: float, cap: int) -> tuple:
     """E's own sample (a uniform lattice that scales with E) at the least
-    pitch ``pitch * _PITCH_GROWTH**k`` with at most ``cap`` points; raises
-    ResolutionError once the pitch passes the span of E's bounding box."""
+    pitch ``pitch * _PITCH_GROWTH**k`` with at most ``cap`` points, and
+    that pitch; raises ResolutionError once the pitch passes the span of
+    E's bounding box."""
     lo, hi = E.bounding_box()
     while len(pts := E.sample_points(pitch)) > cap:
         if pitch > float(np.max(hi - lo)):
             raise ResolutionError(f"no sample of the set has <= {cap} points")
         pitch *= _PITCH_GROWTH
-    return pts
+    return pts, pitch
 
 
 def _mirror_upper(K: np.ndarray) -> None:
@@ -312,18 +302,16 @@ def _equilibrium(K: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
 
 def riesz_capacity(E: ParametricSet, omega: Domain, alpha: float,
                    h: float) -> CapacityEstimate:
-    """Discretized Riesz capacity of E in Omega with a lower estimate.
+    """Discretized Riesz capacity of E in Omega: the total mass of the
+    site equilibrium, with no proved bounds (``lower``, ``upper`` None).
 
-    Sites sit on E at spacing h and constraint points at h/2, both E's
-    own samples (``_sample``, capped at ``_SITE_CAP`` and 12 times that).
-    The site masses are the exact equilibrium (``_equilibrium``, whose
-    pivots ``iterations`` counts), scaled so the least potential over
-    sites and constraint points is 1: their total is ``value`` and
-    ``upper``.  ``lower`` scales them so the largest is 1 instead.  The
-    site kernel matrix is the one n x n matrix held: the equilibrium's
-    first Cholesky factor lives inside it and its product Km gives the
-    site potentials.  Raises ResolutionError when the equilibrium meets a
-    block of it that is not positive definite."""
+    Sites are E's own sample at spacing h, coarsened above ``_SITE_CAP``
+    points (``_sample``; ``extras["pitch"]`` is the spacing taken), and
+    kernel entries closer than half that spacing are the kernel's mean
+    over a ball of that radius.  The masses are the exact equilibrium
+    (``_equilibrium``, whose pivots ``iterations`` counts), factored
+    inside the one n x n matrix held.  Raises ResolutionError when the
+    equilibrium meets a block of it that is not positive definite."""
     n = E.dim
     if not 1.0 < alpha <= n:
         raise HypothesisViolation(f"alpha must lie in (1, n], got {alpha}")
@@ -333,27 +321,14 @@ def riesz_capacity(E: ParametricSet, omega: Domain, alpha: float,
     elo, ehi = E.bounding_box()
     if np.any(elo < lo - 1e-9) or np.any(ehi > hi + 1e-9):
         raise HypothesisViolation("E must be contained in Omega")
-    diam = omega.diameter
-    sites = _sample(E, h, _SITE_CAP)
+    sites, pitch = _sample(E, h, _SITE_CAP)
+    extras = {"sites": len(sites), "pitch": pitch}
     if len(sites) == 0:
-        return CapacityEstimate(0.0, "equilibrium", h, lower=0.0, upper=0.0)
-    fine = _sample(E, h / 2.0, 12 * _SITE_CAP)
-    r_moll = 0.5 * h
-    K = _site_kernel_matrix(sites, alpha, n, diam, r_moll)
-    m, site_pot, pivots = _equilibrium(K)
-    # site potentials, then constraint points in row blocks of about
-    # _BLOCK_ENTRIES kernel entries, so each block stays in cache
-    pot = np.concatenate([
-        site_pot, _kernel_potentials(fine, sites, m, alpha, n, diam, r_moll)])
-    min_pot = float(pot.min())
-    if min_pot <= 0:
-        raise ResolutionError("potential vanished on a constraint point")
-    value = float((m / min_pot).sum())
-    return CapacityEstimate(value, "equilibrium", h,
-                            lower=value * min_pot / float(pot.max()),
-                            upper=value, iterations=pivots,
-                            extras={"sites": len(sites),
-                                    "constraints": len(fine)})
+        return CapacityEstimate(0.0, "equilibrium", h, extras=extras)
+    K = _site_kernel_matrix(sites, alpha, n, omega.diameter, 0.5 * pitch)
+    m, _, pivots = _equilibrium(K)
+    return CapacityEstimate(float(m.sum()), "equilibrium", h,
+                            iterations=pivots, extras=extras)
 
 
 # ---------------------------------------------------------------------------

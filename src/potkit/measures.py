@@ -80,9 +80,15 @@ class RadialMassFunction:
             raise ValueError("need one coefficient per breakpoint")
         if any(m <= 0.0 for m, _ in powers):
             raise ValueError("power exponents must be positive")
-        object.__setattr__(self, "breakpoints", bp)
-        object.__setattr__(self, "constant", const)
-        object.__setattr__(self, "powers", powers)
+        self.__dict__.update(breakpoints=bp, constant=const, powers=powers)
+
+    @classmethod
+    def _built(cls, bp, const, powers=()):
+        """A profile of arrays already as ``__post_init__`` checks and
+        converts them, built without those checks."""
+        self = object.__new__(cls)
+        self.__dict__.update(breakpoints=bp, constant=const, powers=powers)
+        return self
 
     @property
     def mass_at_zero(self) -> float:
@@ -133,18 +139,18 @@ class RadialMassFunction:
 def _step_profile(d, cum, tie):
     """Step profile of masses at the sorted distances ``d`` with running
     totals ``cum``: each run of equal distances, ``tie`` marking each
-    distance equal to the one before it, is one jump."""
+    distance equal to the one before it, is one jump; built unchecked."""
     if tie.any():
         end = np.append(np.flatnonzero(~tie), d.size - 1)
         d, cum = d[end], cum[end]
     start = int(d.size > 0 and d[0] == 0.0)  # a jump at 0 is an atom at x
     bp, const = np.zeros(d.size + 1), np.zeros(d.size + 1)
     bp[1:], const[1:] = d, cum
-    return RadialMassFunction(bp[start:], const[start:])
+    return RadialMassFunction._built(bp[start:], const[start:])
 
 
 def _merge_profiles(parts):
-    """Sum of several RadialMassFunction objects."""
+    """Sum of several RadialMassFunction objects, built unchecked."""
     bp = np.unique(np.concatenate([p.breakpoints for p in parts]))
     idx = [np.searchsorted(p.breakpoints, bp, side="right") - 1 for p in parts]
     constant = sum(p.constant[k] for p, k in zip(parts, idx))
@@ -152,7 +158,8 @@ def _merge_profiles(parts):
     for p, k in zip(parts, idx):
         for m, coefs in p.powers:
             powers[m] = powers.get(m, 0.0) + coefs[k]
-    return RadialMassFunction(bp, constant, tuple(sorted(powers.items())))
+    return RadialMassFunction._built(bp, constant,
+                                     tuple(sorted(powers.items())))
 
 
 class Measure:
@@ -315,7 +322,8 @@ def TableProfile(radii, values) -> RadialMassFunction:
         raise ValueError("table radii must be nonnegative and increasing")
     if np.any(v < 0) or np.any(np.diff(v) < 0):
         raise ValueError("table values must be nonnegative and nondecreasing")
-    return _step_profile(r, v, r[1:] == r[:-1])
+    # checked as any direct construction is
+    return RadialMassFunction(**vars(_step_profile(r, v, r[1:] == r[:-1])))
 
 
 def _is_center(rho: float) -> bool:

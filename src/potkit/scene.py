@@ -2,10 +2,11 @@
 sets, and task parameters.
 
 One validator checks a scene and its task: the typed field readers
-below.  A number is a finite JSON number and never a bool (nor the
-``NaN``, ``Infinity`` or ``-Infinity`` that Python's json reads), an
-integer is an integral number (``2.0`` reads as 2), a vector is a list
-of numbers.
+below, for every field.  A number is a finite JSON number and never a
+bool or a string (nor the ``NaN``, ``Infinity`` or ``-Infinity`` that
+Python's json reads), an integer is an integral number (``2.0`` reads
+as 2), a vector is a list of numbers, a list of vectors one of equally
+long ones (or one vector).
 Every SceneError names the JSON pointer of the offending value
 (``/measures/4``, ``task/path/count``), so batch users can fix scenes
 without reading tracebacks; a violation of the top-level layout reads
@@ -111,14 +112,26 @@ def _integer(value):
     return None if type(value) is int else "a number"
 
 
+def _vector(value):
+    ok = isinstance(value, list) and not any(map(_number, value))
+    return None if ok else "a list of numbers"
+
+
+def _vectors(value):  # one vector reads as a list of that one vector
+    rows = [value] if _vector(value) is None else value
+    if (not isinstance(rows, list) or any(map(_vector, rows))
+            or len({len(row) for row in rows}) != 1):
+        return "a list of equally long lists of numbers"
+
+
 read_field = _reader(lambda v: None)
 read_number = _reader(_number, float)
 read_int = _reader(_integer, int)
 read_object = _reader(lambda v: None if isinstance(v, dict) else "an object")
 read_list = _reader(lambda v: None if isinstance(v, list) else "a list")
-read_vector = _reader(
-    lambda v: None if isinstance(v, list) and not any(map(_number, v))
-    else "a list of numbers", lambda v: np.asarray(v, dtype=float))
+read_vector = _reader(_vector, lambda v: np.asarray(v, dtype=float))
+read_vectors = _reader(
+    _vectors, lambda v: np.atleast_2d(np.asarray(v, dtype=float)))
 
 
 def _only(spec: dict, keys: tuple, where: str) -> None:
@@ -146,68 +159,77 @@ def _read_entries(obj: dict, section: str, kinds: tuple) -> list:
     return entries
 
 
+def _readers(spec: dict, n: int, where: str):
+    """Typed readers of the entry at pointer ``where``: a number, a vector,
+    a point of the scene's dimension n and a list of such points."""
+    def sized(read):
+        def get(key, default=_REQUIRED):
+            value = read(spec, key, default, where=where)
+            if key in spec and value.shape[-1] != n:
+                raise SceneError(f"{where}/{key}: expected dimension {n}, "
+                                 f"got {value.shape[-1]}")
+            return value
+        return get
+    return (partial(read_number, spec, where=where),
+            partial(read_vector, spec, where=where), sized(read_vector),
+            sized(read_vectors))
+
+
 def _build_measure(spec: dict, n: int, built: dict, where: str) -> Measure:
-    get = partial(read_field, spec, where=where)
+    num, vec, point, points = _readers(spec, n, where)
     kind = spec["kind"]
     if kind == "atoms":
-        return AtomicMeasure(get("locations"), get("masses"))
+        return AtomicMeasure(points("locations"), vec("masses"))
     if kind == "power-profile":
-        prof = PowerLawProfile(get("coef"), get("exponent"),
-                               get("radius", None))
-        return RadialProfileMeasure(get("center"), prof)
+        prof = PowerLawProfile(num("coef"), num("exponent"),
+                               num("radius", None))
+        return RadialProfileMeasure(point("center"), prof)
     if kind == "atom-plus-power":
-        prof = AtomPlusPowerProfile(get("atom"), get("coef"),
-                                    get("exponent"), get("radius", None))
-        return RadialProfileMeasure(get("center"), prof)
+        prof = AtomPlusPowerProfile(num("atom"), num("coef"),
+                                    num("exponent"), num("radius", None))
+        return RadialProfileMeasure(point("center"), prof)
     if kind == "uniform-ball":
-        return lebesgue_ball_measure(get("center"), get("radius"),
-                                     get("density", 1.0))
+        return lebesgue_ball_measure(point("center"), num("radius"),
+                                     num("density", 1.0))
     if kind == "sphere-shell":
-        return normalized_sphere_shell(get("center"), get("radius"),
-                                       get("mass"))
-    parts = [built[p] if p in built else None for p in get("parts")]
-    if any(p is None for p in parts):
+        return normalized_sphere_shell(point("center"), num("radius"),
+                                       num("mass"))
+    parts = read_list(spec, "parts", where=where)
+    if not all(isinstance(p, str) and p in built for p in parts):
         raise SceneError(f"{where}: sum parts must name earlier measures")
-    return SumMeasure(parts)
+    return SumMeasure([built[p] for p in parts])
 
 
 def _build_set(spec: dict, n: int, built: dict, where: str) -> ParametricSet:
+    # an axis goes to the constructors, which check it
+    num, vec, point, points = _readers(spec, n, where)
     get = partial(read_field, spec, where=where)
     kind = spec["kind"]
     if kind == "balls":
-        return BallUnion(get("centers"), get("radii"))
+        return BallUnion(points("centers"), vec("radii"))
     if kind == "boxes":
-        return BoxUnion(get("los"), get("his"))
+        return BoxUnion(points("los"), points("his"))
     if kind == "sphere":
-        return Sphere(get("center"), get("radius"))
+        return Sphere(point("center"), num("radius"))
     if kind == "points":
-        return PointList(get("points"))
+        return PointList(points("points"))
     if kind == "segment":
-        return segment_set(get("a"), get("b"))
+        return segment_set(point("a"), point("b"))
     if kind == "cantor-dust":
-        return cantor_dust(get("depth"), dim=n, axis=get("axis", 0))
+        return cantor_dust(read_int(spec, "depth", where=where), dim=n,
+                           axis=get("axis", 0))
     if kind == "cusp":
-        return Cusp(get("gamma"), get("length"), n,
-                    vertex=get("vertex", None), axis=get("axis", 0))
+        return Cusp(num("gamma"), num("length"), n,
+                    vertex=point("vertex", None), axis=get("axis", 0))
     base = get("base")
-    if base not in built:
+    if not (isinstance(base, str) and base in built):
         raise SceneError(f"{where}: restricted base must name an earlier set")
-    return RestrictedSet(built[base], get("center"), get("r_in"),
-                         get("r_out"))
+    return RestrictedSet(built[base], point("center"), num("r_in"),
+                         num("r_out"))
 
 
-def _check_dim(obj, n: int, where: str) -> None:
-    arr = np.asarray(obj, dtype=float)
-    width = arr.shape[-1] if arr.ndim else 0
-    if width != n:
-        raise SceneError(f"{where}: expected dimension {n}, got {width}")
-
-
-_BUILDERS = (
-    ("measures", MEASURE_KINDS, ("locations", "center"), _build_measure),
-    ("sets", SET_KINDS, ("centers", "los", "his", "center", "points", "a",
-                         "b", "vertex"), _build_set),
-)
+_BUILDERS = (("measures", MEASURE_KINDS, _build_measure),
+             ("sets", SET_KINDS, _build_set))
 
 
 def parse_scene(obj: dict) -> Scene:
@@ -233,13 +255,13 @@ def parse_scene(obj: dict) -> Scene:
             raise SceneError(f"/tolerance: expected above 0, got {tolerance}")
         task = read_object(obj, "task", {}, where="")
         entries = [_read_entries(obj, section, kinds)
-                   for section, kinds, _, _ in _BUILDERS]
+                   for section, kinds, _ in _BUILDERS]
     except SceneError as exc:
         raise SceneError(f"scene schema violation at {exc}") from None
     if not np.all(hi > lo):
         raise SceneError("/domain: hi must exceed lo on every axis")
     built = []
-    for specs, (section, _, dim_fields, build) in zip(entries, _BUILDERS):
+    for specs, (section, _, build) in zip(entries, _BUILDERS):
         named: dict = {}
         for i, spec in enumerate(specs):
             where = f"/{section}/{i}"
@@ -247,9 +269,6 @@ def parse_scene(obj: dict) -> Scene:
                 raise SceneError(f"{where}: duplicate {section[:-1]} name "
                                  f"{spec['name']!r}")
             try:
-                for key in dim_fields:
-                    if key in spec:
-                        _check_dim(spec[key], n, f"{where}/{key}")
                 made = build(spec, n, named, where)
             except SceneError:
                 raise

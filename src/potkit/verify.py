@@ -173,19 +173,16 @@ def _check_capacity_scaling(profile: str, seed: int) -> CheckResult:
     h = 1.0 / 64.0 if profile == "full" else 1.0 / 32.0
     lams = np.array([1.0, 0.5, 0.25])
     omega = BoxDomain((-1.0,) * n, (1.0,) * n)
-    rows = []
-    values = []
-    for lam in lams:
-        est = riesz_capacity(Sphere(np.zeros(n), 0.5 * lam), omega, alpha, h)
-        values.append(est.value)
-        rows.append((lam, est.value, est.lower, est.upper))
-    slope, _, _ = loglog_slope(lams, np.asarray(values))
+    ests = [riesz_capacity(Sphere(np.zeros(n), 0.5 * lam), omega, alpha, h)
+            for lam in lams]
+    rows = [(lam, est.value, est.extras["sites"])
+            for lam, est in zip(lams, ests)]
+    slope, _, _ = loglog_slope(lams, np.array([est.value for est in ests]))
     return _finish(
         "capacity-scaling",
         [Metric("loglog-slope", slope, n - alpha, 0.10)],
         notes=f"sphere radius 0.5*lambda, h={h:g}",
-        series={"capacity-scaling": (("lambda", "value", "lower", "upper"),
-                                     rows)})
+        series={"capacity-scaling": (("lambda", "value", "sites"), rows)})
 
 
 def _check_condenser(profile: str, seed: int) -> CheckResult:

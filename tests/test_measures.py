@@ -149,6 +149,38 @@ def test_grid_profile_has_one_jump_per_distinct_distance():
                        rtol=1e-13, atol=0.0)
 
 
+def _checked(prof):
+    """The same profile through the checking constructor."""
+    return RadialMassFunction(prof.breakpoints, prof.constant, prof.powers)
+
+
+def test_unchecked_profiles_pass_the_checks_unchanged():
+    # the step and merged profiles skip RadialMassFunction's checks; built
+    # again through them, they keep every array bit for bit
+    rng = np.random.default_rng(14)
+    x = np.array([0.1, -0.2, 0.05])
+    pts = np.vstack([x, x + rng.normal(size=(9, 3)) * 0.5, x + 0.3])
+    atoms = AtomicMeasure(pts[:-1], rng.uniform(0.2, 1.5, 10))
+    grid = GridMeasure(EvaluationGrid.from_box((0.0,) * 3, (1.0,) * 3, 0.25),
+                       rng.uniform(0.5, 1.5, (4,) * 3))
+    ball = RadialProfileMeasure(x, PowerLawProfile(0.7, 2.5, rmax=0.6))
+    for prof in (atoms.radial_mass_profile(x), grid.radial_mass_profile(x),
+                 grid.radial_mass_profile([0.625, 0.375, 0.125], 0.4),
+                 SumMeasure([atoms, ball]).radial_mass_profile(x)):
+        again = _checked(prof)
+        for a, b in ((prof.breakpoints, again.breakpoints),
+                     (prof.constant, again.constant)):
+            assert a.dtype == b.dtype == float and np.array_equal(a, b)
+        assert [m for m, _ in prof.powers] == [m for m, _ in again.powers]
+        assert all(np.array_equal(a, b) for (_, a), (_, b)
+                   in zip(prof.powers, again.powers))
+    # a table profile and any direct construction still check
+    with pytest.raises(ValueError, match="strictly increasing"):
+        RadialMassFunction([0.0, 0.5, 0.5], [0.0, 1.0, 2.0])
+    with pytest.raises(ValueError, match="increasing"):
+        TableProfile([0.5, 0.2], [1.0, 2.0])
+
+
 def test_atom_plus_power_profile():
     mu = RadialProfileMeasure(np.zeros(3), AtomPlusPowerProfile(2.0, 1.0, 3.0))
     assert mu.ball_mass(np.zeros(3), 0.5) == pytest.approx(2.0 + 0.125)

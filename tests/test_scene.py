@@ -216,6 +216,42 @@ def test_any_bad_field_is_a_scene_error_naming_its_pointer(where, value):
         assert pointer in str(exc), (where, value, str(exc))
 
 
+# a bool or a numeric string read as a number before; in a vector it sits
+# at index 0, in a list of vectors in the first one
+@pytest.mark.parametrize("section, index, key, at", [
+    ("measures", 0, "masses", ()),
+    ("measures", 1, "exponent", ()),
+    ("measures", 2, "atom", ()),
+    ("measures", 3, "density", ()),
+    ("measures", 4, "mass", ()),
+    ("measures", 5, "parts", ()),
+    ("sets", 0, "centers", (0, 0)),
+    ("sets", 1, "his", (0,)),
+    ("sets", 2, "radius", ()),
+    ("sets", 3, "points", (0, 0)),
+    ("sets", 4, "b", (0,)),
+    ("sets", 5, "depth", ()),
+    ("sets", 6, "gamma", ()),
+    ("sets", 7, "r_out", ()),
+], ids=["atoms", "power-profile", "atom-plus-power", "uniform-ball",
+        "sphere-shell", "sum", "balls", "boxes", "sphere", "points",
+        "segment", "cantor-dust", "cusp", "restricted"])
+@pytest.mark.parametrize("bad", [True, "2"], ids=["bool", "numeric-string"])
+def test_a_bool_or_numeric_string_field_names_its_pointer(section, index, key,
+                                                          at, bad):
+    doc = json.loads(json.dumps(_scene()))  # the nested lists are shared
+    spec = doc[section][index]
+    if at:
+        value = spec[key]
+        for i in at[:-1]:
+            value = value[i]
+        value[at[-1]] = bad
+    else:
+        spec[key] = bad
+    message = _raises_at(doc, f"/{section}/{index}/{key}: expected ")
+    assert json.dumps(bad) in message
+
+
 # null would set every coordinate of a dust's boxes, and true read as axis 1
 @pytest.mark.parametrize("axis", [None, True, 1.5])
 @pytest.mark.parametrize("index", [5, 6], ids=["cantor-dust", "cusp"])

@@ -89,6 +89,79 @@ def test_segment_hits_box():
     assert not E.segment_hits(np.array([0.0, 0.0]), np.array([0.3, 0.0]))
 
 
+_SEGMENT_SAMPLE = 4001
+_VEC3 = st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3)
+
+
+def _segment_sample(a, b):
+    """Points of [a, b] at equal steps of |b - a| / 4000, and that step."""
+    ts = np.linspace(0.0, 1.0, _SEGMENT_SAMPLE)
+    return (a[None, :] + ts[:, None] * (b - a)[None, :],
+            float(np.linalg.norm(b - a)) / (_SEGMENT_SAMPLE - 1))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(n=st.sampled_from([2, 3]), center=_VEC3,
+       radius=st.floats(0.1, 1.0), a=_VEC3, b=_VEC3)
+# tangent at the midpoint, ending on the sphere from outside, and a = b
+# on the sphere and off it, in 2-D and 3-D
+@example(n=2, center=[0.0] * 3, radius=0.5, a=[-1.0, 0.5, 0.0],
+         b=[1.0, 0.5, 0.0])
+@example(n=3, center=[0.0] * 3, radius=0.5, a=[-1.0, 0.0, 0.5],
+         b=[1.0, 0.0, 0.5])
+@example(n=3, center=[0.1, 0.0, 0.0], radius=0.5, a=[1.0, 0.0, 0.0],
+         b=[0.6, 0.0, 0.0])
+@example(n=2, center=[0.0] * 3, radius=0.5, a=[0.0, 0.5, 0.0],
+         b=[0.0, 0.5, 0.0])
+@example(n=3, center=[0.0] * 3, radius=0.5, a=[0.0, 0.3, 0.0],
+         b=[0.0, 0.3, 0.0])
+def test_sphere_segment_hits_agree_with_a_dense_sample(n, center, radius,
+                                                       a, b):
+    c, a, b = (np.asarray(v[:n]) for v in (center, a, b))
+    hit = Sphere(c, radius).segment_hits(a, b)
+    pts, step = _segment_sample(a, b)
+    off = np.sqrt(((pts - c) ** 2).sum(axis=1)) - radius
+    # a sample on the sphere, or samples on both sides, is a hit; a hit
+    # has a sample within a step of the sphere
+    if off.min() <= 0.0 <= off.max():
+        assert hit
+    if hit:
+        assert np.abs(off).min() <= step + 1e-12
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(n=st.sampled_from([2, 3]),
+       points=st.lists(_VEC3, min_size=1, max_size=5), a=_VEC3, b=_VEC3,
+       on=st.none() | st.tuples(st.integers(0, 4),
+                                st.integers(0, _SEGMENT_SAMPLE - 1)))
+# through a listed point, and a = b on a listed point and off every one,
+# in 2-D and 3-D
+@example(n=2, points=[[0.3, 0.2, 0.0], [0.5, 0.5, 0.0]], a=[0.0, 0.0, 0.0],
+         b=[0.6, 0.4, 0.0], on=None)
+@example(n=3, points=[[0.3, 0.2, 0.1]], a=[0.0, 0.0, 0.0],
+         b=[0.6, 0.4, 0.2], on=None)
+@example(n=3, points=[[0.3, 0.2, 0.1]], a=[0.3, 0.2, 0.1],
+         b=[0.3, 0.2, 0.1], on=None)
+@example(n=2, points=[[0.3, 0.2, 0.0]], a=[0.3, 0.25, 0.0],
+         b=[0.3, 0.25, 0.0], on=None)
+def test_point_list_segment_hits_agree_with_a_dense_sample(n, points, a, b,
+                                                          on):
+    a, b = np.asarray(a[:n]), np.asarray(b[:n])
+    pts, step = _segment_sample(a, b)
+    listed = np.asarray(points)[:, :n]
+    if on is not None:  # a listed point that is a sample of the segment
+        listed[on[0] % len(listed)] = pts[on[1]]
+    hit = PointList(listed).segment_hits(a, b)
+    near = np.sqrt(((listed[:, None, :] - pts[None, :, :]) ** 2)
+                   .sum(axis=2)).min()
+    # a listed point at a sample is a hit; a hit has a listed point within
+    # half a step of a sample
+    if near == 0.0 or on is not None:
+        assert hit
+    if hit:
+        assert near <= step / 2.0 + 1e-12
+
+
 def test_sphere_membership_is_thin_shell():
     E = Sphere([0.0, 0.0, 0.0], 1.0)
     pts = np.array([[1.0, 0.0, 0.0], [0.5, 0.0, 0.0], [1.5, 0.0, 0.0]])
