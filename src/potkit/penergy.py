@@ -15,12 +15,14 @@ stationarity finds the global minimizer subject to the pinned nodes.
 
 Minimization is an L-BFGS descent on the free nodes (Nocedal's two-loop
 recursion over the newest 10 pairs, Armijo backtracking) with an
-optional Newton polish: on grids small enough for a sparse direct
-solve, damped Newton steps with the exact Hessian (nested-dissection
-order, pattern built once per call) push the gradient to machine level.
-Up to 2-D each step factors its Hessian; above 2-D one factor is kept
-and preconditions conjugate gradients on the later steps' Hessians,
-and a step refactors only when CG does not converge in 25 solves.
+optional Newton polish: on grids small enough for a direct solve,
+damped Newton steps with the exact Hessian (pattern built once per
+call) push the gradient to machine level.  Up to 2-D each step factors
+its Hessian in nested-dissection order.  Above 2-D the free nodes are
+in lattice order (longest axis slowest), one single-precision banded
+Cholesky factor of a Hessian is kept, and every step solves its Newton
+system by double-precision conjugate gradients preconditioned by that
+factor; a step refactors only when CG does not converge in 25 solves.
 
 A coarse-to-fine cascade serves every caller but a p = 2 Dirichlet
 solve small enough to factor (one Newton step from any start minimizes
@@ -58,6 +60,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg import lapack
 from scipy.linalg.blas import daxpy
 
 from .errors import ResolutionError
@@ -401,19 +404,24 @@ def _nested_dissection(shape) -> np.ndarray:
 
 class _FrozenHessian:
     """Sparsity pattern of the free-node Hessian, in nested-dissection
-    order, with the CSC slot of every per-cell contribution.
+    order up to 2-D and lattice order above, with the CSC slot of every
+    per-cell contribution.
 
     The pattern is the 3^n-point stencil restricted to free nodes; it is
     built by index arithmetic, once, and ``assemble`` then only fills its
     values.  ``order`` lists the free nodes in elimination order: row and
-    column k of the assembled matrix belong to node ``order[k]``.
+    column k of the assembled matrix belong to node ``order[k]``.  Above
+    2-D each lower-triangle CSC slot also has a place in ``band``.
     """
 
     def __init__(self, grid: EvaluationGrid, fixed_mask: np.ndarray):
         n = grid.dim
         shape = grid.node_shape
-        nd = _nested_dissection(shape)
-        self.order = nd[~fixed_mask.ravel()[nd]]
+        # above 2-D the longest axis runs slowest, which narrows the band
+        axes = sorted(range(n), key=lambda a: -shape[a])
+        nodes = (_nested_dissection(shape) if n <= 2 else
+                 np.arange(grid.n_nodes).reshape(shape).transpose(axes).ravel())
+        self.order = nodes[~fixed_mask.ravel()[nodes]]
         m = self.order.size
         # ranks on the lattice padded by one node per side, so that every
         # stencil neighbour has an index; -1 marks pinned and pad nodes
@@ -459,6 +467,22 @@ class _FrozenHessian:
         # (B^T W B)_ij = 4^(1-n)/h^2 sum_ab S_ai S_bj W_ab
         sign = 2.0 * corners.T - 1.0
         self._outer = np.einsum("ai,bj->abij", sign, sign).reshape(n * n, -1)
+        if n > 2:
+            # entry (i, j), i >= j, is row i - j of band column j; the
+            # band is stored transposed, so its flat index is j (kd+1) + i-j
+            col = np.repeat(np.arange(m), np.diff(self.indptr))
+            off = self.indices - col
+            self.band_slots = np.flatnonzero(off >= 0)
+            self.kd = int(off.max(initial=0))
+            self.band_pos = (col * (self.kd + 1) + off)[self.band_slots]
+
+    def band(self, data: np.ndarray) -> np.ndarray:
+        """The lower band of the matrix with CSC values ``data``, in
+        single precision and LAPACK lower band storage: entry (d, j) is
+        matrix entry (j + d, j).  Above 2-D only."""
+        ab = np.zeros((self.order.size, self.kd + 1), dtype=np.float32)
+        ab.reshape(-1)[self.band_pos] = data[self.band_slots]
+        return ab.T
 
     def assemble(self, problem: PEnergyProblem, u: np.ndarray):
         """Hessian of the energy at u on the free nodes, as CSC.
@@ -519,27 +543,45 @@ def _pcg(H, b: np.ndarray, precond):
     return x
 
 
+def _band_cholesky(ab: np.ndarray):
+    """Factor the single-precision lower band ``ab`` in place (LAPACK
+    ``spbtrf``) and return its solve, in and out in double precision;
+    raises LinAlgError when the band is not numerically definite."""
+    c, info = lapack.spbtrf(ab, lower=1, overwrite_ab=1)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"spbtrf failed with info {info}")
+
+    def solve(r):
+        x, _ = lapack.spbtrs(c, r.astype(np.float32), lower=1)
+        return x.astype(float)
+    return solve
+
+
 def newton_polish(problem: PEnergyProblem, u: np.ndarray):
     """Damped Newton refinement with the exact sparse Hessian; returns
     (u, PEnergyInfo) with the number of Newton steps as ``iterations``
-    and the number of sparse factorizations as ``factorizations``.
+    and the number of factorizations as ``factorizations``.
 
     The Hessian weights per cell are g^(p-2) I + (p-2) g^(p-4) D D^T
     (eigenvalues g^(p-2) and (p-1) g^(p-2), so it is positive definite
     wherever the gradient magnitude g is nonzero).  Its pattern is built
-    once per call, in nested-dissection order of the node lattice, and
-    each iteration only refills the values.  A factorization runs in
-    that order (``permc_spec="NATURAL"``).  Up to 2-D every iteration
-    factors its Hessian.  Above 2-D one factor serves many iterations:
-    the first iteration factors its Hessian and keeps the factor, and
-    each later one solves its Newton system H_k d = -g_k by conjugate
-    gradients, preconditioned by that factor and started from its
-    solve of -g_k.  CG stops at max|H_k d + g_k| <= 1e-10 max|g_k|;
+    once per call and each iteration only refills the values.  Up to
+    2-D every iteration factors its Hessian in nested-dissection order
+    (``spsolve`` with ``permc_spec="NATURAL"``).  Above 2-D the free
+    nodes are in lattice order, longest axis slowest, where the Hessian
+    is a band about one smallest lattice plane wide, and one
+    single-precision banded Cholesky factor (LAPACK ``spbtrf``), filled
+    by one scatter of the CSC values, serves many iterations: each, the
+    first included, solves H_k d = -g_k by double-precision conjugate
+    gradients on H_k, preconditioned by the kept factor and started from
+    its solve of -g_k.  CG stops at max|H_k d + g_k| <= 1e-10 max|g_k|;
     when 25 preconditioner solves do not reach that, or the step is not
-    finite or no descent direction, the iteration factors H_k instead
-    and keeps the new factor.  Nothing outlives the call.  Tiny
-    diagonal damping covers cells where the energy degenerates; a
-    factorization that gives no descent direction is retried with more.
+    finite or no descent direction, the iteration factors H_k, keeps the
+    new factor and runs CG again.  Nothing outlives the call.  Tiny
+    diagonal damping covers cells where the energy degenerates.  A
+    factorization that fails or gives no descent direction is retried:
+    up to 2-D with more damping, above with only the band shifted, by
+    1e-6 of its largest diagonal entry and ten times more each retry.
 
     The line search backtracks from the full step under the Armijo
     test on the true energy.  Once the predicted decrease drops below
@@ -548,9 +590,8 @@ def newton_polish(problem: PEnergyProblem, u: np.ndarray):
     gradient, and the refinement stops when it does not.  Iteration ends
     when the max-norm gradient over free nodes is below ``NEWTON_GTOL``.
     Both stops count as converged; raises ResolutionError when
-    ``NEWTON_ITERS`` steps do not reach either, or when no damping of
-    the Newton system gives a descent direction.  Intended for grids
-    small enough for a sparse direct solve.
+    ``NEWTON_ITERS`` steps do not reach either, or when no retry gives a
+    descent direction.  Intended for grids small enough to factor.
     """
     hess = _FrozenHessian(problem.grid, problem.fixed_mask)
     order = hess.order
@@ -578,9 +619,9 @@ def newton_polish(problem: PEnergyProblem, u: np.ndarray):
         # a free node whose cells are all flat has a zero row: damp from
         # the start rather than factor an exactly singular matrix
         lam = 1e-10 if np.any(H.data[hess.diag] == 0.0) else 0.0
-        step = (None if factor is None
-                else _pcg(damped(H, lam), -gf, factor.solve))
-        attempts = 0
+        M = damped(H, lam)
+        step = None if factor is None else _pcg(M, -gf, factor)
+        attempts, shift = 0, 0.0
         while (step is None or not np.all(np.isfinite(step))
                or not float(gf @ step) < 0.0):
             if attempts == 8:
@@ -589,20 +630,27 @@ def newton_polish(problem: PEnergyProblem, u: np.ndarray):
                     f"{gmax:.3g}")
             attempts += 1
             factorizations += 1
-            M = damped(H, lam)
             try:
-                # above 2-D the factor is kept to precondition the CG
-                # solves of later systems; 2-D solves every Newton
+                # above 2-D the band factor is kept to precondition the
+                # CG solves of this and later systems (the old band is
+                # freed first); a retry shifts the band alone, by what
+                # single precision resolves.  2-D solves every Newton
                 # system with one spsolve (the benchmark's tracer counts
-                # these calls, and a banded Cholesky is planned there)
+                # these calls)
                 if problem.grid.dim > 2:
-                    factor = spla.splu(M, permc_spec="NATURAL")
-                    step = factor.solve(-gf)
+                    factor = None
+                    ab = hess.band(M.data)
+                    ab[0] += shift * ab[0].max()
+                    factor = _band_cholesky(ab)
+                    step = _pcg(M, -gf, factor)
                 else:
                     step = spla.spsolve(M, -gf, permc_spec="NATURAL")
-            except RuntimeError:
+            except (RuntimeError, np.linalg.LinAlgError):
                 step = None
-            lam = 1e-10 if lam == 0.0 else lam * 100.0
+            shift = 1e-6 if shift == 0.0 else shift * 10.0
+            if problem.grid.dim <= 2:
+                lam = 1e-10 if lam == 0.0 else lam * 100.0
+                M = damped(H, lam)
         slope = float(gf @ step)
         rounding = 64.0 * np.finfo(float).eps * max(1.0, abs(e0))
         x0 = flat[order]

@@ -140,7 +140,8 @@ def solve_p_dirichlet(grid: EvaluationGrid, mu: Measure | None, p: float,
     Any p > 1 is accepted without a measure; with one, p must lie in
     (1, n].  At p = 2 within the cap below, the energy is quadratic:
     :func:`~potkit.penergy.newton_polish` alone minimizes it from the
-    affine fit to the boundary values, in one step (``method="newton"``).
+    affine fit to the boundary values, in one step (``method="newton"``;
+    above 2-D a second step takes CG's 1e-10 residual to round-off).
     Otherwise coarse levels at pitch 2h and 4h, where the cell counts
     allow, warm-start the fine descent in
     :func:`~potkit.penergy.minimize_p_energy`'s cascade from the affine
@@ -148,16 +149,16 @@ def solve_p_dirichlet(grid: EvaluationGrid, mu: Measure | None, p: float,
     descent (two-loop recursion over 10 pairs, Armijo backtracking) that
     stops at a relative energy change of ``penergy.REL_ENERGY_TOL``.  The
     Newton refinement follows it whenever the grid is small enough to
-    factor directly; the fill-in of the sparse factorization caps this
-    at ~1.6e5 nodes in 2-D but ~4e4 in higher dimensions.  In 2-D each
-    Newton step factors its Hessian; above 2-D one factor usually serves
-    the whole polish, preconditioning CG on the later steps.  One
-    factor's memory sets the caps, so neither that nor the
-    nested-dissection order of :func:`~potkit.penergy.newton_polish`
-    changes them.  Newton finishes a descent that ran out of iterations
-    or stalled, and raises ResolutionError when it does not converge
-    itself; on a grid above the cap, a capped or stalled descent raises
-    ResolutionError.
+    factor directly: ~1.6e5 nodes in 2-D, where each Newton step factors
+    its Hessian sparsely in nested-dissection order, and ~4e4 above.
+    Above 2-D one single-precision banded Cholesky factor of the Hessian
+    in lattice order usually serves the whole polish, preconditioning CG
+    on every step (see :func:`~potkit.penergy.newton_polish`); its band,
+    of half-width about the smallest lattice plane, sets the cap: a cube
+    has the widest band for its node count, about 140 MB at 34^3 nodes.
+    Newton finishes a descent that ran out of iterations or stalled, and
+    raises ResolutionError when it does not converge itself; on a grid
+    above the cap, a capped or stalled descent raises ResolutionError.
     For p < 2 the energy is regularized by eps = 1e-12 in the gradient
     magnitude; the reported residual is that of the unregularized
     energy.  Array boundary data is given on the fine grid's nodes; the

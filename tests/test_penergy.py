@@ -11,6 +11,7 @@ from functools import reduce
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.linalg.lapack
 import scipy.sparse.linalg
 from hypothesis import example, given, settings, strategies as st
 
@@ -464,9 +465,14 @@ def test_factorizations_go_through_spsolve(monkeypatch):
 
     monkeypatch.setattr(scipy.sparse.linalg, "spsolve", counting)
     grid = EvaluationGrid.from_box((0.0, 0.0), (1.0, 1.0), 1.0 / 16.0)
-    sol = solve_p_dirichlet(grid, None, 2.0, _pole_data)
-    assert sol.residual < 1e-12
-    assert calls and set(calls) == {"NATURAL"}
+    for p in (2.0, 3.0):
+        calls.clear()
+        sol = solve_p_dirichlet(grid, None, p, _pole_data)
+        assert sol.residual < 1e-12
+        assert calls and set(calls) == {"NATURAL"}
+        # 2-D makes one spsolve per factorization
+        assert len(calls) == sol.extras["factorizations"]
+        assert sol.extras["factorizations"] >= sol.extras["newton_steps"] >= 1
 
 
 def test_flat_start_factors_no_singular_matrix(monkeypatch):
@@ -556,6 +562,39 @@ def _polish_3d(cells, p, coef, atom):
     return problem, u
 
 
+def _exact_newton(problem, u0):
+    """Test-local Newton reference: ``newton_polish``'s steps and line
+    search, with every Newton system solved exactly by spsolve."""
+    hess = _FrozenHessian(problem.grid, problem.fixed_mask)
+    free = hess.order
+    u = u0.copy()
+    flat = u.reshape(-1)
+    e0, grad = problem.energy_and_grad(u)
+    g0 = grad.reshape(-1)[free]
+    for _ in range(penergy.NEWTON_ITERS):
+        gmax = float(np.max(np.abs(g0)))
+        if gmax < penergy.NEWTON_GTOL:
+            return u
+        step = scipy.sparse.linalg.spsolve(hess.assemble(problem, u), -g0)
+        slope = float(g0 @ step)
+        rounding = 64.0 * np.finfo(float).eps * max(1.0, abs(e0))
+        x0, t = flat[free], 1.0
+        while True:
+            flat[free] = x0 + t * step
+            e1, grad = problem.energy_and_grad(u)
+            g1 = grad.reshape(-1)[free]
+            if -t * slope < rounding:
+                if np.max(np.abs(g1)) < gmax:
+                    break
+                flat[free] = x0
+                return u
+            if e1 <= e0 + 1e-4 * t * slope:
+                break
+            t *= 0.5
+        e0, g0 = e1, g1
+    raise AssertionError("the reference Newton did not converge")
+
+
 @settings(max_examples=30, deadline=None, derandomize=True)
 @given(st.tuples(*[st.integers(4, 8)] * 3), st.floats(1.5, 3.0),
        st.lists(st.floats(-1.0, 1.0), min_size=6, max_size=6),
@@ -566,47 +605,89 @@ def _polish_3d(cells, p, coef, atom):
 def test_3d_polish_with_one_factor_equals_refactoring(cells, p, coef, atom):
     problem, u0 = _polish_3d(cells, p, coef, atom)
     u, info = newton_polish(problem, u0)
-    # the reference factors every Newton system: CG gives up at once
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(penergy, "_pcg", lambda H, b, precond: None)
-        ref, ref_info = newton_polish(problem, u0)
-    assert ref_info.factorizations >= ref_info.newton_steps
+    ref = _exact_newton(problem, u0)
     assert info.factorizations <= max(1, info.newton_steps)
     assert np.max(np.abs(u - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
+def _band_reference(M, kd):
+    """The lower band of the CSC matrix M in LAPACK lower band storage,
+    single precision: entry (d, j) is M[j + d, j]."""
+    low = sp.tril(M).tocoo()
+    ab = np.zeros((kd + 1, M.shape[0]), dtype=np.float32)
+    ab[low.row - low.col, low.col] = low.data
+    return ab
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(st.tuples(*[st.integers(4, 8)] * 3), st.floats(1.5, 3.0),
+       st.integers(0, 2 ** 32 - 1), st.floats(0.0, 0.3))
+@example((8, 6, 7), 2.5, 1, 0.3)
+def test_3d_band_from_slot_map_equals_csc_band(cells, p, seed, share):
+    h = 0.125
+    grid = EvaluationGrid.from_box((0.0,) * 3, np.multiply(cells, h), h)
+    rng = np.random.default_rng(seed)
+    # the boundary and a random share of the interior nodes are pinned
+    mask = grid.boundary_node_mask() | (rng.random(grid.node_shape) < share)
+    X, Y, Z = np.meshgrid(*grid.node_axes(), indexing="ij")
+    data = X * X - Y + 0.5 * np.sin(2.0 * Z) + 0.1 * rng.normal(
+        size=grid.node_shape)
+    problem = PEnergyProblem(grid, p, mask, np.where(mask, data, 0.0),
+                             coef=1.0 / p, eps=(1e-12 if p < 2 else 0.0))
+    hess = _FrozenHessian(grid, mask)
+    # above 2-D the free nodes are in lattice order, longest axis slowest
+    assert np.array_equal(np.sort(hess.order), np.flatnonzero(~mask.ravel()))
+    coords = np.unravel_index(hess.order, grid.node_shape)
+    slowest_first = sorted(range(3), key=lambda a: -grid.node_shape[a])
+    keys = [coords[a] for a in reversed(slowest_first)]
+    assert np.array_equal(np.lexsort(keys), np.arange(hess.order.size))
+    M = hess.assemble(problem, rng.normal(size=grid.node_shape))
+    low = sp.tril(M).tocoo()
+    kd = int(np.max(low.row - low.col, initial=0))
+    assert hess.kd == kd
+    for lam in (0.0, 1e-10, 1e-4):
+        D = M.copy()
+        D.data[hess.diag] += lam
+        band = hess.band(D.data)
+        ref = _band_reference(D, kd)
+        assert band.dtype == ref.dtype and band.shape == ref.shape
+        assert np.array_equal(band, ref)
+    # a polish on such a mask converges to NEWTON_GTOL
+    u0 = affine_fill(grid, problem.fixed_values, mask)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(penergy, "REL_ENERGY_TOL", 1e-4)
+        u0, _ = minimize_p_energy(problem, u0)
+    u, info = newton_polish(problem, u0)
+    assert info.grad_norm < penergy.NEWTON_GTOL
+    assert np.array_equal(u[mask], problem.fixed_values[mask])
+
+
 def test_3d_flat_start_factors_no_singular_matrix(monkeypatch):
     # the 3-D form of test_flat_start_factors_no_singular_matrix: every
-    # splu succeeds and its solve is finite
+    # band factorization succeeds and every preconditioner solve is
+    # finite
     results = []
-    original = scipy.sparse.linalg.splu
+    factor, solve = scipy.linalg.lapack.spbtrf, scipy.linalg.lapack.spbtrs
 
-    class Recording:
-        def __init__(self, *args, **kwargs):
-            try:
-                self.lu = original(*args, **kwargs)
-            except RuntimeError:
-                results.append(False)
-                raise
+    def recording_factor(*args, **kwargs):
+        c, info = factor(*args, **kwargs)
+        results.append(info == 0)
+        return c, info
 
-        def solve(self, b):
-            out = self.lu.solve(b)
-            results.append(bool(np.all(np.isfinite(out))))
-            return out
+    def recording_solve(*args, **kwargs):
+        x, info = solve(*args, **kwargs)
+        results.append(info == 0 and bool(np.all(np.isfinite(x))))
+        return x, info
 
-    monkeypatch.setattr(scipy.sparse.linalg, "splu", Recording)
+    monkeypatch.setattr(scipy.linalg.lapack, "spbtrf", recording_factor)
+    monkeypatch.setattr(scipy.linalg.lapack, "spbtrs", recording_solve)
     grid = EvaluationGrid.from_box((0.0,) * 3, (1.0,) * 3, 1.0 / 8.0)
     bmask = grid.boundary_node_mask()
     X, _, _ = np.meshgrid(*grid.node_axes(), indexing="ij")
     problem = PEnergyProblem(grid, 3.0, bmask, np.where(bmask, X * X, 0.0),
                              coef=1.0 / 3.0)
     monkeypatch.setattr(penergy, "LBFGS_MAXITER", 3)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        _, info = minimize_p_energy(problem, polish="newton")
-    assert not [w for w in caught
-                if issubclass(w.category,
-                              scipy.sparse.linalg.MatrixRankWarning)]
+    _, info = minimize_p_energy(problem, polish="newton")
     assert results and all(results)
     assert info.grad_norm < 1e-12
     # the later steps ran CG on the kept factor
@@ -616,24 +697,99 @@ def test_3d_flat_start_factors_no_singular_matrix(monkeypatch):
 def test_3d_polish_without_descent_direction_raises(monkeypatch):
     # the 3-D form of test_polish_without_descent_direction_raises: a
     # factor whose solve points uphill is never kept, and every damping
-    # retry factors again
-    original = scipy.sparse.linalg.splu
+    # retry factors again.  CG does not change under a sign flip of its
+    # preconditioner, so the step here is the factor's own solve.
+    factor, solve = scipy.linalg.lapack.spbtrf, scipy.linalg.lapack.spbtrs
     factored = []
 
-    class Ascent:
-        def __init__(self, *args, **kwargs):
-            factored.append(1)
-            self.lu = original(*args, **kwargs)
+    def counting(*args, **kwargs):
+        factored.append(1)
+        return factor(*args, **kwargs)
 
-        def solve(self, b):
-            return -self.lu.solve(b)
+    def ascent(*args, **kwargs):
+        x, info = solve(*args, **kwargs)
+        return -x, info
 
-    monkeypatch.setattr(scipy.sparse.linalg, "splu", Ascent)
+    monkeypatch.setattr(scipy.linalg.lapack, "spbtrf", counting)
+    monkeypatch.setattr(scipy.linalg.lapack, "spbtrs", ascent)
+    monkeypatch.setattr(penergy, "_pcg", lambda H, b, precond: precond(b))
     grid = EvaluationGrid.from_box((0.0,) * 3, (1.0,) * 3, 1.0 / 8.0)
     with pytest.raises(ResolutionError, match="no descent direction"):
         solve_p_dirichlet(grid, None, 2.0,
                           lambda pts: np.sin(pts @ [3.0, -1.0, 2.0]))
     assert len(factored) == 8
+
+
+@pytest.mark.parametrize("box", [(0.1, 0.1, 3.0), (3.0, 0.1, 0.1),
+                                 (0.1, 3.0, 0.1)])
+def test_3d_band_is_as_wide_as_the_smallest_lattice_plane(box):
+    # 11 x 11 x 301 nodes in any axis order: the longest axis runs
+    # slowest, so the band half-width is 9 * 9 + 9 + 1 free nodes rather
+    # than the 9 * 299 + 299 + 1 of lattice order along a long last axis
+    grid = EvaluationGrid.from_box((0.0,) * 3, box, 0.01)
+    hess = _FrozenHessian(grid, grid.boundary_node_mask())
+    assert hess.order.size == 9 * 9 * 299
+    assert hess.kd == 91
+
+
+def test_3d_failed_band_factorization_is_retried(monkeypatch):
+    # a zero-data problem started from two bumped interior nodes: at
+    # p = 2.5 its Hessian is positive definite in double precision, but
+    # spbtrf finds its single-precision band is not (info > 0).  The
+    # failed factor is never solved with; the retry shifts the band, so
+    # one factorization more succeeds, while CG keeps solving the
+    # undamped Hessian
+    grid = EvaluationGrid.from_box((0.0,) * 3, (1.0,) * 3, 0.25)
+    mask = grid.boundary_node_mask()
+    problem = PEnergyProblem(grid, 2.5, mask, np.zeros(grid.node_shape),
+                             coef=0.4)
+    u0 = np.zeros(grid.node_shape)
+    u0[2:4, 2, 2] = 1.0
+    hess = _FrozenHessian(grid, mask)
+    H0 = hess.assemble(problem, u0)
+    assert np.all(H0.data[hess.diag] > 0.0)
+    ab = hess.band(H0.data)
+    assert scipy.linalg.lapack.dpbtrf(ab.astype(float), lower=1)[1] == 0
+    assert scipy.linalg.lapack.spbtrf(ab, lower=1)[1] > 0
+
+    factor, solve = scipy.linalg.lapack.spbtrf, scipy.linalg.lapack.spbtrs
+    assemble, pcg = _FrozenHessian.assemble, penergy._pcg
+    calls, diagonals, assembled, solved = [], [], [], []
+
+    def recording_factor(ab, **kwargs):
+        diagonals.append(ab[0].copy())
+        c, info = factor(ab, **kwargs)
+        calls.append(info)
+        return c, info
+
+    def recording_solve(*args, **kwargs):
+        calls.append("solve")
+        return solve(*args, **kwargs)
+
+    def recording_assemble(self, problem, u):
+        assembled.append(assemble(self, problem, u))
+        return assembled[-1]
+
+    def recording_pcg(H, b, precond):
+        solved.append(H)
+        return pcg(H, b, precond)
+
+    monkeypatch.setattr(scipy.linalg.lapack, "spbtrf", recording_factor)
+    monkeypatch.setattr(scipy.linalg.lapack, "spbtrs", recording_solve)
+    monkeypatch.setattr(_FrozenHessian, "assemble", recording_assemble)
+    monkeypatch.setattr(penergy, "_pcg", recording_pcg)
+    _, info = newton_polish(problem, u0)
+    assert info.grad_norm < penergy.NEWTON_GTOL
+    factored = [c for c in calls if c != "solve"]
+    assert info.factorizations == len(factored)
+    # the failure is followed at once by a factorization that succeeds
+    assert factored[0] > 0 and calls[1] == 0
+    assert all(c == 0 for c in factored[1:])
+    # no band is factored again bit for bit
+    assert all(not np.array_equal(a, b)
+               for a, b in zip(diagonals, diagonals[1:]))
+    # every CG solve runs on an assembled Hessian, undamped
+    assert solved and all(any(H is A for A in assembled) for H in solved)
 
 
 def _hand_cascade(levels, u0, polish=None):

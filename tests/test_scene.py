@@ -1,6 +1,7 @@
 """Scene documents: every measure and set kind builds from JSON, and a
 bad document raises SceneError naming where it went wrong."""
 
+import copy
 import json
 import os
 import subprocess
@@ -54,10 +55,18 @@ SETS = [
 def _scene(**extra):
     doc = {"dimension": 3,
            "domain": {"lo": [-1.0, -1.0, -1.0], "hi": [1.0, 1.0, 1.0]},
-           "measures": [dict(m) for m in MEASURES],
-           "sets": [dict(s) for s in SETS]}
+           "measures": copy.deepcopy(MEASURES),
+           "sets": copy.deepcopy(SETS)}
     doc.update(extra)
     return doc
+
+
+def test_scene_fixture_edits_stay_in_their_document():
+    doc = _scene()
+    doc["sets"][0]["centers"][0][0] = 9.0
+    doc["measures"][0]["masses"].append(2.0)
+    assert SETS[0]["centers"] == [[0.5, 0.0, 0.0]]
+    assert MEASURES[0]["masses"] == [1.0]
 
 
 def _raises_at(doc, pointer):
@@ -239,7 +248,7 @@ def test_any_bad_field_is_a_scene_error_naming_its_pointer(where, value):
 @pytest.mark.parametrize("bad", [True, "2"], ids=["bool", "numeric-string"])
 def test_a_bool_or_numeric_string_field_names_its_pointer(section, index, key,
                                                           at, bad):
-    doc = json.loads(json.dumps(_scene()))  # the nested lists are shared
+    doc = _scene()
     spec = doc[section][index]
     if at:
         value = spec[key]
